@@ -77,7 +77,6 @@ void FillTrimFields(BenchRecord& record, const fault::TrimOptions& trim,
 bool Identical(const fault::FaultSimResult& a, const fault::FaultSimResult& b) {
   if (a.first_detect != b.first_detect) return false;
   if (a.detects_per_pattern != b.detects_per_pattern) return false;
-  if (a.activates_per_pattern != b.activates_per_pattern) return false;
   if (a.num_detected != b.num_detected) return false;
   for (std::size_t i = 0; i < a.detected_mask.size(); ++i) {
     if (a.detected_mask.Get(i) != b.detected_mask.Get(i)) return false;

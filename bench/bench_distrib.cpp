@@ -9,7 +9,7 @@
 // published. Emits BENCH_distrib.json: per fleet size, wall seconds,
 // speedup over the single-process baseline, phase wall breakdown, how many
 // units the workers (vs the coordinator inline) computed, steal count, and
-// the final campaign's phase-2 replay share.
+// the store's hit and miss counts.
 //
 // Knobs (environment):
 //   GPUSTL_BENCH_DISTRIB_SBS   Small Blocks per generated PTP (default 24)
@@ -30,7 +30,6 @@
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
 #include "distrib/coordinator.h"
-#include "fault/replay.h"
 #include "fault/trim.h"
 #include "stl/generators.h"
 #include "store/result_store.h"
@@ -61,7 +60,6 @@ struct RunResult {
   std::string report;
   double wall_seconds = 0.0;
   distrib::PrefetchStats prefetch;
-  std::uint64_t replays = 0;  // phase-2 replays during the final campaign
   store::StoreStats cache;
 };
 
@@ -119,9 +117,6 @@ int Main() {
   plan.push_back(MakeEntry(stl::GenerateFpu(sbs, 0xF00E),
                            TargetModule::kFp32, false, false));
 
-  std::size_t compactable = 0;
-  for (const auto& pe : plan) compactable += pe.entry.compactable ? 1 : 0;
-
   std::filesystem::remove_all(scratch);
   std::filesystem::create_directories(scratch);
 
@@ -146,7 +141,6 @@ int Main() {
     RunResult out;
     Timer wall;
     if (workers >= 0) {
-      opt.distrib_replay = true;
       distrib::CoordinatorOptions copt;
       copt.dir = scratch + "/" + tag + "-distrib";
       copt.fork_workers = workers;
@@ -156,14 +150,11 @@ int Main() {
       out.prefetch = coordinator.Prefetch(plan);
     }
 
-    const std::uint64_t replays_before =
-        fault::GlobalReplayCounters().replays.load();
     compact::StlCampaign campaign(du, sp, sfu, opt, &fp32, &preps);
     for (const auto& pe : plan) campaign.Process(pe.entry);
     out.report =
         compact::RenderCampaignReport(campaign.records(), campaign.Summary());
     out.wall_seconds = wall.Seconds();
-    out.replays = fault::GlobalReplayCounters().replays.load() - replays_before;
     out.cache = store.stats();
     return out;
   };
@@ -179,23 +170,15 @@ int Main() {
     const bool identical = r.report == base.report;
     all_identical = all_identical && identical;
     const double speedup = base.wall_seconds / r.wall_seconds;
-    // Phase-2 replay share: fraction of the final campaign's skip-masked
-    // simulations (2 per compactable entry: stage 3 + validation) the
-    // reducer replayed instead of simulating.
-    const double replay_share =
-        compactable == 0 ? 0.0
-                         : static_cast<double>(r.replays) /
-                               static_cast<double>(2 * compactable);
 
     std::printf(
         "bench_distrib: %d workers — %.2fs (%.2fx), report %s, "
-        "%llu worker / %llu inline units, %llu steals, replay share %.0f%%\n",
+        "%llu worker / %llu inline units, %llu steals\n",
         workers, r.wall_seconds, speedup,
         identical ? "identical" : "DIVERGED",
         static_cast<unsigned long long>(r.prefetch.worker_units),
         static_cast<unsigned long long>(r.prefetch.inline_units),
-        static_cast<unsigned long long>(r.prefetch.steals),
-        replay_share * 100.0);
+        static_cast<unsigned long long>(r.prefetch.steals));
 
     BenchRecord record;
     record.bench = "distrib";
@@ -217,7 +200,6 @@ int Main() {
         {"wave1_seconds", r.prefetch.wave1_seconds},
         {"plan_seconds", r.prefetch.plan_seconds},
         {"wave2_seconds", r.prefetch.wave2_seconds},
-        {"replay_share", replay_share},
         {"cache_hits", static_cast<double>(r.cache.hits)},
         {"cache_misses", static_cast<double>(r.cache.misses)},
     };

@@ -127,11 +127,7 @@ Compactor::Compactor(const netlist::Netlist& module,
       target_(target),
       options_(std::move(options)),
       prep_(prep != nullptr ? std::move(prep) : BuildModulePrep(module)),
-      detected_(prep_->faults.size(), false),
-      warm_cache_(!options_.trim.warm_start ? nullptr
-                  : options_.warm_cache != nullptr
-                      ? options_.warm_cache
-                      : std::make_shared<fault::WarmStartCache>()) {}
+      detected_(prep_->faults.size(), false) {}
 
 Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
   TraceRun out;
@@ -148,7 +144,7 @@ Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
 
 fault::FaultSimResult Compactor::SimulateFaults(
     const netlist::PatternSet& patterns, const BitVec* skip,
-    bool drop_detected) const {
+    bool drop_detected, fault::WarmStartCache* warm) const {
   const fault::FaultSimOptions sim_options{
       .drop_detected = drop_detected,
       .num_threads = options_.num_threads,
@@ -159,35 +155,11 @@ fault::FaultSimResult Compactor::SimulateFaults(
       .collapse_plan = options_.collapse_faults ? &prep_->collapse : nullptr,
       .cancel = ActiveToken(),
       .trim = options_.trim,
-      .warm_cache = warm_cache_.get(),
+      .warm_cache = warm != nullptr ? warm : options_.warm_cache.get(),
       .trim_counters = trim_counters_.get()};
   const store::SimModel model = options_.fault_model == FaultModel::kTransition
                                     ? store::SimModel::kTransition
                                     : store::SimModel::kStuckAt;
-  // Distributed replay (fault/replay.h): a dropped stuck-at run with a
-  // skip mask is derived from the full-list result — a store hit when the
-  // two-phase schedule prefetched it, a live run (cached for the next
-  // asker) otherwise — plus one pass over the good-machine blocks. Exact;
-  // other shapes (no-drop, transition, no skip) take the normal path.
-  if (options_.distrib_replay && skip != nullptr && drop_detected &&
-      options_.fault_model == FaultModel::kStuckAt) {
-    const fault::FaultSimResult full = store::SimulateWithStore(
-        options_.result_store, *module_, patterns, prep_->faults,
-        /*skip=*/nullptr, sim_options, model, &prep_->faults_fp);
-    // Good blocks come from the warm-start cache when that trim mechanism
-    // is on (the full run just populated it); otherwise a private cache —
-    // replay must not quietly depend on the trim layer.
-    if (fault::EffectiveTrim(options_.trim).warm_start &&
-        warm_cache_ != nullptr) {
-      const fault::WarmStartCache::Shared shared =
-          warm_cache_->Acquire(*module_, patterns, trim_counters_.get());
-      return fault::ReplaySkipFromFull(*module_, prep_->faults, full, *skip,
-                                       *shared.good);
-    }
-    fault::GoodBlockCache good_blocks(*module_, patterns);
-    return fault::ReplaySkipFromFull(*module_, prep_->faults, full, *skip,
-                                     good_blocks);
-  }
   return store::SimulateWithStore(options_.result_store, *module_, patterns,
                                   prep_->faults, skip, sim_options, model,
                                   &prep_->faults_fp);
@@ -215,10 +187,26 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
                                          : original_run.patterns;
   });
 
-  // Stage 3: one optimized fault simulation, then labeling.
+  // Stage 3: one optimized fault simulation of the original patterns
+  // against the full fault list — the original PTP's standalone coverage
+  // too — filtered by the dropping state (fault/replay.h), then labeling.
+  // Without intra-PTP dropping labeling needs every detection, which no
+  // first-detect filter can supply, so that run stays live; the two runs
+  // share the patterns, hence a call-local warm-start cache unless a
+  // shared one is configured.
+  FaultSimResult full_before;
   guard.Run(kStageFaultSim, [&] {
-    res.fault_report =
-        SimulateFaults(patterns, &detected_, options_.drop_within_ptp);
+    if (options_.drop_within_ptp) {
+      full_before = SimulateFaults(patterns, nullptr, true);
+      res.fault_report = fault::ReplaySkipFromFull(full_before, detected_);
+    } else {
+      fault::WarmStartCache local_warm;
+      fault::WarmStartCache* warm = options_.warm_cache != nullptr
+                                        ? options_.warm_cache.get()
+                                        : &local_warm;
+      full_before = SimulateFaults(patterns, nullptr, true, warm);
+      res.fault_report = SimulateFaults(patterns, &detected_, false, warm);
+    }
   });
   guard.Run(kStageLabel, [&] {
     res.labels = LabelInstructions(ptp, original_run.tracing, patterns,
@@ -232,42 +220,40 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     RelocateData(res.compacted);
   });
 
-  // Stage 5: reassembly + validation (logic + fault sim of the CPTP,
-  // against the same fault-list state, for the FC difference).
+  // Stage 5: reassembly + validation (logic trace of the CPTP and one
+  // full-list fault simulation of its patterns, filtered by the same
+  // fault-list state, for the FC difference).
   guard.Run(kStageValidate, [&] {
     const TraceRun compacted_run = RunLogicTrace(res.compacted);
     const PatternSet compacted_patterns =
         options_.reverse_patterns ? compacted_run.patterns.Reversed()
                                   : compacted_run.patterns;
-    const FaultSimResult validation =
-        SimulateFaults(compacted_patterns, &detected_, true);
-
-    res.compaction_seconds = timer.Seconds();
+    const FaultSimResult full_after =
+        SimulateFaults(compacted_patterns, nullptr, true);
+    res.validation_detections =
+        fault::ReplaySkipFromFull(full_after, detected_).num_detected;
 
     // FC bookkeeping follows the paper's tables: the FC of a PTP (and hence
     // the "Diff FC" column) is its STANDALONE coverage of the module's full
-    // fault list. This is what makes RAND lose coverage after TPGEN: the
-    // instructions removed as unessential (because TPGEN already detected
-    // their faults in the dropped flow) did detect faults standalone.
-    const fault::FaultSimResult standalone_before =
-        SimulateFaults(patterns, nullptr, true);
-    const fault::FaultSimResult standalone_after =
-        SimulateFaults(compacted_patterns, nullptr, true);
-    res.validation_detections = validation.num_detected;
+    // fault list — the two full-list runs themselves. This is what makes
+    // RAND lose coverage after TPGEN: the instructions removed as
+    // unessential (because TPGEN already detected their faults in the
+    // dropped flow) did detect faults standalone.
 
     res.original.size_instr = ptp.size();
     res.original.duration_cc = original_run.run.total_cycles;
     res.original.arc_percent = arc_fraction * 100.0;
     res.original.fc_percent = fault::CoveragePercent(
-        standalone_before.num_detected, prep_->faults.size());
+        full_before.num_detected, prep_->faults.size());
 
     res.result.size_instr = res.compacted.size();
     res.result.duration_cc = compacted_run.run.total_cycles;
     res.result.arc_percent = isa::Cfg(res.compacted).ArcFraction() * 100.0;
     res.result.fc_percent = fault::CoveragePercent(
-        standalone_after.num_detected, prep_->faults.size());
+        full_after.num_detected, prep_->faults.size());
 
     res.diff_fc = res.result.fc_percent - res.original.fc_percent;
+    res.compaction_seconds = timer.Seconds();
   });
 
   res.num_sbs = 0;
@@ -318,9 +304,9 @@ double Compactor::AbsorbCoverage(const isa::Program& ptp) {
   const PatternSet patterns = options_.reverse_patterns
                                   ? run.patterns.Reversed()
                                   : run.patterns;
-  const fault::FaultSimResult report =
-      SimulateFaults(patterns, &detected_, true);
-  detected_ |= report.detected_mask;
+  // Skipping only hides faults already in detected_, so the full-list run
+  // adds exactly the detections the skip-masked run would.
+  detected_ |= SimulateFaults(patterns, nullptr, true).detected_mask;
   return CumulativeFcPercent();
 }
 

@@ -10,7 +10,9 @@
 //                         report (VCDE);
 //  3. Fault analysis    — ONE optimized gate-level fault simulation of the
 //                         target module against the captured patterns
-//                         (module-level observability, fault dropping), then
+//                         (module-level observability, fault dropping) over
+//                         the full fault list, filtered by the persistent
+//                         fault-list report (fault/replay.h), then
 //                         instruction labeling (Fig. 2): an instruction is
 //                         `essential` iff at least one of its issue cycles
 //                         carries a fault-detecting pattern in any warp;
@@ -18,8 +20,13 @@
 //                         its instructions are unessential; input-data
 //                         segments no longer referenced are relocated out;
 //  5. Reassembly        — branch retargeting, validation run of the
-//                         compacted PTP (logic sim + fault sim) to report
-//                         the FC difference.
+//                         compacted PTP (logic sim + ONE full-list fault
+//                         sim) to report the FC difference.
+//
+// So a compacted PTP costs two fault simulations, one per pattern set: each
+// full-list run is both a standalone coverage measurement and, filtered,
+// the dropped run (stage 3 / validation). Those are exactly the runs the
+// distributed schedule (src/distrib/) prefetches into the result store.
 //
 // A Compactor instance owns the persistent fault-list report: compacting a
 // sequence of PTPs that target the same module drops already-detected
@@ -173,8 +180,9 @@ struct CompactorOptions {
   /// Execution-redundancy trimming inside every fault simulation this
   /// compactor runs (see fault/trim.h): pattern-block dedup, per-fault
   /// early-exit, and cross-run warm-start of good-machine/observability
-  /// state. Exact — reports are bit-identical for every combination; pure
-  /// cost knobs, excluded from result-store keys like `backend`.
+  /// state through `warm_cache`. Exact — reports are bit-identical for
+  /// every combination; pure cost knobs, excluded from result-store keys
+  /// like `backend`.
   fault::TrimOptions trim;
 
   /// Content-addressed result store consulted before every fault
@@ -184,17 +192,9 @@ struct CompactorOptions {
   /// from the store without perturbing any table.
   store::ResultStore* result_store = nullptr;
 
-  /// Derive skip-masked fault-sim results (the cross-PTP dropped stage-3 /
-  /// validation runs) by replaying the drop order over the FULL-fault-list
-  /// result of the same patterns instead of resimulating (fault/replay.h).
-  /// The full result is fetched through `result_store` when one is
-  /// configured — the distributed two-phase schedule (src/distrib/)
-  /// publishes exactly those entries, so phase-2 coordinators do no
-  /// sequential propagation at all — and computed live (then cached) on a
-  /// miss, so the option is safe without workers too. Replay is exact and
-  /// applies to dropped stuck-at runs (the only shape campaigns issue);
-  /// any other shape falls back to the live engine. Reports are
-  /// byte-identical with the option on or off.
+  /// No effect: every skip-masked dropped run is now derived from the
+  /// full-list run of the same patterns. Kept only so perfbench/, its one
+  /// caller, still compiles.
   bool distrib_replay = false;
 
   /// Wall-clock budget per pipeline stage (logic trace, fault sim, label,
@@ -210,11 +210,14 @@ struct CompactorOptions {
   /// next stage boundary or fault-sim pattern block.
   CancelToken* cancel = nullptr;
 
-  /// Warm-start cache shared with other compactors (null = the compactor
-  /// builds a private one when `trim.warm_start` is on). The cache is
-  /// content-keyed by (netlist, patterns), so sharing it across campaigns
-  /// — the service worker pool does — only ever adds hits; reports stay
-  /// bit-identical because warm-start is exact (fault/parallel.h).
+  /// Warm-start cache shared with other compactors (null = none). The
+  /// cache is content-keyed by (netlist, patterns), so campaigns sharing
+  /// it (the service worker pool does) reuse each other's good-machine
+  /// state; reports stay bit-identical because warm-start is exact
+  /// (fault/parallel.h). With intra-PTP dropping a compactor simulates
+  /// each pattern set once, so it builds no private cache; without it
+  /// (`drop_within_ptp = false`) stage 3 simulates the original patterns
+  /// twice and shares a call-local cache between the two runs.
   std::shared_ptr<fault::WarmStartCache> warm_cache;
 
   /// Per-stage progress hook (see compact/run_guard.h); empty = none.
@@ -302,9 +305,10 @@ class Compactor {
   TraceRun RunLogicTrace(const isa::Program& ptp) const;
 
   /// Stage-3/5 fault simulation under the configured fault model.
-  fault::FaultSimResult SimulateFaults(const netlist::PatternSet& patterns,
-                                       const BitVec* skip,
-                                       bool drop_detected) const;
+  /// `warm` overrides the configured warm-start cache (null = use it).
+  fault::FaultSimResult SimulateFaults(
+      const netlist::PatternSet& patterns, const BitVec* skip,
+      bool drop_detected, fault::WarmStartCache* warm = nullptr) const;
 
   /// The token fault simulations poll and stage guards arm: the external
   /// one when provided, else the compactor's own when a stage deadline is
@@ -318,10 +322,8 @@ class Compactor {
   // other compactors of the same module (never null).
   std::shared_ptr<const ModulePrep> prep_;
   BitVec detected_;
-  // Cross-run warm-start state shared by every fault simulation of this
-  // compactor (null when TrimOptions::warm_start is off) and the
-  // observability counters. Heap-held to keep the Compactor movable.
-  std::shared_ptr<fault::WarmStartCache> warm_cache_;
+  // Trim observability counters of every fault simulation of this
+  // compactor. Heap-held to keep the Compactor movable.
   std::shared_ptr<fault::TrimCounters> trim_counters_ =
       std::make_shared<fault::TrimCounters>();
   // Deadline token owned by this compactor (used when no external token

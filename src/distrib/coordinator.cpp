@@ -18,7 +18,6 @@
 #include "distrib/claims.h"
 #include "distrib/units.h"
 #include "distrib/worker.h"
-#include "fault/parallel.h"
 #include "fault/replay.h"
 #include "gpu/sm.h"
 #include "isa/cfg.h"
@@ -284,8 +283,8 @@ PrefetchStats Coordinator::Prefetch(
 
   // Phase `plan`: replay the sequential drop order over the wave-1 results
   // and derive each compacted PTP — the exact computation the final
-  // campaign will repeat (Compactor stages 1..4 with distrib_replay), so
-  // the wave-2 units below are precisely the simulations it will ask for.
+  // campaign will repeat (Compactor stages 1..4), so the wave-2 units below
+  // are precisely the simulations it will ask for.
   Timer plan_timer;
   std::set<std::string> wave2;
   for (const compact::PlanEntry& pe : plan) {
@@ -315,18 +314,8 @@ PrefetchStats Coordinator::Prefetch(
           /*skip=*/nullptr, FullSimOptions(base_, *ts.prep),
           store::SimModel::kStuckAt, &ts.prep->faults_fp);
 
-      fault::FaultSimResult replayed;
-      if (fault::EffectiveTrim(base_.trim).warm_start &&
-          base_.warm_cache != nullptr) {
-        const fault::WarmStartCache::Shared shared =
-            base_.warm_cache->Acquire(*ts.nl, patterns, nullptr);
-        replayed = fault::ReplaySkipFromFull(*ts.nl, ts.prep->faults, full,
-                                             ts.detected, *shared.good);
-      } else {
-        fault::GoodBlockCache good_blocks(*ts.nl, patterns);
-        replayed = fault::ReplaySkipFromFull(*ts.nl, ts.prep->faults, full,
-                                             ts.detected, good_blocks);
-      }
+      const fault::FaultSimResult replayed =
+          fault::ReplaySkipFromFull(full, ts.detected);
 
       const std::vector<bool> labels = compact::LabelInstructions(
           ptp, recorder.report(), patterns, replayed);

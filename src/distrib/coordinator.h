@@ -12,17 +12,16 @@
 //           embarrassingly parallel) runs on the workers and lands in the
 //           shared result store.
 //   plan    the coordinator replays the sequential drop order over the
-//           wave-1 results (fault/replay.h: good-machine words only, no
-//           fault propagation), labels, reduces and reassembles each
-//           compacted PTP — cheap, single-process, exact.
+//           wave-1 results (fault/replay.h: a first-detect filter per
+//           entry, no simulation at all), labels, reduces and reassembles
+//           each compacted PTP — cheap, single-process, exact.
 //   wave 2  the compacted PTPs' full-list simulations run on the workers.
-//   final   the caller runs the ordinary StlCampaign with
-//           CompactorOptions::distrib_replay set: every fault simulation it
-//           needs is now either a store hit (full-list runs) or a replay
-//           over one (skip-masked runs). Ground truth is still the
-//           campaign itself — if phase `plan` and the campaign ever
-//           disagreed, the campaign's own store-missing simulations would
-//           run live and win.
+//   final   the caller runs the ordinary StlCampaign: the only fault
+//           simulations a Compactor runs are full-list ones (it filters
+//           them for the skip-masked views), so every one is now a store
+//           hit. Ground truth is still the campaign itself — if phase
+//           `plan` and the campaign ever disagreed, the campaign's own
+//           store-missing simulations would run live and win.
 //
 // Nothing in the protocol is load-bearing for correctness: kill every
 // worker and the coordinator computes the remaining units inline after a

@@ -11,7 +11,7 @@
 //   wide   — the width-parameterized engine (fault/engine_wide.h) at 4
 //            lanes (256 patterns per block) compiled WITHOUT SIMD codegen
 //            flags. Portable to any CPU; exists so the wide engine's lane
-//            bookkeeping (ragged tails, drop boundaries, carry chains) is
+//            bookkeeping (ragged tails, carry chains) is
 //            exercised on machines and CI runners without AVX2.
 //   avx2   — the same 4-lane engine compiled with AVX2 codegen (one
 //            256-bit vector op per bundle op). Compiled in only when the
@@ -23,7 +23,7 @@
 //            enough patterns survive dropping to fill them).
 //
 // Every backend produces a bit-identical FaultSimResult — same
-// first_detect, same per-pattern histograms, same masks — for every thread
+// first_detect, same per-pattern histogram, same mask — for every thread
 // count and every collapse/cone/ffr toggle. The backend is therefore a pure
 // cost knob, excluded from result-store fingerprints exactly like
 // num_threads (tests/test_backend.cpp is the conformance suite that holds

@@ -4,8 +4,7 @@
 // classes*: faults whose faulty circuits compute the identical function of
 // the primary inputs. The simulator then propagates one representative per
 // class and expands detection results to every member — exactly, because
-// detection is a property of the faulty function (per-member *activation*
-// still differs and is computed per member). Two rules generate the
+// detection is a property of the faulty function. Two rules generate the
 // classes, closed transitively with a union-find:
 //
 //  * forced output: if driving input pin p of gate g to value v forces g's

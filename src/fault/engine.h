@@ -6,8 +6,8 @@
 // The per-backend entry points below receive that prepared state and run
 // the (possibly sharded) pattern-block loop at their own word width. Every
 // backend must produce a FaultSimResult bit-identical to the scalar oracle
-// — the contract tests/test_backend.cpp enforces (see fault/backend.h for
-// the accounting rules that make cross-width identity non-trivial).
+// — the contract tests/test_backend.cpp enforces (see fault/engine_wide.h
+// for the one cross-width seam, the transition launch carry).
 //
 // Internal header — include from src/fault/*.cpp only.
 #pragma once
@@ -48,18 +48,18 @@ struct TrimPlan {
 
   /// Per 64-pattern block: the first block with an identical fingerprint
   /// (self for a first occurrence). Fingerprints cover the block's pattern
-  /// count and its input bits restricted to the nets feeding the fault
-  /// sites and their output cones, so equal fingerprints imply equal
-  /// activation AND detection words for every fault of the run.
+  /// count and its input bits restricted to the nets feeding the simulated
+  /// fault sites and their output cones, so equal fingerprints imply equal
+  /// detection words for every fault of the run.
   std::vector<std::uint32_t> repeat_of;
   /// Per block: some later block replays it (worth caching its words).
   std::vector<char> has_repeat;
 
   /// Per fault class (stuck-at, SimPlan class indexing) or per fault
   /// (transition, fault-list indexing): the last 64-pattern block that can
-  /// activate it, from the prepass; -1 = no block activates it. A class
-  /// past its last activating block contributes nothing to any later
-  /// block, so the engines compact it out of the live list.
+  /// activate it (a class: its leader), from the prepass; -1 = no block
+  /// activates it. A class past its last activating block detects nothing
+  /// in any later block, so the engines compact it out of the live list.
   std::vector<std::int64_t> last_act;
 };
 

@@ -14,16 +14,12 @@
 // flags compiled it.
 //
 // Bit-identity to the scalar oracle is THE invariant. Detection words are
-// per-pattern functions, so widening blocks cannot change them; the one
-// genuinely width-sensitive piece is drop accounting. The oracle counts a
-// class's activations for every 64-pattern block up to AND INCLUDING the
-// block of its first detection, then drops it. A wide block spans L such
-// sub-blocks, so when a class drops at pattern lane s the engine must count
-// its activations only on lanes 0..s (Wide::LaneMaskThrough) — which is why
-// every loop below defers activation counting until the block's drop
-// decisions are known. The transition engine's launch-history carry is the
-// other cross-width seam: Wide::ShiftLeftOneCarry chains the carry through
-// lane boundaries exactly like the scalar engine chains it across blocks.
+// per-pattern functions and a report holds only detections, so widening
+// blocks cannot change it: a class's first detection is the lowest set bit
+// of its diff at any width, and it drops right there. The one cross-width
+// seam is the transition engine's launch-history carry: Wide::
+// ShiftLeftOneCarry chains the carry through lane boundaries exactly like
+// the scalar engine chains it across blocks.
 //
 // Internal header — include from the backend_*.cpp translation units only.
 #pragma once
@@ -113,7 +109,7 @@ class WideGoodCache {
 /// as the corresponding sub-block of J' (UINT32_MAX marks sub-blocks past
 /// the pattern set, so partial tails only match partial tails). Equal
 /// tuples mean every lane reads literally the same good values — the
-/// captured activation/detection bundles replay exactly.
+/// captured detection bundles replay exactly.
 template <int L>
 struct WideTrim {
   bool dedup = false;
@@ -150,7 +146,6 @@ WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
 /// analogue of the scalar engines' ReplayEntry). Zero-filled on creation.
 template <int L>
 struct WideReplayEntry {
-  std::vector<Wide<L>> acts;
   std::vector<Wide<L>> diffs;
   // Transition only: per-fault launch carry the bundle was captured under,
   // and the carry-out it produces.
@@ -239,14 +234,11 @@ struct WidePropagationScratch {
 };
 
 /// Carry-save per-pattern counter: accumulates {0,1}-valued bundles (and
-/// small integer weights) into bit-plane vertical counters, so the
-/// per-pattern histograms cost O(log n) bundle ops per contribution instead
+/// small integer weights) into bit-plane vertical counters, so the no-drop
+/// detection histogram costs O(log n) bundle ops per contribution instead
 /// of one counter increment per SET BIT. The per-bit expansion happens once
-/// per plane per block — per-bit accounting is the one width-independent
-/// cost in the engine (both the oracle and a wide backend walk the same set
-/// bits), so without this the histograms cap the SIMD speedup well below
-/// the propagation win (Amdahl). The sums are exactly the oracle's sums;
-/// only the association order changes, and integer addition is associative.
+/// per plane per block. The sums are exactly the oracle's sums; only the
+/// association order changes, and integer addition is associative.
 template <int L>
 struct WideCounterPlanes {
   std::vector<Wide<L>> planes;  // planes[j] bit p set => p contributes 2^j
@@ -282,8 +274,7 @@ struct WideCounterPlanes {
 
 /// The classic PPSFP loop of faultsim.cpp::SimulateShard at L lanes.
 /// Control flow and accounting mirror the scalar loop statement for
-/// statement; the only structural change is deferred activation counting
-/// (see the file comment — the drop lane must be known first).
+/// statement.
 template <int L>
 void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
                        std::vector<std::uint32_t> live,
@@ -302,8 +293,6 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   const auto& outputs = nl.outputs();
   const bool cone_on = run.options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
-  std::vector<W> member_act;  // reused per class
-  WideCounterPlanes<L> act_counts;
   WideCounterPlanes<L> det_counts;
   std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
 
@@ -326,7 +315,6 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       } else if (wtrim.has_repeat[wbi] != 0) {
         WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(src)];
-        e.acts.assign(plan.members.size(), W::Zeros());
         e.diffs.assign(plan.num_classes(), W::Zeros());
         store = &e;
       }
@@ -343,48 +331,22 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       const std::uint32_t mbegin = plan.offsets[ci];
       const std::uint32_t mend = plan.offsets[ci + 1];
 
-      member_act.clear();
-      W leader_act = W::Zeros();
-      if (load != nullptr) {
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          member_act.push_back(load->acts[mi]);
-        }
-      } else {
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          const Fault& f = faults[plan.members[mi]];
-          const NetId site_net = f.pin == Fault::kOutputPin
-                                     ? f.gate
-                                     : nl.gate(f.gate).fanin[f.pin];
-          const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-          const W act = (good[site_net] ^ stuck) & valid;
-          if (store != nullptr) store->acts[mi] = act;
-          member_act.push_back(act);
-          if (mi == mbegin) leader_act = act;
-        }
-      }
-      // Oracle-granular activation accounting: every lane through
-      // `hi_lane` (L-1 = the whole block — the not-dropped case).
-      const auto count_acts = [&](int hi_lane) {
-        const W mask =
-            hi_lane >= L - 1 ? W::Ones() : W::LaneMaskThrough(hi_lane);
-        for (const W& act : member_act) act_counts.Add(act & mask);
-      };
-
       W diff = W::Zeros();
       if (load != nullptr) {
         // Replay: the class diff captured at the source block is exact
         // here; the accounting tail below is shared with the compute path.
         diff = load->diffs[ci];
       } else {
-        if (leader_act.IsZero()) {
-          count_acts(L - 1);
+        const Fault& f = faults[plan.members[mbegin]];
+        const NetId site_net =
+            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
+        const W stuck = f.sa1 ? W::Ones() : W::Zeros();
+        if (((good[site_net] ^ stuck) & valid).IsZero()) {
           live[w++] = ci;
           continue;
         }
 
-        const Fault& f = faults[plan.members[mbegin]];
         const Gate& g = nl.gate(f.gate);
-        const W stuck = f.sa1 ? W::Ones() : W::Zeros();
         scratch.NewFault();
         if (f.pin == Fault::kOutputPin) {
           scratch.SetFaulty(f.gate, stuck);
@@ -443,14 +405,12 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       }
 
       if (diff.IsZero()) {
-        count_acts(L - 1);
         live[w++] = ci;
         continue;
       }
 
-      const int first_bit = diff.FirstSetBit();
-      const std::size_t first_pattern = base + static_cast<std::size_t>(
-                                                   first_bit);
+      const std::size_t first_pattern =
+          base + static_cast<std::size_t>(diff.FirstSetBit());
       const std::uint32_t num_members = mend - mbegin;
       for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
         const std::uint32_t fi = plan.members[mi];
@@ -463,14 +423,11 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
 
       if (run.options.drop_detected) {
         result.detects_per_pattern[first_pattern] += num_members;
-        count_acts(first_bit / 64);  // dropped: nothing past its sub-block
       } else {
         det_counts.AddWeighted(diff, num_members);
-        count_acts(L - 1);
         live[w++] = ci;
       }
     }
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
     det_counts.ExpandInto(&result.detects_per_pattern[base]);
     live.resize(w);
     if (live.empty() && run.options.drop_detected) break;
@@ -478,9 +435,7 @@ void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
 }
 
 /// The FFR-clustered loop of faultsim.cpp::SimulateFfrShard at L lanes.
-/// Same five steps; activation counting is deferred to the end of each
-/// region's block (`drop_lane` records where each class dropped, if at
-/// all) and class compaction happens after it.
+/// Same five steps.
 template <int L>
 void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
                           const std::vector<std::uint32_t>& shard_groups,
@@ -507,10 +462,7 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   std::vector<W> obs(nl.gate_count(), W::Zeros());
   std::vector<W> leader_act;
   std::vector<W> stem_local;
-  std::vector<W> member_act;   // flat, class-major within the region
-  std::vector<W> class_diff;   // per class; detection bundle of this block
-  std::vector<int> drop_lane;  // per class; L = not dropped this block
-  WideCounterPlanes<L> act_counts;
+  std::vector<W> class_diff;  // per class; detection bundle of this block
   WideCounterPlanes<L> det_counts;
 
   struct FfrWork {
@@ -543,7 +495,6 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       } else if (wtrim.has_repeat[wbi] != 0) {
         WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.acts.assign(plan.members.size(), W::Zeros());
         e.diffs.assign(plan.num_classes(), W::Zeros());
         store = &e;
       }
@@ -559,39 +510,24 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       EarlyExitFilterWide(tp, plan, wbi * L, counters, cls);
       if (cls.empty()) return;
 
-      member_act.clear();
-      drop_lane.assign(cls.size(), L);
       class_diff.assign(cls.size(), W::Zeros());
       if (load != nullptr) {
-        // Replay: the captured member activations and per-class detection
-        // bundles of the source block are exact here. Steps 2-4 vanish.
+        // Replay: the captured per-class detection bundles of the source
+        // block are exact here. Steps 1-4 vanish.
         for (std::size_t k = 0; k < cls.size(); ++k) {
-          const std::uint32_t ci = cls[k];
-          for (std::uint32_t mi = plan.offsets[ci]; mi < plan.offsets[ci + 1];
-               ++mi) {
-            member_act.push_back(load->acts[mi]);
-          }
-          class_diff[k] = load->diffs[ci];
+          class_diff[k] = load->diffs[cls[k]];
         }
       } else {
-        // 1. Activation bundles per member (counting deferred — the drop
-        // lanes are not known yet), leader activation per class.
+        // 1. Leader activation per class.
         leader_act.assign(cls.size(), W::Zeros());
         W any_act = W::Zeros();
         for (std::size_t k = 0; k < cls.size(); ++k) {
-          const std::uint32_t mbegin = plan.offsets[cls[k]];
-          const std::uint32_t mend = plan.offsets[cls[k] + 1];
-          for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-            const Fault& f = faults[plan.members[mi]];
-            const NetId site_net = f.pin == Fault::kOutputPin
-                                       ? f.gate
-                                       : nl.gate(f.gate).fanin[f.pin];
-            const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-            const W act = (good[site_net] ^ stuck) & valid;
-            if (store != nullptr) store->acts[mi] = act;
-            member_act.push_back(act);
-            if (mi == mbegin) leader_act[k] = act;
-          }
+          const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
+          const NetId site_net = f.pin == Fault::kOutputPin
+                                     ? f.gate
+                                     : nl.gate(f.gate).fanin[f.pin];
+          const W stuck = f.sa1 ? W::Ones() : W::Zeros();
+          leader_act[k] = (good[site_net] ^ stuck) & valid;
           any_act |= leader_act[k];
         }
 
@@ -725,16 +661,19 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       }
 
-      // 5a. Detection accounting and drop lanes.
+      // 5. Detection accounting and class compaction.
+      std::size_t cw2 = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
         const std::uint32_t ci = cls[k];
         const W diff = class_diff[k];
-        if (diff.IsZero()) continue;
+        if (diff.IsZero()) {
+          cls[cw2++] = ci;
+          continue;
+        }
         const std::uint32_t mbegin = plan.offsets[ci];
         const std::uint32_t mend = plan.offsets[ci + 1];
-        const int first_bit = diff.FirstSetBit();
         const std::size_t first_pattern =
-            base + static_cast<std::size_t>(first_bit);
+            base + static_cast<std::size_t>(diff.FirstSetBit());
         for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
           const std::uint32_t fi = plan.members[mi];
           if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
@@ -746,28 +685,10 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
         if (run.options.drop_detected) {
           result.detects_per_pattern[first_pattern] += mend - mbegin;
-          drop_lane[k] = first_bit / 64;
         } else {
           det_counts.AddWeighted(diff, mend - mbegin);
+          cls[cw2++] = ci;
         }
-      }
-
-      // 5b. Deferred activation accounting at oracle granularity, then
-      // class compaction.
-      std::size_t mo = 0;
-      for (std::size_t k = 0; k < cls.size(); ++k) {
-        const W mask = drop_lane[k] >= L - 1
-                           ? W::Ones()
-                           : W::LaneMaskThrough(drop_lane[k]);
-        const std::uint32_t num_members =
-            plan.offsets[cls[k] + 1] - plan.offsets[cls[k]];
-        for (std::uint32_t m = 0; m < num_members; ++m) {
-          act_counts.Add(member_act[mo++] & mask);
-        }
-      }
-      std::size_t cw2 = 0;
-      for (std::size_t k = 0; k < cls.size(); ++k) {
-        if (drop_lane[k] >= L) cls[cw2++] = cls[k];
       }
       cls.resize(cw2);
     };
@@ -780,7 +701,6 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       ++gw;
     }
     work.resize(gw);
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
     det_counts.ExpandInto(&result.detects_per_pattern[base]);
   }
 }
@@ -815,7 +735,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
   const auto& outputs = nl.outputs();
   const bool cone_on = run.options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
-  WideCounterPlanes<L> act_counts;
   WideCounterPlanes<L> det_counts;
 
   for (std::size_t base = 0; base < run.patterns.size(); base += 64 * L) {
@@ -857,7 +776,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
         }
       } else if (wtrim.has_repeat[wbi] != 0) {
         WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.acts.assign(faults.size(), W::Zeros());
         e.diffs.assign(faults.size(), W::Zeros());
         e.carry_in.assign(faults.size(), 0);
         e.last_bit.assign(faults.size(), 0);
@@ -883,14 +801,10 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       // is carry-independent (last valid site bit), so the history still
       // advances on a hit. A mismatch recomputes against the source
       // block's good values — identical on every net that matters.
-      W act;
       W diff = W::Zeros();
-      bool replayed = false;
       if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        act = load->acts[fi];
         diff = load->diffs[fi];
         prev_site_bit[fi] = load->last_bit[fi];
-        replayed = true;
       } else {
         const NetId site_net =
             f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
@@ -900,23 +814,13 @@ void SimulateTransitionShardWide(const TransitionRun& run,
         if (store != nullptr) store->carry_in[fi] = prev_site_bit[fi];
         prev_site_bit[fi] = site.Bit(count - 1) ? 1 : 0;
 
-        act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
-        if (store != nullptr) {
-          store->acts[fi] = act;
-          store->last_bit[fi] = prev_site_bit[fi];
+        const W act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+        if (store != nullptr) store->last_bit[fi] = prev_site_bit[fi];
+        if (act.IsZero()) {
+          live[w++] = fi;
+          continue;
         }
-      }
-      const auto count_act = [&](int hi_lane) {
-        const W mask =
-            hi_lane >= L - 1 ? W::Ones() : W::LaneMaskThrough(hi_lane);
-        act_counts.Add(act & mask);
-      };
-      if (act.IsZero()) {
-        live[w++] = fi;
-        continue;
-      }
 
-      if (!replayed) {
         scratch.NewFault();
         if (f.pin == Fault::kOutputPin) {
           scratch.SetFaulty(f.gate, stuck);
@@ -974,14 +878,12 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       }
 
       if (diff.IsZero()) {
-        count_act(L - 1);
         live[w++] = fi;
         continue;
       }
 
-      const int first_bit = diff.FirstSetBit();
       const std::size_t first_pattern =
-          base + static_cast<std::size_t>(first_bit);
+          base + static_cast<std::size_t>(diff.FirstSetBit());
       if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
         result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
         result.detected_mask.Set(fi, true);
@@ -989,14 +891,11 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       }
       if (run.options.drop_detected) {
         result.detects_per_pattern[first_pattern]++;
-        count_act(first_bit / 64);
       } else {
         det_counts.Add(diff);
-        count_act(L - 1);
         live[w++] = fi;
       }
     }
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
     det_counts.ExpandInto(&result.detects_per_pattern[base]);
     live.resize(w);
     if (live.empty() && run.options.drop_detected) break;

@@ -59,19 +59,18 @@ using internal::TrimContext;
 using internal::TrimPlan;
 
 /// Per-shard replay storage for one deduped source block: every live
-/// member's activation word and every live class's detection diff, captured
-/// when the block is computed so repeats skip evaluation entirely.
-/// Zero-filled on creation — a class whose leader never activates (or whose
-/// diff is never reached) correctly replays as "no detection".
+/// class's detection diff, captured when the block is computed so repeats
+/// skip evaluation entirely. Zero-filled on creation — a class whose leader
+/// never activates (or whose diff is never reached) correctly replays as
+/// "no detection".
 struct ReplayEntry {
-  std::vector<std::uint64_t> acts;   // per plan.members index
   std::vector<std::uint64_t> diffs;  // per class index
 };
 
 /// Removes classes past their last activating block from `live`,
 /// accumulating the member-fault count into the early-exit counter. Exact:
 /// a class's diff is contained in its leader activation pointwise, so a
-/// class no later block can activate can never count or detect again.
+/// class no later block can activate can never detect again.
 void EarlyExitFilter(const TrimPlan* tp, const SimPlan& plan, std::size_t bi,
                      TrimCounters* counters, std::vector<std::uint32_t>& live) {
   if (tp == nullptr || !tp->early_exit) return;
@@ -103,8 +102,8 @@ struct BlockTrim {
 };
 
 BlockTrim ResolveBlockTrim(
-    const TrimPlan* tp, std::size_t bi, std::size_t num_members,
-    std::size_t num_classes, TrimCounters* counters,
+    const TrimPlan* tp, std::size_t bi, std::size_t num_classes,
+    TrimCounters* counters,
     std::unordered_map<std::uint32_t, ReplayEntry>& replay) {
   BlockTrim bt{static_cast<std::uint32_t>(bi), nullptr, nullptr};
   if (tp == nullptr || !tp->dedup) return bt;
@@ -116,7 +115,6 @@ BlockTrim ResolveBlockTrim(
     }
   } else if (tp->has_repeat[bi] != 0) {
     ReplayEntry& e = replay[bt.src];
-    e.acts.assign(num_members, 0);
     e.diffs.assign(num_classes, 0);
     bt.store = &e;
   }
@@ -130,12 +128,12 @@ BlockTrim ResolveBlockTrim(
 /// PropagationScratch state — only the good-machine blocks are shared,
 /// read-only, through `good_blocks`.
 ///
-/// Per class: activation (a property of the fault *site*) is computed and
-/// counted for every member, but the faulty function is propagated only
-/// once, from the leader — the detection diff (faulty^good at the outputs)
-/// is identical for every member by construction of the classes, and is
-/// contained in every member's activation word, so detections expand to the
-/// whole class exactly and a class drops wholesale.
+/// Per class: the faulty function is propagated once, from the leader —
+/// the detection diff (faulty^good at the outputs) is identical for every
+/// member by construction of the classes, so detections expand to the whole
+/// class exactly and a class drops wholesale. The diff is contained in the
+/// leader's activation word (good value differs from the stuck value), so
+/// an inactive leader skips propagation.
 void SimulateShard(const Netlist& nl, const PatternSet& patterns,
                    const std::vector<Fault>& faults, const SimPlan& plan,
                    std::vector<std::uint32_t> live,
@@ -157,9 +155,8 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
     const std::size_t bi = base / 64;
     EarlyExitFilter(tp, plan, bi, trim.counters, live);
     if (live.empty()) break;
-    const BlockTrim bt = ResolveBlockTrim(tp, bi, plan.members.size(),
-                                          plan.num_classes(), trim.counters,
-                                          replay);
+    const BlockTrim bt =
+        ResolveBlockTrim(tp, bi, plan.num_classes(), trim.counters, replay);
     // Under dedup a repeated block reads its source block's good values —
     // bit-identical on every net that matters (that is what the
     // fingerprint certifies), evaluated once.
@@ -177,39 +174,19 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
 
       std::uint64_t diff = 0;
       if (bt.load != nullptr) {
-        // Replay: activation words and the class diff captured at the
-        // source block are exact here — count them, skip all evaluation.
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          for (std::uint64_t bits = bt.load->acts[mi]; bits != 0;
-               bits &= bits - 1) {
-            result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))]++;
-          }
-        }
+        // Replay: the class diff captured at the source block is exact
+        // here — skip all evaluation.
         diff = bt.load->diffs[ci];
         if (diff == 0) {
           live[w++] = ci;
           continue;
         }
       } else {
-        std::uint64_t leader_act = 0;
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          const Fault& f = faults[plan.members[mi]];
-          const NetId site_net = f.pin == Fault::kOutputPin
-                                     ? f.gate
-                                     : nl.gate(f.gate).fanin[f.pin];
-          const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
-          const std::uint64_t act = (good[site_net] ^ stuck) & valid;
-          if (bt.store != nullptr) bt.store->acts[mi] = act;
-          for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-            result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))]++;
-          }
-          if (mi == mbegin) leader_act = act;
-        }
-        // diff is contained in every member's activation word, the leader's
-        // included: an inactive leader means no detection this block.
-        if (leader_act == 0) {
+        const Fault& f = faults[plan.members[mbegin]];
+        const NetId site_net =
+            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
+        const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
+        if (((good[site_net] ^ stuck) & valid) == 0) {
           live[w++] = ci;
           continue;
         }
@@ -218,9 +195,7 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
         // level order. Events that leave the output cone are not enqueued:
         // every frontier net is reachable from the site, so "reaches some
         // output" is equivalent to "reaches an output of this fault's cone".
-        const Fault& f = faults[plan.members[mbegin]];
         const Gate& g = nl.gate(f.gate);
-        const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
         scratch.NewFault();
         if (f.pin == Fault::kOutputPin) {
           scratch.SetFaulty(f.gate, stuck);
@@ -321,8 +296,7 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
 /// fanout-free region, see GroupClassesByFfr). Instead of one event-driven
 /// propagation per class, each region runs per 64-pattern block:
 ///
-///  1. per-member activation, computed and counted exactly as in the
-///     classic loop (it feeds the same histogram);
+///  1. leader activation per class, exactly as in the classic loop;
 ///  2. one backward critical-path trace over the region's good words: for
 ///     every member net, the word of patterns on which a value change there
 ///     reaches the region's stem. Exact, because an FFR has no
@@ -379,9 +353,8 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
     if (work.empty()) break;
     if (options.cancel != nullptr && options.cancel->Expired()) return;
     const std::size_t bi = base / 64;
-    const BlockTrim bt = ResolveBlockTrim(tp, bi, plan.members.size(),
-                                          plan.num_classes(), trim.counters,
-                                          replay);
+    const BlockTrim bt =
+        ResolveBlockTrim(tp, bi, plan.num_classes(), trim.counters, replay);
     const GoodBlockCache::Block& block = good_blocks.Get(bt.src);
     if (block.count == 0) break;
     const std::uint64_t valid =
@@ -422,45 +395,26 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
       };
 
       if (bt.load != nullptr) {
-        // Replay: per-member activation words and per-class diffs captured
-        // at the source block; steps 1-4 are skipped entirely.
+        // Replay: per-class diffs captured at the source block; steps 1-4
+        // are skipped entirely.
         std::size_t w = 0;
         for (std::size_t k = 0; k < cls.size(); ++k) {
           const std::uint32_t ci = cls[k];
-          for (std::uint32_t mi = plan.offsets[ci]; mi < plan.offsets[ci + 1];
-               ++mi) {
-            for (std::uint64_t bits = bt.load->acts[mi]; bits != 0;
-                 bits &= bits - 1) {
-              result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                      LowestSetBit(bits))]++;
-            }
-          }
           if (account(ci, bt.load->diffs[ci])) cls[w++] = ci;
         }
         cls.resize(w);
         return;
       }
 
-      // 1. Activation per member, leader activation per class.
+      // 1. Leader activation per class.
       leader_act.assign(cls.size(), 0);
       std::uint64_t any_act = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
-        const std::uint32_t mbegin = plan.offsets[cls[k]];
-        const std::uint32_t mend = plan.offsets[cls[k] + 1];
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          const Fault& f = faults[plan.members[mi]];
-          const NetId site_net = f.pin == Fault::kOutputPin
-                                     ? f.gate
-                                     : nl.gate(f.gate).fanin[f.pin];
-          const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
-          const std::uint64_t act = (good[site_net] ^ stuck) & valid;
-          if (bt.store != nullptr) bt.store->acts[mi] = act;
-          for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-            result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))]++;
-          }
-          if (mi == mbegin) leader_act[k] = act;
-        }
+        const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
+        const NetId site_net =
+            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
+        const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
+        leader_act[k] = (good[site_net] ^ stuck) & valid;
         any_act |= leader_act[k];
       }
       if (any_act == 0) return;  // nothing can reach the stem this block

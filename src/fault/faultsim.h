@@ -3,11 +3,13 @@
 // This implements the paper's "optimized GL fault simulation": the target
 // module is fault-simulated in isolation against the per-cc test patterns
 // captured from the PTP execution, with fault observability at the module's
-// output ports (module-level observability). The simulator records, for
-// every pattern, how many faults it activates and how many it detects —
-// exactly the contents of the paper's Fault Sim Report — and supports fault
-// dropping both within a run and across runs (cross-PTP dropping via the
-// persistent fault-list mask).
+// output ports (module-level observability). The simulator records, per
+// fault, the first pattern that detects it and, per pattern, how many faults
+// it detects — the paper's Fault Sim Report, all that instruction labeling
+// (Fig. 2) reads — and supports fault dropping both within a run and across
+// runs (cross-PTP dropping via the persistent fault-list mask). Under
+// dropping `first_detect` alone determines the report, so a skip-masked run
+// is a filter over the full-list run of the same patterns (fault/replay.h).
 //
 // The simulator is fault-parallel: with num_threads > 1 the work list —
 // fault classes, or whole fanout-free regions under ffr_trace — is sharded
@@ -45,9 +47,9 @@ struct FaultSimOptions {
   int num_threads = 1;
 
   /// Propagate one representative per structural equivalence class (see
-  /// fault/collapse.h) and expand detections to every member. Activation is
-  /// still computed per member, so the report stays bit-identical to the
-  /// collapse=false engine; only the propagation work shrinks.
+  /// fault/collapse.h) and expand detections to every member. The report
+  /// stays bit-identical to the collapse=false engine; only the
+  /// propagation work shrinks.
   bool collapse = true;
 
   /// Restrict detection scans to the fault's output cone and stop
@@ -116,12 +118,8 @@ struct FaultSimResult {
   std::vector<std::uint32_t> first_detect;
 
   /// Per pattern: number of faults detected at that pattern. With dropping
-  /// this counts first detections only.
+  /// this counts first detections only (and so derives from first_detect).
   std::vector<std::uint32_t> detects_per_pattern;
-
-  /// Per pattern: number of (not-yet-dropped) faults whose site was
-  /// activated (good value differs from the stuck value) by that pattern.
-  std::vector<std::uint32_t> activates_per_pattern;
 
   /// Faults detected in this run.
   std::size_t num_detected = 0;

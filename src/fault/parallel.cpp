@@ -193,7 +193,6 @@ FaultSimResult InitFaultSimResult(std::size_t num_faults,
   FaultSimResult result;
   result.first_detect.assign(num_faults, FaultSimResult::kNotDetected);
   result.detects_per_pattern.assign(num_patterns, 0);
-  result.activates_per_pattern.assign(num_patterns, 0);
   result.detected_mask.Resize(num_faults, false);
   return result;
 }
@@ -210,7 +209,6 @@ void MergeShardResults(const std::vector<FaultSimResult>& shards,
     }
     for (std::size_t p = 0; p < out.detects_per_pattern.size(); ++p) {
       out.detects_per_pattern[p] += shard.detects_per_pattern[p];
-      out.activates_per_pattern[p] += shard.activates_per_pattern[p];
     }
   }
 }

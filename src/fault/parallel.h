@@ -14,8 +14,8 @@
 //    propagation history;
 //  * dropping fault f (after its first detection) changes only fault f's
 //    contribution to later blocks, never another fault's;
-//  * `detects_per_pattern` / `activates_per_pattern` are sums of per-fault
-//    indicator counts, and integer addition is order-independent.
+//  * `detects_per_pattern` is a sum of per-fault indicator counts, and
+//    integer addition is order-independent.
 //
 // Summing shard histograms in (pattern, fault-id) order therefore replays
 // the serial drop-ordered accounting bit-for-bit, for any shard count and
@@ -118,9 +118,9 @@ class StemObsCache {
 /// Cross-run warm-start state (TrimOptions::warm_start): good-machine
 /// blocks and stem-observability words keyed by the (netlist, patterns)
 /// content fingerprint. A campaign's compactor owns one of these per
-/// module; the four fault simulations inside one CompactPtp (stage 3,
-/// validation, and the two standalone measurements) hit it pairwise, and
-/// runs across PTPs hit it whenever a pattern set recurs. Entries are a
+/// module; the fault simulations inside one CompactPtp (the original and
+/// the compacted pattern set) and runs across PTPs hit it whenever a
+/// pattern set recurs. Entries are a
 /// small LRU (a CompactPtp juggles two pattern sets; older PTPs' patterns
 /// rarely return). Thread-safe; the returned shared state does its own
 /// locking.
@@ -191,7 +191,7 @@ inline void AbortIfCancelled(const FaultSimOptions& options) {
   }
 }
 
-/// An empty report with first_detect / per-pattern histograms / mask sized
+/// An empty report with first_detect / per-pattern histogram / mask sized
 /// for `num_faults` x `num_patterns`.
 FaultSimResult InitFaultSimResult(std::size_t num_faults,
                                   std::size_t num_patterns);
@@ -199,7 +199,7 @@ FaultSimResult InitFaultSimResult(std::size_t num_faults,
 /// Deterministic sharded merge (see the file comment for why this equals
 /// the serial result exactly): shard fault ids are disjoint, so
 /// first_detect / detected_mask scatter without conflicts and the
-/// per-pattern histograms sum.
+/// per-pattern histogram sums.
 void MergeShardResults(const std::vector<FaultSimResult>& shards,
                        FaultSimResult& out);
 

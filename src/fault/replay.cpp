@@ -1,6 +1,7 @@
 #include "fault/replay.h"
 
-#include "common/bitops.h"
+#include <numeric>
+
 #include "common/error.h"
 
 namespace gpustl::fault {
@@ -10,86 +11,45 @@ ReplayCounters& GlobalReplayCounters() {
   return counters;
 }
 
-FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
-                                  const std::vector<Fault>& faults,
-                                  const FaultSimResult& full,
-                                  const BitVec& skip,
-                                  GoodBlockCache& good_blocks) {
-  const std::size_t num_faults = faults.size();
+FaultSimResult ReplaySkipFromFull(const FaultSimResult& full,
+                                  const BitVec& skip) {
+  const std::size_t num_faults = full.first_detect.size();
   const std::size_t num_patterns = full.detects_per_pattern.size();
-  if (full.first_detect.size() != num_faults || skip.size() != num_faults ||
-      full.activates_per_pattern.size() != num_patterns) {
-    throw Error("replay: full-result shape does not match the fault list");
+  // A dropped run counts every detected fault exactly once. (A no-drop run
+  // passing this check detected each fault once, so it equals its dropped
+  // counterpart and filters just as exactly.)
+  if (skip.size() != num_faults ||
+      std::accumulate(full.detects_per_pattern.begin(),
+                      full.detects_per_pattern.end(), std::size_t{0}) !=
+          full.num_detected) {
+    throw Error("replay: full result is not a dropped run over this fault "
+                "list");
   }
 
   FaultSimResult result = InitFaultSimResult(num_faults, num_patterns);
-
-  // One record per unskipped fault: the activation word ingredients and the
-  // block at whose end the fault drops (the engine counts a fault's
-  // activation through its detection block inclusive, then removes it).
-  struct LiveFault {
-    netlist::NetId site = 0;
-    std::uint64_t stuck = 0;
-    std::uint32_t det_block = 0;
-  };
-  constexpr std::uint32_t kNeverDrops = UINT32_MAX;
-  std::vector<LiveFault> live;
-  live.reserve(num_faults);
   for (std::size_t f = 0; f < num_faults; ++f) {
     if (skip.Get(f)) continue;
-    const Fault& fault = faults[f];
-    LiveFault lf;
-    lf.site = fault.pin == Fault::kOutputPin
-                  ? fault.gate
-                  : nl.gate(fault.gate).fanin[fault.pin];
-    lf.stuck = fault.sa1 ? ~0ull : 0ull;
     const std::uint32_t fd = full.first_detect[f];
-    if (fd != FaultSimResult::kNotDetected) {
-      // Detection accounting is skip-independent (see replay.h): scatter
-      // the full run's first_detect and count one first detection per
-      // surviving fault at that pattern (the engine adds the class member
-      // count at the class's shared first pattern — same sum).
-      result.first_detect[f] = fd;
-      result.detected_mask.Set(f, true);
-      ++result.num_detected;
-      result.detects_per_pattern[fd] += 1;
-      lf.det_block = fd / 64;
-    } else {
-      lf.det_block = kNeverDrops;
+    if (fd == FaultSimResult::kNotDetected) continue;
+    if (fd >= num_patterns) {
+      throw Error("replay: first detection past the pattern set");
     }
-    live.push_back(lf);
+    result.first_detect[f] = fd;
+    result.detected_mask.Set(f, true);
+    ++result.num_detected;
+    ++result.detects_per_pattern[fd];
   }
 
-  ReplayCounters& counters = GlobalReplayCounters();
-  counters.replays.fetch_add(1, std::memory_order_relaxed);
-  counters.replayed_faults.fetch_add(live.size(), std::memory_order_relaxed);
-
-  const std::size_t num_blocks = (num_patterns + 63) / 64;
-  for (std::size_t bi = 0; bi < num_blocks; ++bi) {
-    if (live.empty()) break;
-    const GoodBlockCache::Block& block = good_blocks.Get(bi);
-    if (block.count == 0) break;
-    const std::uint64_t valid =
-        block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
-    const std::uint64_t* good = block.values.data();
-    const std::size_t base = bi * 64;
-
-    std::size_t w = 0;  // compaction write index, as in the engine's loop
-    for (const LiveFault& lf : live) {
-      const std::uint64_t act = (good[lf.site] ^ lf.stuck) & valid;
-      for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-        result.activates_per_pattern[base +
-                                     static_cast<std::size_t>(
-                                         LowestSetBit(bits))]++;
-      }
-      // Drop AFTER this block's activation when this is the detection
-      // block; a fault's det_block can never be < bi (it was dropped then).
-      if (lf.det_block != bi) live[w++] = lf;
-    }
-    live.resize(w);
-  }
-
+  GlobalReplayCounters().replays.fetch_add(1, std::memory_order_relaxed);
   return result;
+}
+
+FaultSimResult ReplaySkipFromFull(const netlist::Netlist& /*nl*/,
+                                  const std::vector<Fault>& /*faults*/,
+                                  const FaultSimResult& full,
+                                  const BitVec& skip,
+                                  GoodBlockCache& /*good_blocks*/) {
+  return ReplaySkipFromFull(full, skip);
 }
 
 }  // namespace gpustl::fault

@@ -62,7 +62,6 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
   // the source block's good values, which are bit-identical on every net
   // that matters — when it doesn't.
   struct ReplayEntry {
-    std::vector<std::uint64_t> acts;      // per fault id
     std::vector<std::uint64_t> diffs;     // per fault id
     std::vector<std::uint8_t> carry_in;   // prev_site_bit when captured
     std::vector<std::uint8_t> last_bit;   // prev_site_bit after the block
@@ -109,7 +108,6 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
         }
       } else if (tp->has_repeat[bi] != 0) {
         ReplayEntry& e = replay[src];
-        e.acts.assign(faults.size(), 0);
         e.diffs.assign(faults.size(), 0);
         e.carry_in.assign(faults.size(), 0);
         e.last_bit.assign(faults.size(), 0);
@@ -134,16 +132,12 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
           f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
       const std::uint64_t site = good[site_net];
 
-      std::uint64_t act;
       std::uint64_t diff = 0;
-      bool replayed = false;
       if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        // Replay: same block contents, same carry — the activation and
-        // detection words are exact, and so is the carry-out.
-        act = load->acts[fi];
+        // Replay: same block contents, same carry — the detection word is
+        // exact, and so is the carry-out.
         diff = load->diffs[fi];
         prev_site_bit[fi] = load->last_bit[fi];
-        replayed = true;
       } else {
         const std::uint8_t carry_in = prev_site_bit[fi];
 
@@ -155,23 +149,17 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
             static_cast<std::uint8_t>((site >> (count - 1)) & 1);
 
         // Activation: launch == init (== stuck value) and capture toggles.
-        act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+        const std::uint64_t act =
+            (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
         if (store != nullptr) {
           store->carry_in[fi] = carry_in;
           store->last_bit[fi] = prev_site_bit[fi];
-          store->acts[fi] = act;
         }
-      }
-      for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-        result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                LowestSetBit(bits))]++;
-      }
-      if (act == 0) {
-        live[w++] = fi;
-        continue;
-      }
+        if (act == 0) {
+          live[w++] = fi;
+          continue;
+        }
 
-      if (!replayed) {
         // Propagate the late value (a stuck-at of the initial value) on the
         // capture vectors.
         scratch.NewFault();

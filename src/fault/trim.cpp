@@ -3,19 +3,18 @@
 //  * block fingerprints + repeat map for pattern-block dedup. The
 //    fingerprint of a 64-pattern block hashes its pattern count and its
 //    input bits MASKED to the inputs that structurally reach (a) any live
-//    fault site or (b) any output in a live leader's output cone. Both the
-//    activation word of a fault (a function of its site net's good value)
-//    and its detection word (the classic engine's output diff, confined to
-//    OutputCone(site gate) — which the FFR engine reproduces bit-exactly)
-//    are functions of exactly those inputs, so blocks with equal
-//    fingerprints have equal activation and detection words for every
-//    fault of the run: replaying the cached words is exact, not heuristic.
+//    class leader's site or (b) any output in a live leader's output cone.
+//    A class's detection word (the classic engine's output diff from its
+//    leader, confined to OutputCone(site gate) — which the FFR engine
+//    reproduces bit-exactly) is a function of exactly those inputs, so
+//    blocks with equal fingerprints have equal detection words for every
+//    class of the run: replaying the cached words is exact, not heuristic.
 //  * the early-exit prepass: per site net, the last block holding a 0 / a
 //    1 (stuck-at) or a falling / rising launch-capture pair (transition,
 //    with the engines' exact cross-block carry semantics), folded into a
-//    per-class / per-fault last-activating-block bound. diff ⊆ activation
-//    pointwise in both models, so a class past its bound contributes
-//    nothing — no activation counts, no detections — to any later block.
+//    per-class (leader) / per-fault last-activating-block bound. diff ⊆
+//    activation pointwise in both models, so a class past its bound can
+//    detect nothing in any later block.
 #include <algorithm>
 #include <cstdlib>
 #include <map>
@@ -63,8 +62,8 @@ NetId SiteNet(const Netlist& nl, const Fault& f) {
 }
 
 /// Marks, over the net id space, everything that matters to the run's
-/// activation/detection words: the site nets themselves plus every output
-/// net in the leaders' output cones.
+/// detection words: the site nets themselves plus every output net in the
+/// leaders' output cones.
 std::vector<char> CollectSeeds(const Netlist& nl,
                                const std::vector<NetId>& site_nets,
                                const std::vector<NetId>& leader_gates) {
@@ -161,16 +160,16 @@ TrimPlan BuildStuckAtTrimPlan(const Netlist& nl, const PatternSet& patterns,
   tp.early_exit = options.trim.early_exit;
   if (!tp.dedup && !tp.early_exit) return tp;
 
-  // Site nets of every simulated member; leader gates for the cone union.
+  // Only class leaders are simulated: their site nets, and their gates for
+  // the cone union.
   std::vector<NetId> site_nets;
-  site_nets.reserve(plan.members.size());
+  site_nets.reserve(plan.num_classes());
   std::vector<NetId> leader_gates;
   leader_gates.reserve(plan.num_classes());
   for (std::size_t c = 0; c < plan.num_classes(); ++c) {
-    leader_gates.push_back(faults[plan.members[plan.offsets[c]]].gate);
-    for (std::uint32_t mi = plan.offsets[c]; mi < plan.offsets[c + 1]; ++mi) {
-      site_nets.push_back(SiteNet(nl, faults[plan.members[mi]]));
-    }
+    const Fault& leader = faults[plan.members[plan.offsets[c]]];
+    leader_gates.push_back(leader.gate);
+    site_nets.push_back(SiteNet(nl, leader));
   }
 
   if (tp.dedup) {
@@ -213,15 +212,10 @@ TrimPlan BuildStuckAtTrimPlan(const Netlist& nl, const PatternSet& patterns,
       }
     }
     for (std::size_t c = 0; c < plan.num_classes(); ++c) {
-      std::int64_t last = -1;
-      for (std::uint32_t mi = plan.offsets[c]; mi < plan.offsets[c + 1];
-           ++mi) {
-        const Fault& f = faults[plan.members[mi]];
-        const NetId n = SiteNet(nl, f);
-        // sa1 activates where the good value is 0, sa0 where it is 1.
-        last = std::max(last, f.sa1 ? last_zero[n] : last_one[n]);
-      }
-      tp.last_act[c] = last;
+      const Fault& leader = faults[plan.members[plan.offsets[c]]];
+      const NetId n = site_nets[c];
+      // sa1 activates where the good value is 0, sa0 where it is 1.
+      tp.last_act[c] = leader.sa1 ? last_zero[n] : last_one[n];
     }
   }
   return tp;

@@ -92,16 +92,6 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
   /// Bit at pattern index `p` within the block.
   bool Bit(int p) const { return ((lane[p / 64] >> (p % 64)) & 1) != 0; }
 
-  /// Ones in every lane <= `hi_lane`, zeros above. The drop-boundary mask:
-  /// the scalar oracle accounts activation at 64-pattern granularity, so
-  /// when a class drops, its final (partial) block contribution covers the
-  /// whole 64-pattern sub-block that detected it — lane hi_lane inclusive.
-  static Wide LaneMaskThrough(int hi_lane) {
-    Wide w;
-    for (int k = 0; k < L; ++k) w.lane[k] = k <= hi_lane ? ~0ull : 0ull;
-    return w;
-  }
-
   /// Validity mask for a block holding `count` patterns (ragged tail:
   /// full lanes, then one partial lane, then zero lanes).
   static Wide ValidMask(int count) {

@@ -20,10 +20,13 @@
 // worker's unit is re-issued exactly like a local worker's stale claim.
 //
 // Publishing bypasses ResultStore::Load/Store on purpose: the entry
-// arrives as already-encoded GSRE bytes, so the broker validates the
-// header (magic, version, key match, checksum) itself and installs via
-// unique-temp + rename. The shared store object's hit/miss stats stay
-// untouched — a remote publish is not a local cache event.
+// arrives as already-encoded GSRE bytes, so the broker validates them
+// with ResultStore::CheckEntry (magic, current format version, key match,
+// checksum, payload decode) and installs via unique-temp + rename. An
+// existing file that is not a valid current-version entry is replaced; a
+// valid one makes the publish an idempotent no-op. The shared store
+// object's hit/miss stats stay untouched — a remote publish is not a
+// local cache event.
 #pragma once
 
 #include <chrono>

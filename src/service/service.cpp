@@ -218,10 +218,8 @@ void CampaignService::RunJob(Job& job, int worker_index) {
 
     const bool distrib = !options_.distrib_dir.empty() && store_.has_value();
     if (distrib) {
-      // Replay mode is safe even if the prefetch below fails: a store miss
-      // just means that simulation runs live inside the replay's full-list
-      // step, and the replayed skip result is exact either way.
-      opt.distrib_replay = true;
+      // The prefetch only warms the store: if it fails, the job's
+      // full-list simulations miss and run live, with the same result.
       try {
         distrib::CoordinatorOptions copt;
         copt.dir = options_.distrib_dir;

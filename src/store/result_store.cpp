@@ -24,7 +24,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'R', 'E'};
-constexpr std::uint32_t kFormatVersion = 1;
+// v2 dropped the per-pattern activation histogram from the payload. An
+// entry of any other version is a plain miss (recomputed and overwritten),
+// not a bad entry: upgrading must not report a whole store as corrupt.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 16 + 8 + 16;
 
 void PutU32(std::string& out, std::uint32_t v) {
@@ -153,11 +156,58 @@ std::string ResultStore::EncodeResult(const fault::FaultSimResult& result) {
   for (const std::uint32_t v : result.first_detect) PutU32(out, v);
   PutU64(out, result.detects_per_pattern.size());
   for (const std::uint32_t v : result.detects_per_pattern) PutU32(out, v);
-  for (const std::uint32_t v : result.activates_per_pattern) PutU32(out, v);
   PutU64(out, result.num_detected);
   PutU64(out, result.detected_mask.size());
   for (const std::uint64_t w : result.detected_mask.Words()) PutU64(out, w);
   return out;
+}
+
+std::string ResultStore::EncodeEntry(const StoreKey& key,
+                                     const fault::FaultSimResult& result) {
+  const std::string payload = EncodeResult(result);
+  const Hash128 sum = Checksum(payload);
+  std::string data;
+  data.reserve(kHeaderBytes + payload.size());
+  data.append(kMagic, 4);
+  PutU32(data, kFormatVersion);
+  PutU64(data, key.lo);
+  PutU64(data, key.hi);
+  PutU64(data, payload.size());
+  PutU64(data, sum.lo);
+  PutU64(data, sum.hi);
+  data += payload;
+  return data;
+}
+
+EntryCheck ResultStore::CheckEntry(std::string_view bytes,
+                                   const StoreKey& key,
+                                   fault::FaultSimResult* out) {
+  const auto bad = [](const char* why) {
+    return EntryCheck{EntryCheck::Status::kBad, why};
+  };
+  Reader r(bytes);
+  if (bytes.size() < kHeaderBytes) return bad("truncated header");
+  if (!r.Expect(kMagic, 4)) return bad("bad magic");
+  if (r.U32() != kFormatVersion) {
+    return EntryCheck{EntryCheck::Status::kStaleVersion,
+                      "format version mismatch"};
+  }
+  const std::uint64_t key_lo = r.U64();
+  const std::uint64_t key_hi = r.U64();
+  const std::uint64_t payload_size = r.U64();
+  const std::uint64_t sum_lo = r.U64();
+  const std::uint64_t sum_hi = r.U64();
+  if (key_lo != key.lo || key_hi != key.hi) return bad("key mismatch");
+  if (bytes.size() - kHeaderBytes != payload_size) {
+    return bad("payload size mismatch");
+  }
+  const std::string_view payload = bytes.substr(kHeaderBytes);
+  const Hash128 sum = Checksum(payload);
+  if (sum.lo != sum_lo || sum.hi != sum_hi) return bad("checksum mismatch");
+  fault::FaultSimResult decoded;
+  if (!DecodeResult(payload, &decoded)) return bad("undecodable payload");
+  if (out != nullptr) *out = std::move(decoded);
+  return EntryCheck{EntryCheck::Status::kValid, ""};
 }
 
 bool ResultStore::DecodeResult(std::string_view payload,
@@ -175,10 +225,6 @@ bool ResultStore::DecodeResult(std::string_view payload,
   res.detects_per_pattern.resize(num_patterns);
   for (std::uint64_t i = 0; i < num_patterns; ++i) {
     res.detects_per_pattern[i] = r.U32();
-  }
-  res.activates_per_pattern.resize(num_patterns);
-  for (std::uint64_t i = 0; i < num_patterns; ++i) {
-    res.activates_per_pattern[i] = r.U32();
   }
 
   res.num_detected = r.U64();
@@ -222,39 +268,18 @@ std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
     }
   }
 
-  const char* why = nullptr;
   fault::FaultSimResult result;
-  Reader r(data);
-  if (data.size() < kHeaderBytes) {
-    why = "truncated header";
-  } else if (!r.Expect(kMagic, 4)) {
-    why = "bad magic";
-  } else if (r.U32() != kFormatVersion) {
-    why = "format version mismatch";
-  } else {
-    const std::uint64_t key_lo = r.U64();
-    const std::uint64_t key_hi = r.U64();
-    const std::uint64_t payload_size = r.U64();
-    const std::uint64_t sum_lo = r.U64();
-    const std::uint64_t sum_hi = r.U64();
-    if (key_lo != key.lo || key_hi != key.hi) {
-      why = "key mismatch";
-    } else if (data.size() - kHeaderBytes != payload_size) {
-      why = "payload size mismatch";
-    } else {
-      const std::string_view payload(data.data() + kHeaderBytes,
-                                     payload_size);
-      const Hash128 sum = Checksum(payload);
-      if (sum.lo != sum_lo || sum.hi != sum_hi) {
-        why = "checksum mismatch";
-      } else if (!DecodeResult(payload, &result)) {
-        why = "undecodable payload";
-      }
-    }
+  const EntryCheck check = CheckEntry(data, key, &result);
+  if (check.status == EntryCheck::Status::kStaleVersion) {
+    // Written by another format version: a plain miss. The caller
+    // recomputes and Store() overwrites it in place.
+    if (t_attribution != nullptr) ++t_attribution->misses;
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.misses;
+    return std::nullopt;
   }
-
-  if (why != nullptr) {
-    LogBadEntry(path, why);
+  if (!check.valid()) {
+    LogBadEntry(path, check.why);
     if (t_attribution != nullptr) ++t_attribution->misses;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -280,19 +305,7 @@ std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
 
 void ResultStore::Store(const StoreKey& key,
                         const fault::FaultSimResult& result) {
-  const std::string payload = EncodeResult(result);
-  const Hash128 sum = Checksum(payload);
-
-  std::string data;
-  data.reserve(kHeaderBytes + payload.size());
-  data.append(kMagic, 4);
-  PutU32(data, kFormatVersion);
-  PutU64(data, key.lo);
-  PutU64(data, key.hi);
-  PutU64(data, payload.size());
-  PutU64(data, sum.lo);
-  PutU64(data, sum.hi);
-  data += payload;
+  const std::string data = EncodeEntry(key, result);
 
   const std::string path = EntryPath(key);
   // Unique temp name per write: two handles (threads or processes) storing
@@ -449,8 +462,7 @@ fault::FaultSimResult SimulateWithStore(ResultStore* store,
                         model);
   if (auto cached = store->Load(key)) {
     if (cached->first_detect.size() == faults.size() &&
-        cached->detects_per_pattern.size() == patterns.size() &&
-        cached->activates_per_pattern.size() == patterns.size()) {
+        cached->detects_per_pattern.size() == patterns.size()) {
       return std::move(*cached);
     }
     store->Discard(key);

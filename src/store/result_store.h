@@ -11,15 +11,17 @@
 // Entry file `<dir>/<key-hex32>.gsr`, little-endian (docs/FORMATS.md):
 //
 //   "GSRE"  magic
-//   u32     format version (1)
+//   u32     format version (2)
 //   u64 u64 key (lo, hi) — must match the file's own address
 //   u64     payload size in bytes
 //   u64 u64 payload checksum (Hash128 lo, hi)
 //   bytes   payload: the serialized FaultSimResult
 //
-// Corrupt, truncated, version-mismatched or mis-keyed entries are detected
-// by construction, counted in stats().bad_entries, logged to stderr and
-// treated as a miss — the caller recomputes and overwrites. A cache can
+// Corrupt, truncated or mis-keyed entries are detected by construction,
+// counted in stats().bad_entries, logged to stderr and treated as a miss —
+// the caller recomputes and overwrites. An intact entry of another format
+// version (a store written before an upgrade) is a plain miss: recomputed
+// and overwritten, but neither counted bad nor logged. A cache can
 // therefore never make a run wrong, only slow.
 //
 // Writes go through a unique temp file + atomic rename, so a killed
@@ -88,6 +90,19 @@ struct StoreStats {
   }
 };
 
+/// Verdict on bytes presented as the entry file for one key.
+struct EntryCheck {
+  enum class Status {
+    kValid,
+    kStaleVersion,  // intact header of another format version
+    kBad,           // truncated, corrupt, mis-keyed or undecodable
+  };
+  Status status = Status::kBad;
+  const char* why = "";  // short reason when not kValid
+
+  bool valid() const { return status == Status::kValid; }
+};
+
 class ResultStore {
  public:
   /// Opens (creating if needed) the store rooted at `dir`. `max_bytes` > 0
@@ -100,7 +115,8 @@ class ResultStore {
 
   /// Loads and validates an entry. Any defect (missing, short, bad magic/
   /// version/key/checksum, undecodable payload) returns nullopt; defects
-  /// other than plain absence also remove the file and count bad_entries.
+  /// other than plain absence or another format version also remove the
+  /// file and count bad_entries.
   std::optional<fault::FaultSimResult> Load(const StoreKey& key);
 
   /// Serializes and atomically writes an entry, then applies the size cap.
@@ -119,6 +135,17 @@ class ResultStore {
     std::lock_guard<std::mutex> lock(stats_mu_);
     return stats_;
   }
+
+  /// Entry-file codec: the complete bytes Store() writes for `result` at
+  /// `key`, and the check Load() applies to a file's bytes (magic, format
+  /// version, embedded key, payload size, checksum, payload decode; on
+  /// kValid the result is decoded into `*out` when non-null). The network
+  /// broker validates uploaded entries with CheckEntry, so the on-disk
+  /// format is known to this module only.
+  static std::string EncodeEntry(const StoreKey& key,
+                                 const fault::FaultSimResult& result);
+  static EntryCheck CheckEntry(std::string_view bytes, const StoreKey& key,
+                               fault::FaultSimResult* out = nullptr);
 
   /// Payload codec, exposed for tests and bench tooling.
   static std::string EncodeResult(const fault::FaultSimResult& result);

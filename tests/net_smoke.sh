@@ -199,8 +199,13 @@ wait "$W2_PID" || fail "worker2 did not drain cleanly on SIGTERM"
 WORKER_PIDS=
 grep -q "gpustl-worker:" "$WORK/worker2.log" \
   || fail "worker2 printed no exit stats"
+# The worker starts before the campaign and the coordinator computes
+# inline only after 2 s without a claim, so the worker must have finished
+# units, and the broker must have accepted every entry it uploaded.
+grep -q "publish rejected" "$WORK/worker2.log" \
+  && fail "broker rejected worker2's entries: $(grep -m1 'publish rejected' "$WORK/worker2.log")"
 grep -Eq "gpustl-worker: [1-9]" "$WORK/worker2.log" \
-  || echo "net_smoke: note: worker2 units absorbed by inline fallback" >&2
+  || fail "worker2 completed no units: $(cat "$WORK/worker2.log")"
 
 # --- 6. daemon-side chaos ----------------------------------------------------
 # handshake-fail#1 tears the first connection's handshake (client must

@@ -1,11 +1,14 @@
-// Distributed-campaign subsystem tests: skip-mask replay bit-identity
-// against the live engine, the work-unit codec (round trip + corruption
-// fallback), the advisory claim protocol (exclusive claim, heartbeat,
-// stale steal, done markers), the Compactor's distrib_replay path, and the
-// coordinator's two-phase schedule end to end — forked fleet and chaos
-// runs must produce reports byte-identical to the single-process campaign.
+// Distributed-campaign subsystem tests: skip-mask replay (the first-detect
+// filter) bit-identity against the live engine for both fault models, every
+// backend and thread count, the Compactor's derived stage-3/validation
+// results and its fault-simulation cost, the work-unit codec (round trip +
+// corruption fallback), the advisory claim protocol (exclusive claim,
+// heartbeat, stale steal, done markers), and the coordinator's two-phase
+// schedule end to end — forked fleet and chaos runs must produce reports
+// byte-identical to the single-process campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,15 +19,17 @@
 #include "circuits/sp_core.h"
 #include "common/chaos.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "compact/campaign_plan.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
 #include "distrib/claims.h"
 #include "distrib/coordinator.h"
 #include "distrib/units.h"
+#include "fault/backend.h"
 #include "fault/faultsim.h"
-#include "fault/parallel.h"
 #include "fault/replay.h"
+#include "fault/transition.h"
 #include "gpu/sm.h"
 #include "stl/generators.h"
 #include "store/result_store.h"
@@ -56,7 +61,6 @@ void ExpectSameResult(const fault::FaultSimResult& a,
                       const fault::FaultSimResult& b) {
   EXPECT_EQ(a.first_detect, b.first_detect);
   EXPECT_EQ(a.detects_per_pattern, b.detects_per_pattern);
-  EXPECT_EQ(a.activates_per_pattern, b.activates_per_pattern);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.detected_mask, b.detected_mask);
 }
@@ -106,68 +110,200 @@ std::string RunCampaign(const std::vector<compact::PlanEntry>& plan,
 
 // --- Skip-mask replay -------------------------------------------------------
 
-TEST(ReplayTest, BitIdenticalToLiveEngineAcrossMasks) {
-  const netlist::Netlist du = circuits::BuildDecoderUnit();
-  const netlist::PatternSet patterns =
-      TracedPatterns(stl::GenerateImm(8, 7), trace::TargetModule::kDecoderUnit);
-  const auto faults = fault::CollapsedFaultList(du);
-  ASSERT_GT(faults.size(), 0u);
-
-  fault::FaultSimOptions drop;
-  drop.drop_detected = true;
-  const fault::FaultSimResult full =
-      fault::RunFaultSim(du, patterns, faults, /*skip=*/nullptr, drop);
-
-  // Mask shapes a real campaign produces (empty = first entry; dense =
-  // late entries) plus the degenerate all-skipped one.
-  std::vector<BitVec> masks;
-  masks.emplace_back(faults.size(), false);
-  masks.emplace_back(faults.size(), true);
-  BitVec every_third(faults.size(), false);
-  BitVec detected_so_far(faults.size(), false);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (i % 3 == 0) every_third.Set(i, true);
-    if (full.detected_mask.Get(i) && i % 2 == 0) detected_so_far.Set(i, true);
+/// 200 patterns over the module's full input width: 128 random ones, then
+/// the first 72 again — so 64-pattern block 2 repeats block 0 and the trim
+/// layer's dedup replay runs — leaving a ragged tail for the 64-, 256- and
+/// 512-pattern words alike.
+netlist::PatternSet TiledRandomPatterns(Rng& rng, std::size_t width) {
+  constexpr std::size_t count = 200;
+  netlist::PatternSet pats(static_cast<int>(width));
+  const std::size_t words = (width + 63) / 64;
+  std::vector<std::uint64_t> rows(count * words);
+  for (std::size_t p = 0; p < count; ++p) {
+    std::uint64_t* row = rows.data() + p * words;
+    if (p >= 128) {
+      std::copy_n(rows.data() + (p - 128) * words, words, row);
+    } else {
+      for (std::size_t w = 0; w < words; ++w) row[w] = rng();
+      if (width % 64 != 0) row[words - 1] &= (1ull << (width % 64)) - 1;
+    }
+    pats.Add(p, row);
   }
-  masks.push_back(every_third);
-  masks.push_back(detected_so_far);
-
-  fault::GoodBlockCache good(du, patterns);
-  for (const BitVec& skip : masks) {
-    const fault::FaultSimResult live =
-        fault::RunFaultSim(du, patterns, faults, &skip, drop);
-    const std::uint64_t replays_before =
-        fault::GlobalReplayCounters().replays.load();
-    const fault::FaultSimResult replayed =
-        fault::ReplaySkipFromFull(du, faults, full, skip, good);
-    ExpectSameResult(live, replayed);
-    EXPECT_EQ(fault::GlobalReplayCounters().replays.load(), replays_before + 1);
-  }
-
-  // Engine toggles on the live side must not matter either: the replay is
-  // held to the canonical accounting, which every engine config shares.
-  fault::FaultSimOptions threaded = drop;
-  threaded.num_threads = 3;
-  const fault::FaultSimResult live_threaded =
-      fault::RunFaultSim(du, patterns, faults, &every_third, threaded);
-  ExpectSameResult(live_threaded, fault::ReplaySkipFromFull(
-                                      du, faults, full, every_third, good));
+  return pats;
 }
 
-TEST(ReplayTest, ShapeMismatchThrowsNeverGuesses) {
+/// The skip masks a campaign produces (none; part of this run's own
+/// detections, as after earlier PTPs) plus random ones at two densities.
+std::vector<BitVec> SkipMasks(Rng& rng, const fault::FaultSimResult& full) {
+  const std::size_t n = full.first_detect.size();
+  std::vector<BitVec> masks;
+  masks.emplace_back(n, false);
+  BitVec some_detected(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    some_detected.Set(i, full.detected_mask.Get(i) && rng.chance(0.5));
+  }
+  masks.push_back(some_detected);
+  for (const double density : {0.3, 0.8}) {
+    BitVec skip(n, false);
+    for (std::size_t i = 0; i < n; ++i) skip.Set(i, rng.chance(density));
+    masks.push_back(skip);
+  }
+  return masks;
+}
+
+fault::FaultSimResult Simulate(compact::FaultModel model,
+                               const netlist::Netlist& nl,
+                               const netlist::PatternSet& patterns,
+                               const std::vector<fault::Fault>& faults,
+                               const BitVec* skip,
+                               const fault::FaultSimOptions& options) {
+  return model == compact::FaultModel::kTransition
+             ? fault::RunTransitionFaultSim(nl, patterns, faults, skip,
+                                            options)
+             : fault::RunFaultSim(nl, patterns, faults, skip, options);
+}
+
+constexpr compact::FaultModel kModels[] = {compact::FaultModel::kStuckAt,
+                                           compact::FaultModel::kTransition};
+
+const char* ModelName(compact::FaultModel model) {
+  return model == compact::FaultModel::kTransition ? "transition" : "stuck-at";
+}
+
+TEST(ReplayTest, FilterIsBitIdenticalToLiveEngine) {
+  struct Module {
+    const char* name;
+    netlist::Netlist nl;
+  };
+  Module modules[] = {{"DU", circuits::BuildDecoderUnit()},
+                      {"SP", circuits::BuildSpCore()},
+                      {"SFU", circuits::BuildSfu()}};
+  Rng rng(0x5EEDF117);
+  for (Module& m : modules) {
+    const auto faults = fault::CollapsedFaultList(m.nl);
+    const netlist::PatternSet patterns =
+        TiledRandomPatterns(rng, m.nl.num_inputs());
+    for (const compact::FaultModel model : kModels) {
+      for (const fault::Backend backend : fault::RegisteredBackends()) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(std::string(m.name) + " " + ModelName(model) + " " +
+                       std::string(fault::BackendName(backend)) + " x" +
+                       std::to_string(threads));
+          fault::FaultSimOptions options;
+          options.backend = backend;
+          options.num_threads = threads;
+          const fault::FaultSimResult full =
+              Simulate(model, m.nl, patterns, faults, nullptr, options);
+          ASSERT_GT(full.num_detected, 0u);
+          for (const BitVec& skip : SkipMasks(rng, full)) {
+            const std::uint64_t replays_before =
+                fault::GlobalReplayCounters().replays.load();
+            ExpectSameResult(
+                Simulate(model, m.nl, patterns, faults, &skip, options),
+                fault::ReplaySkipFromFull(full, skip));
+            EXPECT_EQ(fault::GlobalReplayCounters().replays.load(),
+                      replays_before + 1);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReplayTest, MisuseThrowsNeverGuesses) {
   const netlist::Netlist du = circuits::BuildDecoderUnit();
   const netlist::PatternSet patterns =
       TracedPatterns(stl::GenerateImm(6, 11), trace::TargetModule::kDecoderUnit);
   const auto faults = fault::CollapsedFaultList(du);
-  fault::FaultSimOptions drop;
-  drop.drop_detected = true;
   const fault::FaultSimResult full =
-      fault::RunFaultSim(du, patterns, faults, /*skip=*/nullptr, drop);
+      fault::RunFaultSim(du, patterns, faults, /*skip=*/nullptr, {});
 
-  fault::GoodBlockCache good(du, patterns);
   const BitVec wrong_size(faults.size() + 1, false);
-  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, full, wrong_size, good),
-               Error);
+  EXPECT_THROW(fault::ReplaySkipFromFull(full, wrong_size), Error);
+
+  // A no-drop run counts repeated detections: no first-detect filter can
+  // reproduce its skip-masked counterpart.
+  fault::FaultSimOptions no_drop;
+  no_drop.drop_detected = false;
+  const fault::FaultSimResult counted =
+      fault::RunFaultSim(du, patterns, faults, /*skip=*/nullptr, no_drop);
+  const BitVec none(faults.size(), false);
+  EXPECT_THROW(fault::ReplaySkipFromFull(counted, none), Error);
+}
+
+// --- The Compactor's derived results and cost --------------------------------
+
+TEST(CompactorReplayTest, DerivedStage3AndValidationMatchLiveEngine) {
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const std::vector<isa::Program> ptps = {stl::GenerateImm(10, 3),
+                                          stl::GenerateMem(8, 5),
+                                          stl::GenerateImm(6, 11)};
+  for (const compact::FaultModel model : kModels) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(ModelName(model)) + " x" +
+                   std::to_string(threads));
+      compact::CompactorOptions opt;
+      opt.fault_model = model;
+      opt.num_threads = threads;
+      compact::Compactor compactor(du, trace::TargetModule::kDecoderUnit, opt);
+      fault::FaultSimOptions live;
+      live.num_threads = threads;
+      for (const isa::Program& ptp : ptps) {
+        const BitVec before = compactor.detected();
+        const compact::CompactionResult res = compactor.CompactPtp(ptp);
+        ExpectSameResult(
+            Simulate(model, du,
+                     TracedPatterns(ptp, trace::TargetModule::kDecoderUnit),
+                     compactor.faults(), &before, live),
+            res.fault_report);
+        EXPECT_EQ(res.validation_detections,
+                  Simulate(model, du,
+                           TracedPatterns(res.compacted,
+                                          trace::TargetModule::kDecoderUnit),
+                           compactor.faults(), &before, live)
+                      .num_detected);
+      }
+    }
+  }
+}
+
+TEST(CompactorReplayTest, OneFullListSimulationPerPatternSet) {
+  // Against an empty store the lookups count the fault simulations: 2 per
+  // compacted PTP (original and compacted patterns), 1 per carried one —
+  // all misses, except that a PTP that lost no instruction finds its
+  // compacted patterns already stored. The report matches the store-less
+  // campaign.
+  const auto plan = SmallPlan();
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const netlist::Netlist sp = circuits::BuildSpCore();
+  const netlist::Netlist sfu = circuits::BuildSfu();
+  for (const compact::FaultModel model : kModels) {
+    SCOPED_TRACE(ModelName(model));
+    compact::CompactorOptions opt;
+    opt.fault_model = model;
+    const std::string reference = RunCampaign(plan, opt);
+
+    store::ResultStore store(ScratchDir("one_sim_per_pattern_set"));
+    opt.result_store = &store;
+    compact::StlCampaign campaign(du, sp, sfu, opt);
+    std::size_t shrunk = 0;
+    for (const auto& pe : plan) {
+      const store::StoreStats before = store.stats();
+      const compact::CampaignRecord& rec = campaign.Process(pe.entry);
+      const std::uint64_t misses = store.stats().misses - before.misses;
+      const std::uint64_t hits = store.stats().hits - before.hits;
+      const bool lost_code = rec.final_size < rec.original_size;
+      shrunk += lost_code ? 1 : 0;
+      EXPECT_EQ(misses + hits, pe.entry.compactable ? 2u : 1u)
+          << pe.entry.ptp.name();
+      EXPECT_EQ(hits, pe.entry.compactable && !lost_code ? 1u : 0u)
+          << pe.entry.ptp.name();
+    }
+    EXPECT_GE(shrunk, 1u);
+    EXPECT_EQ(compact::RenderCampaignReport(campaign.records(),
+                                            campaign.Summary()),
+              reference);
+  }
 }
 
 // --- Work-unit codec --------------------------------------------------------
@@ -296,30 +432,6 @@ TEST(ClaimBoardTest, ExactlyOneOwnerStaleStealAndDoneMarkers) {
   EXPECT_FALSE(reclaimed.stole);
 }
 
-// --- distrib_replay through the Compactor -----------------------------------
-
-TEST(DistribReplayTest, CampaignReportIsByteIdenticalAndReplaysHappen) {
-  const auto plan = SmallPlan();
-  const std::string reference = RunCampaign(plan, {});
-
-  store::ResultStore store(ScratchDir("distrib_replay"));
-  compact::CompactorOptions opt;
-  opt.result_store = &store;
-  opt.distrib_replay = true;
-
-  // Cold store: every full-list simulation runs live (and is cached), and
-  // every skip-masked one is REPLAYED from it rather than simulated.
-  const std::uint64_t replays_before =
-      fault::GlobalReplayCounters().replays.load();
-  EXPECT_EQ(RunCampaign(plan, opt), reference);
-  EXPECT_GT(fault::GlobalReplayCounters().replays.load(), replays_before);
-
-  // Warm store: same report again, now with the full-list runs as hits.
-  const std::uint64_t hits_before = store.stats().hits;
-  EXPECT_EQ(RunCampaign(plan, opt), reference);
-  EXPECT_GT(store.stats().hits, hits_before);
-}
-
 // --- Coordinator end to end -------------------------------------------------
 
 TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
@@ -330,7 +442,6 @@ TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";
@@ -353,9 +464,8 @@ TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
   EXPECT_GE(stats.worker_units + stats.inline_units,
             stats.wave1_units + stats.wave2_units);
 
-  // The final campaign must see every simulation as a store hit or a
-  // replay over one, and report byte-identically to the single-process
-  // run.
+  // The final campaign must see every simulation as a store hit, and
+  // report byte-identically to the single-process run.
   const std::uint64_t misses_before = store.stats().misses;
   EXPECT_EQ(RunCampaign(plan, opt), reference);
   EXPECT_EQ(store.stats().misses, misses_before)
@@ -370,7 +480,6 @@ TEST(CoordinatorTest, StaleClaimChaosIsStolenAndStaysByteIdentical) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";
@@ -400,7 +509,6 @@ TEST(CoordinatorTest, NoWorkersAtAllStillCompletesInline) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";

@@ -167,16 +167,16 @@ TEST(FaultSim, SkipMaskExcludesFaults) {
   EXPECT_FALSE(res.detected_mask.Get(1));
 }
 
-TEST(FaultSim, ActivationCountsReported) {
+TEST(FaultSim, DetectionCountsReported) {
   const Netlist nl = AndCircuit();
   PatternSet pats(2);
   pats.Add64(0, 0b00);
   pats.Add64(1, 0b11);
-  // y SA0 is activated only when y would be 1 (pattern 11).
+  // y SA0 is detected only when y would be 1 (pattern 11).
   const std::vector<Fault> faults = {{2, Fault::kOutputPin, false}};
   const auto res = RunFaultSim(nl, pats, faults);
-  EXPECT_EQ(res.activates_per_pattern[0], 0u);
-  EXPECT_EQ(res.activates_per_pattern[1], 1u);
+  EXPECT_EQ(res.detects_per_pattern, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(res.first_detect[0], 1u);
 }
 
 TEST(FaultSim, CoverageOnRandomAdderPatterns) {

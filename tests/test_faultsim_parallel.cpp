@@ -87,8 +87,6 @@ void ExpectIdentical(const FaultSimResult& serial,
                      const FaultSimResult& parallel, const char* what) {
   EXPECT_EQ(serial.first_detect, parallel.first_detect) << what;
   EXPECT_EQ(serial.detects_per_pattern, parallel.detects_per_pattern) << what;
-  EXPECT_EQ(serial.activates_per_pattern, parallel.activates_per_pattern)
-      << what;
   EXPECT_EQ(serial.num_detected, parallel.num_detected) << what;
   EXPECT_TRUE(serial.detected_mask == parallel.detected_mask) << what;
 }
@@ -295,12 +293,10 @@ TEST(FaultSimParallel, MergeScattersDisjointShards) {
   a.detected_mask.Set(0, true);
   a.num_detected = 1;
   a.detects_per_pattern = {0, 0, 1};
-  a.activates_per_pattern = {1, 0, 1};
   b.first_detect[3] = 0;
   b.detected_mask.Set(3, true);
   b.num_detected = 1;
   b.detects_per_pattern = {1, 0, 0};
-  b.activates_per_pattern = {1, 1, 0};
 
   FaultSimResult out = InitFaultSimResult(4, 3);
   MergeShardResults({a, b}, out);
@@ -309,7 +305,6 @@ TEST(FaultSimParallel, MergeScattersDisjointShards) {
                                         FaultSimResult::kNotDetected, 0}));
   EXPECT_EQ(out.num_detected, 2u);
   EXPECT_EQ(out.detects_per_pattern, (std::vector<std::uint32_t>{1, 0, 1}));
-  EXPECT_EQ(out.activates_per_pattern, (std::vector<std::uint32_t>{2, 1, 1}));
   EXPECT_TRUE(out.detected_mask.Get(0));
   EXPECT_FALSE(out.detected_mask.Get(1));
   EXPECT_TRUE(out.detected_mask.Get(3));

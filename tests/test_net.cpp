@@ -23,10 +23,12 @@
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
 #include "common/chaos.h"
+#include "common/bitops.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
+#include "fault/faultsim.h"
 #include "net/broker.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -36,6 +38,7 @@
 #include "net/tcp_server.h"
 #include "service/protocol.h"
 #include "service/service.h"
+#include "store/result_store.h"
 
 namespace gpustl::net {
 namespace {
@@ -376,28 +379,23 @@ std::string PutU32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   return out;
 }
-std::string PutU64(std::uint64_t v) {
-  std::string out(8, '\0');
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  return out;
+
+/// A well-formed entry of the store's current format, keyed by `key`.
+std::string MakeEntryBytes(const Hash128& key) {
+  fault::FaultSimResult result;
+  result.first_detect = {0, fault::FaultSimResult::kNotDetected, 1};
+  result.detects_per_pattern = {1, 1};
+  result.num_detected = 2;
+  result.detected_mask = BitVec(3);
+  result.detected_mask.Set(0, true);
+  result.detected_mask.Set(2, true);
+  return store::ResultStore::EncodeEntry(key, result);
 }
 
-/// A well-formed GSRE entry for `payload`, keyed by `key` — the same
-/// layout store/result_store.cpp writes.
-std::string MakeEntryBytes(const Hash128& key, const std::string& payload) {
-  Hasher128 h;
-  h.AddString("gpustl-entry-v1");
-  h.AddBytes(payload.data(), payload.size());
-  const Hash128 sum = h.Finish();
-  std::string bytes = "GSRE";
-  bytes += PutU32(1);
-  bytes += PutU64(key.lo);
-  bytes += PutU64(key.hi);
-  bytes += PutU64(payload.size());
-  bytes += PutU64(sum.lo);
-  bytes += PutU64(sum.hi);
-  bytes += payload;
-  return bytes;
+/// `entry` relabelled as another format version (the u32 after the magic).
+std::string WithFormatVersion(std::string entry, std::uint32_t version) {
+  entry.replace(4, 4, PutU32(version));
+  return entry;
 }
 
 TEST(BrokerTest, PublishValidatesInstallsAndIsIdempotent) {
@@ -410,7 +408,7 @@ TEST(BrokerTest, PublishValidatesInstallsAndIsIdempotent) {
   auto session = broker.OpenSession("test-owner");
 
   Hash128 key{0x1122334455667788ull, 0x99aabbccddeeff00ull};
-  const std::string bytes = MakeEntryBytes(key, "payload-bytes");
+  const std::string bytes = MakeEntryBytes(key);
 
   Json publish;
   publish.Set("op", "publish");
@@ -434,6 +432,46 @@ TEST(BrokerTest, PublishValidatesInstallsAndIsIdempotent) {
   Json wrong_key = publish;
   wrong_key.Set("key", other.ToHex());
   EXPECT_EQ(session->Handle(wrong_key).GetString("op"), "error");
+
+  // An upload in another format version is refused.
+  Json stale = publish;
+  stale.Set("data", HexEncode(WithFormatVersion(bytes, 1)));
+  const Json stale_reply = session->Handle(stale);
+  EXPECT_EQ(stale_reply.GetString("op"), "error");
+  EXPECT_NE(stale_reply.GetString("error").find("format version"),
+            std::string::npos);
+}
+
+TEST(BrokerTest, PublishReplacesAnOlderFormatEntry) {
+  const std::string cache = ScratchDir("broker-stale-cache");
+  BrokerOptions options;
+  options.distrib_dir = ScratchDir("broker-stale-distrib");
+  options.cache_dir = cache;
+  WorkBroker broker(options);
+  auto session = broker.OpenSession("test-owner");
+
+  // A store written before a format upgrade holds an older entry at the
+  // key. A fresh upload must replace it, not be swallowed as a re-publish.
+  const Hash128 key{0x0102030405060708ull, 0x1112131415161718ull};
+  const std::string bytes = MakeEntryBytes(key);
+  const std::string path = cache + "/" + key.ToHex() + ".gsr";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << WithFormatVersion(bytes, 1);
+  }
+
+  Json publish;
+  publish.Set("op", "publish");
+  publish.Set("key", key.ToHex());
+  publish.Set("data", HexEncode(bytes));
+  EXPECT_EQ(session->Handle(publish).GetString("op"), "ok");
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string installed((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_EQ(installed, bytes);
+  store::ResultStore store(cache);
+  EXPECT_TRUE(store.Load(key).has_value());
 }
 
 TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {

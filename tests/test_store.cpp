@@ -1,6 +1,7 @@
 // Result-store subsystem tests: fingerprint stability/sensitivity, the
-// versioned entry codec, corruption fallback (bit flips, truncation,
-// version/key mismatch — never fatal, always recomputed), cached-vs-live
+// versioned entry codec, corruption fallback (bit flips, truncation, key
+// mismatch — never fatal, always recomputed), older-format entries (a plain
+// miss, recomputed and rewritten, never counted bad), cached-vs-live
 // bit-identity through Compactor, campaign checkpoint round trips, and the
 // interrupted-then-resumed ≡ uninterrupted campaign equivalence.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
 #include "common/chaos.h"
+#include "common/hash.h"
 #include "compact/compactor.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
@@ -75,7 +77,6 @@ FaultSimResult Simulate(const Netlist& nl, const PatternSet& ps,
 void ExpectSameResult(const FaultSimResult& a, const FaultSimResult& b) {
   EXPECT_EQ(a.first_detect, b.first_detect);
   EXPECT_EQ(a.detects_per_pattern, b.detects_per_pattern);
-  EXPECT_EQ(a.activates_per_pattern, b.activates_per_pattern);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.detected_mask, b.detected_mask);
 }
@@ -258,20 +259,86 @@ TEST(ResultStoreTest, CorruptEntriesAreDetectedAndDiscarded) {
   write_all(data);
   EXPECT_FALSE(store.Load(key).has_value());
 
-  // Version bump -> version mismatch.
-  write_entry();
-  data = read_all();
-  data[4] = static_cast<char>(data[4] + 1);
-  write_all(data);
-  EXPECT_FALSE(store.Load(key).has_value());
-
-  EXPECT_EQ(store.stats().bad_entries, 4u);
+  EXPECT_EQ(store.stats().bad_entries, 3u);
 
   // After every corruption the store still serves a fresh write.
   write_entry();
   const auto loaded = store.Load(key);
   ASSERT_TRUE(loaded.has_value());
   ExpectSameResult(result, *loaded);
+}
+
+void PutU32(std::string& out, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) out.push_back(static_cast<char>(v >> (8 * k)));
+}
+
+void PutU64(std::string& out, std::uint64_t v) {
+  for (int k = 0; k < 8; ++k) out.push_back(static_cast<char>(v >> (8 * k)));
+}
+
+TEST(ResultStoreTest, FormatOneEntryIsAPlainMissAndIsRewritten) {
+  const Netlist nl = SmallNetlist();
+  const PatternSet ps = SmallPatterns();
+  const auto faults = fault::CollapsedFaultList(nl);
+  const FaultSimResult result = Simulate(nl, ps, faults);
+  const StoreKey key =
+      FaultSimKey(nl, ps, faults, nullptr, true, SimModel::kStuckAt);
+
+  // An intact format-1 entry, as stores written before v2 hold them: its
+  // payload carries a per-pattern activation histogram after the
+  // detection histogram.
+  std::string payload;
+  PutU64(payload, result.first_detect.size());
+  for (const std::uint32_t v : result.first_detect) PutU32(payload, v);
+  PutU64(payload, result.detects_per_pattern.size());
+  for (const std::uint32_t v : result.detects_per_pattern) PutU32(payload, v);
+  for (std::size_t p = 0; p < ps.size(); ++p) PutU32(payload, 1);
+  PutU64(payload, result.num_detected);
+  PutU64(payload, result.detected_mask.size());
+  for (const std::uint64_t w : result.detected_mask.Words()) {
+    PutU64(payload, w);
+  }
+  Hasher128 h;
+  h.AddString("gpustl-entry-v1");
+  h.AddBytes(payload.data(), payload.size());
+  const Hash128 sum = h.Finish();
+  std::string entry("GSRE", 4);
+  PutU32(entry, 1);
+  PutU64(entry, key.lo);
+  PutU64(entry, key.hi);
+  PutU64(entry, payload.size());
+  PutU64(entry, sum.lo);
+  PutU64(entry, sum.hi);
+  entry += payload;
+
+  ResultStore store(ScratchDir("format_one"));
+  const std::string path = store.EntryPath(key);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(entry.data(), static_cast<std::streamsize>(entry.size()));
+  }
+
+  ::testing::internal::CaptureStderr();
+  const FaultSimResult got = SimulateWithStore(
+      &store, nl, ps, faults, nullptr, {}, SimModel::kStuckAt);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "")
+      << "an older format is not corruption";
+  ExpectSameResult(result, got);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(store.stats().bad_entries, 0u);
+  EXPECT_EQ(store.stats().stores, 1u);
+
+  // Rewritten in place as format 2, so the next lookup hits.
+  std::ifstream in(path, std::ios::binary);
+  const std::string rewritten((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  ASSERT_GE(rewritten.size(), 8u);
+  EXPECT_EQ(rewritten.substr(0, 8), std::string("GSRE\x02\0\0\0", 8));
+  const auto loaded = store.Load(key);
+  ASSERT_TRUE(loaded.has_value());
+  ExpectSameResult(result, *loaded);
+  EXPECT_EQ(store.stats().bad_entries, 0u);
 }
 
 TEST(ResultStoreTest, SizeBudgetEvictsOldestEntries) {

@@ -572,15 +572,14 @@ int CmdCampaign(const Args& args) {
 
   // Distributed mode: the coordinator's planning phase and the campaign
   // share one prep set (the collapse plans are the expensive part of
-  // construction), and every skip-masked fault simulation is derived by
-  // replay over the store-held full-list results the workers publish.
+  // construction); the campaign's full-list fault simulations are store
+  // hits on the results the workers publish.
   compact::ModulePrepSet preps;
   const bool distrib = !args.distrib_dir.empty();
   if (distrib) {
     if (cache == nullptr) {
       Die("--distrib-dir requires a result store (--cache-dir)");
     }
-    base.distrib_replay = true;
     preps.du = compact::BuildModulePrep(du);
     preps.sp = compact::BuildModulePrep(sp);
     preps.sfu = compact::BuildModulePrep(sfu);
