@@ -131,15 +131,7 @@ void AppendBenchJson(const std::string& path, const BenchRecord& record) {
   entry += Format("\"patterns\": %zu, ", record.patterns);
   entry += Format("\"faults\": %zu, ", record.faults);
   entry += Format("\"threads\": %d, ", record.threads);
-  entry += "\"backend\": \"" + record.backend + "\", ";
-  entry += "\"trim\": \"" + record.trim + "\", ";
-  entry += Format("\"trim_blocks_replayed\": %llu, ",
-                  static_cast<unsigned long long>(record.trim_blocks_replayed));
-  entry += Format("\"trim_faults_early_exited\": %llu, ",
-                  static_cast<unsigned long long>(
-                      record.trim_faults_early_exited));
-  entry += Format("\"trim_warm_hits\": %llu",
-                  static_cast<unsigned long long>(record.trim_warm_hits));
+  entry += "\"backend\": \"" + record.backend + "\"";
   for (const auto& [key, value] : record.extra) {
     entry += Format(", \"%s\": %.6f", key.c_str(), value);
   }

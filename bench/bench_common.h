@@ -59,8 +59,8 @@ compact::CompactorOptions BenchCompactorOptions();
 
 /// One machine-readable fault-sim bench record for BENCH_faultsim.json.
 struct BenchRecord {
-  std::string bench;   // emitting benchmark, e.g. "ablation_faultsim"
-  std::string name;    // configuration label, e.g. "SP/collapse+cone"
+  std::string bench;   // emitting benchmark, e.g. "distrib"
+  std::string name;    // configuration label, e.g. "w4"
   std::string module;  // target module name ("" when campaign-level)
   double wall_seconds = 0.0;
   double faults_per_sec = 0.0;  // reported faults / wall second
@@ -69,15 +69,6 @@ struct BenchRecord {
   int threads = 1;
   /// Resolved engine backend the row was measured on ("scalar", "avx2", ...).
   std::string backend = "scalar";
-  /// Trim mode the row ran with ("off", "dedup", ...; fault/trim.h — the
-  /// engine default when the bench does not toggle it) and the trim
-  /// counters accumulated over the measured run(s): repeated pattern
-  /// blocks replayed from the dedup cache, faults retired by the
-  /// early-exit prepass, warm-start cache hits.
-  std::string trim = "dedup+early-exit+warm-start";
-  std::uint64_t trim_blocks_replayed = 0;
-  std::uint64_t trim_faults_early_exited = 0;
-  std::uint64_t trim_warm_hits = 0;
   /// Additional numeric fields, appended verbatim (e.g. classes, speedup).
   std::vector<std::pair<std::string, double>> extra;
 };

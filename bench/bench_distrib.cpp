@@ -30,7 +30,6 @@
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
 #include "distrib/coordinator.h"
-#include "fault/trim.h"
 #include "stl/generators.h"
 #include "store/result_store.h"
 
@@ -130,13 +129,6 @@ int Main() {
     compact::CompactorOptions opt;
     opt.num_threads = 1;  // scale via workers, keep the parent fork-safe
     opt.result_store = &store;
-    // Trim off — uniformly, baseline and workers alike (results are
-    // bit-identical either way). This is the regime distribution exists
-    // for: simulations whose cost the single-process trim caches cannot
-    // absorb (big netlists, first-touch campaigns). With trim on, these
-    // laptop-scale sims collapse to near-trace cost and the bench would
-    // measure coordination overhead instead of scaling.
-    opt.trim = fault::NoTrim();
 
     RunResult out;
     Timer wall;
@@ -185,7 +177,6 @@ int Main() {
     record.name = tag;
     record.wall_seconds = r.wall_seconds;
     record.threads = 1;
-    record.trim = "off";
     record.extra = {
         {"workers", static_cast<double>(workers)},
         {"entries", static_cast<double>(plan.size())},

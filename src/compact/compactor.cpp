@@ -144,19 +144,14 @@ Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
 
 fault::FaultSimResult Compactor::SimulateFaults(
     const netlist::PatternSet& patterns, const BitVec* skip,
-    bool drop_detected, fault::WarmStartCache* warm) const {
+    bool drop_detected) const {
   const fault::FaultSimOptions sim_options{
       .drop_detected = drop_detected,
       .num_threads = options_.num_threads,
-      .collapse = options_.collapse_faults,
-      .cone_limit = options_.cone_limit,
-      .ffr_trace = options_.ffr_trace,
       .backend = options_.backend,
-      .collapse_plan = options_.collapse_faults ? &prep_->collapse : nullptr,
+      .collapse_plan = &prep_->collapse,
       .cancel = ActiveToken(),
-      .trim = options_.trim,
-      .warm_cache = warm != nullptr ? warm : options_.warm_cache.get(),
-      .trim_counters = trim_counters_.get()};
+      .faults_early_exited = early_exited_.get()};
   const store::SimModel model = options_.fault_model == FaultModel::kTransition
                                     ? store::SimModel::kTransition
                                     : store::SimModel::kStuckAt;
@@ -191,22 +186,14 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
   // against the full fault list — the original PTP's standalone coverage
   // too — filtered by the dropping state (fault/replay.h), then labeling.
   // Without intra-PTP dropping labeling needs every detection, which no
-  // first-detect filter can supply, so that run stays live; the two runs
-  // share the patterns, hence a call-local warm-start cache unless a
-  // shared one is configured.
+  // first-detect filter can supply, so that run stays live.
   FaultSimResult full_before;
   guard.Run(kStageFaultSim, [&] {
-    if (options_.drop_within_ptp) {
-      full_before = SimulateFaults(patterns, nullptr, true);
-      res.fault_report = fault::ReplaySkipFromFull(full_before, detected_);
-    } else {
-      fault::WarmStartCache local_warm;
-      fault::WarmStartCache* warm = options_.warm_cache != nullptr
-                                        ? options_.warm_cache.get()
-                                        : &local_warm;
-      full_before = SimulateFaults(patterns, nullptr, true, warm);
-      res.fault_report = SimulateFaults(patterns, &detected_, false, warm);
-    }
+    full_before = SimulateFaults(patterns, nullptr, true);
+    res.fault_report =
+        options_.drop_within_ptp
+            ? fault::ReplaySkipFromFull(full_before, detected_)
+            : SimulateFaults(patterns, &detected_, false);
   });
   guard.Run(kStageLabel, [&] {
     res.labels = LabelInstructions(ptp, original_run.tracing, patterns,

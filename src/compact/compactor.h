@@ -34,6 +34,7 @@
 // MEM compacts harder than IMM, and why RAND collapses after TPGEN).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -44,8 +45,6 @@
 #include "fault/backend.h"
 #include "fault/collapse.h"
 #include "fault/faultsim.h"
-#include "fault/parallel.h"
-#include "fault/trim.h"
 #include "gpu/sm.h"
 #include "isa/program.h"
 #include "netlist/netlist.h"
@@ -153,37 +152,12 @@ struct CompactorOptions {
   /// so campaigns parallelize without perturbing the tables.
   int num_threads = 1;
 
-  /// Structural fault collapsing for the stuck-at simulations: the
-  /// equivalence classes are built once per module and reused by every
-  /// fault sim of this compactor. Reports are bit-identical either way
-  /// (see fault/collapse.h); off = simulate every fault individually.
-  bool collapse_faults = true;
-
-  /// Output-cone restriction inside the fault simulator (detection scans
-  /// and propagation pruning; exact either way).
-  bool cone_limit = true;
-
-  /// FFR-clustered critical-path tracing inside the stuck-at fault
-  /// simulator: one stem propagation per fanout-free region per pattern
-  /// block instead of one per fault class (see fault/faultsim.h; exact
-  /// either way, so reports are bit-identical and cached results are
-  /// shared across the toggle).
-  bool ffr_trace = true;
-
   /// Engine backend for every fault simulation this compactor runs (see
   /// fault/backend.h): kAuto = runtime CPU dispatch ($GPUSTL_BACKEND
   /// honoured), or an explicit width. Reports are bit-identical for every
   /// backend — a pure cost knob like num_threads, excluded from result-store
   /// keys, so cached results are shared across the toggle.
   fault::Backend backend = fault::Backend::kAuto;
-
-  /// Execution-redundancy trimming inside every fault simulation this
-  /// compactor runs (see fault/trim.h): pattern-block dedup, per-fault
-  /// early-exit, and cross-run warm-start of good-machine/observability
-  /// state through `warm_cache`. Exact — reports are bit-identical for
-  /// every combination; pure cost knobs, excluded from result-store keys
-  /// like `backend`.
-  fault::TrimOptions trim;
 
   /// Content-addressed result store consulted before every fault
   /// simulation (and written back after a miss). Null = caching off. Not
@@ -209,16 +183,6 @@ struct CompactorOptions {
   /// token across a campaign's compactors cancels the whole run at the
   /// next stage boundary or fault-sim pattern block.
   CancelToken* cancel = nullptr;
-
-  /// Warm-start cache shared with other compactors (null = none). The
-  /// cache is content-keyed by (netlist, patterns), so campaigns sharing
-  /// it (the service worker pool does) reuse each other's good-machine
-  /// state; reports stay bit-identical because warm-start is exact
-  /// (fault/parallel.h). With intra-PTP dropping a compactor simulates
-  /// each pattern set once, so it builds no private cache; without it
-  /// (`drop_within_ptp = false`) stage 3 simulates the original patterns
-  /// twice and shares a call-local cache between the two runs.
-  std::shared_ptr<fault::WarmStartCache> warm_cache;
 
   /// Per-stage progress hook (see compact/run_guard.h); empty = none.
   StageObserver stage_observer;
@@ -290,10 +254,11 @@ class Compactor {
     return prep_->collapse.Stats();
   }
 
-  /// Trim skip counters accumulated across every fault simulation of this
-  /// compactor (see fault/trim.h). Observability only — shard- and
-  /// cache-state-dependent, excluded from every deterministic report.
-  const fault::TrimCounters& trim_counters() const { return *trim_counters_; }
+  /// Faults retired by early-exit across every fault simulation of this
+  /// compactor (FaultSimOptions::faults_early_exited). Observability only —
+  /// backend- and store-state-dependent, excluded from every deterministic
+  /// report.
+  std::uint64_t faults_early_exited() const { return early_exited_->load(); }
 
  private:
   /// Stage 2: one logic simulation with monitors attached.
@@ -305,10 +270,9 @@ class Compactor {
   TraceRun RunLogicTrace(const isa::Program& ptp) const;
 
   /// Stage-3/5 fault simulation under the configured fault model.
-  /// `warm` overrides the configured warm-start cache (null = use it).
-  fault::FaultSimResult SimulateFaults(
-      const netlist::PatternSet& patterns, const BitVec* skip,
-      bool drop_detected, fault::WarmStartCache* warm = nullptr) const;
+  fault::FaultSimResult SimulateFaults(const netlist::PatternSet& patterns,
+                                       const BitVec* skip,
+                                       bool drop_detected) const;
 
   /// The token fault simulations poll and stage guards arm: the external
   /// one when provided, else the compactor's own when a stage deadline is
@@ -322,10 +286,10 @@ class Compactor {
   // other compactors of the same module (never null).
   std::shared_ptr<const ModulePrep> prep_;
   BitVec detected_;
-  // Trim observability counters of every fault simulation of this
-  // compactor. Heap-held to keep the Compactor movable.
-  std::shared_ptr<fault::TrimCounters> trim_counters_ =
-      std::make_shared<fault::TrimCounters>();
+  // Early-exit counter of every fault simulation of this compactor.
+  // Heap-held to keep the Compactor movable.
+  std::shared_ptr<std::atomic<std::uint64_t>> early_exited_ =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
   // Deadline token owned by this compactor (used when no external token
   // is configured). Heap-held because the atomics inside a CancelToken
   // would otherwise pin the Compactor (campaigns move them into a map).

@@ -157,12 +157,8 @@ CampaignSummary StlCampaign::Summary() const {
     (void)target;
     const fault::CollapseStats cs = c.collapse_stats();
     s.total_faults += cs.num_faults;
-    s.simulated_classes +=
-        base_.collapse_faults ? cs.num_classes : cs.num_faults;
-    const fault::TrimCounters& tc = c.trim_counters();
-    s.trim_blocks_replayed += tc.blocks_replayed.load();
-    s.trim_faults_early_exited += tc.faults_early_exited.load();
-    s.trim_warm_hits += tc.warm_good_hits.load() + tc.warm_stem_hits.load();
+    s.simulated_classes += cs.num_classes;
+    s.trim_faults_early_exited += c.faults_early_exited();
   }
   if (base_.result_store != nullptr) {
     s.cache_enabled = true;
@@ -170,7 +166,6 @@ CampaignSummary StlCampaign::Summary() const {
   }
   s.backend = std::string(
       fault::BackendName(fault::ResolveBackend(base_.backend)));
-  s.trim = fault::TrimModeName(base_.trim);
   return s;
 }
 

@@ -65,7 +65,7 @@ struct CampaignSummary {
 
   /// Fault-list sizes summed over the campaign's modules: every fault the
   /// reports cover vs the equivalence-class representatives the simulator
-  /// actually propagates (equal when collapsing is off).
+  /// actually propagates.
   std::size_t total_faults = 0;
   std::size_t simulated_classes = 0;
 
@@ -83,14 +83,13 @@ struct CampaignSummary {
   /// dispatched to different CPU features.
   std::string backend;
 
-  /// Trim mode of the campaign's fault simulations ("dedup+early-exit+
-  /// warm-start", ..., "off"; see fault/trim.h) and the skip counters
-  /// summed over the campaign's modules at Summary() time. Observability
-  /// only, excluded from the report exactly like `backend`: trimmed and
-  /// untrimmed campaigns must produce identical bytes.
-  std::string trim;
-  std::uint64_t trim_blocks_replayed = 0;
+  /// Faults retired by early-exit, summed over the campaign's modules at
+  /// Summary() time. Observability only, excluded from the report like
+  /// `backend`.
   std::uint64_t trim_faults_early_exited = 0;
+  /// Always zero: block dedup and warm-start no longer exist. Kept only
+  /// because perfbench/ reads them.
+  std::uint64_t trim_blocks_replayed = 0;
   std::uint64_t trim_warm_hits = 0;
 
   double size_reduction_percent() const;

@@ -42,12 +42,8 @@ fault::FaultSimOptions FullSimOptions(
   return fault::FaultSimOptions{
       .drop_detected = true,
       .num_threads = base.num_threads,
-      .collapse = base.collapse_faults,
-      .cone_limit = base.cone_limit,
-      .ffr_trace = base.ffr_trace,
       .backend = base.backend,
-      .collapse_plan = base.collapse_faults ? &prep.collapse : nullptr,
-      .trim = base.trim,
+      .collapse_plan = &prep.collapse,
   };
 }
 
@@ -124,7 +120,6 @@ void Coordinator::ForkWorkers() {
         wo.threads = options_.worker_threads;
         wo.stale_seconds = options_.stale_seconds;
         wo.poll_ms = options_.poll_ms;
-        wo.trim = base_.trim;
         // Borrow the parent's netlists/preps: fork shares the pages, so
         // the child skips the rebuild that would otherwise dominate its
         // first unit.

@@ -187,7 +187,6 @@ store::StoreKey UnitRunner::Run(const WorkUnit& unit) {
       .drop_detected = true,
       .num_threads = config_.threads,
       .collapse_plan = &ts.prep->collapse,
-      .trim = config_.trim,
   };
   store::SimulateWithStore(&store_, *ts.nl, patterns, ts.prep->faults,
                            /*skip=*/nullptr, sim, store::SimModel::kStuckAt,
@@ -229,9 +228,8 @@ WorkerStats RunWorker(const WorkerOptions& options) {
   store::ResultStore store(cache_dir);
   ClaimBoard board(options.dir, owner, stale);
   WorkerStats stats;
-  UnitRunner runner(store, {.threads = options.threads,
-                            .trim = options.trim,
-                            .modules = options.modules});
+  UnitRunner runner(store,
+                    {.threads = options.threads, .modules = options.modules});
   std::map<std::string, int> attempts;
   std::set<std::string> blacklist;
 

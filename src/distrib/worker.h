@@ -25,7 +25,6 @@
 
 #include "compact/stl_campaign.h"
 #include "distrib/units.h"
-#include "fault/trim.h"
 #include "netlist/netlist.h"
 #include "store/result_store.h"
 
@@ -67,11 +66,6 @@ struct WorkerOptions {
   /// other workers or the coordinator's inline fallback).
   int max_unit_attempts = 3;
 
-  /// Engine trim config (perf-only: results and store entries are
-  /// bit-identical for every setting). Forked fleets inherit the
-  /// coordinator's; external workers keep the engine default.
-  fault::TrimOptions trim;
-
   /// Pre-built netlists / fault prep to reuse instead of building them on
   /// first claim. Forked fleets point these at the coordinator's (the fork
   /// shares the parent's pages); external worker processes leave them null
@@ -93,7 +87,6 @@ class UnitRunner {
  public:
   struct Config {
     int threads = 1;
-    fault::TrimOptions trim;
     ModuleSet modules;  // pre-built state to borrow; null members built
   };
 

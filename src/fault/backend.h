@@ -3,11 +3,9 @@
 // The fault-sim inner loop is width-parameterized: a *backend* fixes how
 // many patterns one propagation word carries and how that word is evaluated.
 //
-//   scalar — one 64-bit machine word per block. This is the original engine
-//            (fault/faultsim.cpp, fault/transition.cpp), kept verbatim: it
-//            is the differential ORACLE every other backend is tested
-//            against, and the portable fallback the runtime dispatch
-//            selects when no SIMD extension is usable.
+//   scalar — one 64-bit machine word per block (fault/faultsim.cpp,
+//            fault/transition.cpp): the portable fallback the runtime
+//            dispatch selects when no SIMD extension is usable.
 //   wide   — the width-parameterized engine (fault/engine_wide.h) at 4
 //            lanes (256 patterns per block) compiled WITHOUT SIMD codegen
 //            flags. Portable to any CPU; exists so the wide engine's lane
@@ -24,10 +22,10 @@
 //
 // Every backend produces a bit-identical FaultSimResult — same
 // first_detect, same per-pattern histogram, same mask — for every thread
-// count and every collapse/cone/ffr toggle. The backend is therefore a pure
-// cost knob, excluded from result-store fingerprints exactly like
-// num_threads (tests/test_backend.cpp is the conformance suite that holds
-// every registered backend to this bar).
+// count. The backend is therefore a pure cost knob, excluded from
+// result-store fingerprints exactly like num_threads (tests/test_backend.cpp
+// holds every registered backend to the independent reference simulator
+// of tests/reference_sim.h).
 #pragma once
 
 #include <optional>
@@ -38,7 +36,7 @@ namespace gpustl::fault {
 
 enum class Backend {
   kAuto,    // runtime dispatch: best supported SIMD backend, else scalar
-  kScalar,  // 64-bit oracle engine
+  kScalar,  // 64-bit engine, the portable fallback
   kWide,    // 4-lane wide engine, portable codegen
   kAvx2,    // 4-lane wide engine, AVX2 codegen
   kAvx512,  // 8-lane wide engine, AVX-512 codegen
@@ -60,18 +58,17 @@ bool BackendCompiled(Backend backend);
 bool BackendSupported(Backend backend);
 
 /// Resolves a requested backend to a concrete one:
-///  * kAuto consults $GPUSTL_BACKEND first (same precedence pattern as
-///    GPUSTL_NO_FFR: the env var configures runs whose argv cannot be
-///    edited, an explicit --backend flag bypasses it); when the variable is
-///    unset or set to "auto", dispatch picks kAvx2 when the CPU has it,
-///    else kScalar.
+///  * kAuto consults $GPUSTL_BACKEND first (the env var configures runs
+///    whose argv cannot be edited; an explicit --backend flag bypasses
+///    it); when the variable is unset or set to "auto", dispatch picks
+///    kAvx2 when the CPU has it, else kScalar.
 ///  * a concrete request returns itself when supported.
 /// Throws SimError (class input-error) for unknown $GPUSTL_BACKEND
 /// spellings or a concrete request the binary/CPU cannot honour — a wrong
 /// backend must fail loudly, never silently fall back.
 Backend ResolveBackend(Backend requested);
 
-/// Every backend supported on this machine, scalar (the oracle) first.
+/// Every backend supported on this machine, scalar first.
 /// This is what the conformance suite parameterizes over.
 std::vector<Backend> RegisteredBackends();
 

@@ -293,14 +293,4 @@ FfrClassGroups GroupClassesByFfr(const Netlist& nl,
   return out;
 }
 
-FaultCollapse IdentityCollapse(std::size_t num_faults) {
-  FaultCollapse out;
-  out.num_faults = num_faults;
-  out.class_offsets.resize(num_faults + 1);
-  std::iota(out.class_offsets.begin(), out.class_offsets.end(), 0u);
-  out.members.resize(num_faults);
-  std::iota(out.members.begin(), out.members.end(), 0u);
-  return out;
-}
-
 }  // namespace gpustl::fault

@@ -80,10 +80,6 @@ struct FaultCollapse {
 FaultCollapse BuildFaultCollapse(const netlist::Netlist& nl,
                                  const std::vector<Fault>& faults);
 
-/// The trivial partition: every fault its own class (the collapse=off
-/// engine path).
-FaultCollapse IdentityCollapse(std::size_t num_faults);
-
 /// Fault classes bucketed by the fanout-free region that owns every
 /// member's fault site (netlist.h, "fanout-free regions"). The
 /// FFR-clustered engine runs ONE stem propagation per group per pattern

@@ -2,16 +2,18 @@
 //
 // RunFaultSim / RunTransitionFaultSim own everything backend-independent:
 // argument validation, collapse-plan and SimPlan construction, FFR class
-// grouping, the shared GoodBlockCache and the final cancellation check.
-// The per-backend entry points below receive that prepared state and run
-// the (possibly sharded) pattern-block loop at their own word width. Every
-// backend must produce a FaultSimResult bit-identical to the scalar oracle
-// — the contract tests/test_backend.cpp enforces (see fault/engine_wide.h
-// for the one cross-width seam, the transition launch carry).
+// grouping, the shared GoodBlockCache, the early-exit prepass and the final
+// cancellation check. The per-backend entry points below receive that
+// prepared state and run the (possibly sharded) pattern-block loop at their
+// own word width. Every backend must produce the FaultSimResult of the
+// independent reference simulator (tests/reference_sim.h) — the contract
+// tests/test_backend.cpp enforces (see fault/engine_wide.h for the one
+// cross-width seam, the transition launch carry).
 //
 // Internal header — include from src/fault/*.cpp only.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -28,8 +30,6 @@ namespace gpustl::fault::internal {
 
 /// What one run actually simulates: the equivalence classes of the fault
 /// list with skipped faults removed (a fully skipped class disappears).
-/// Without collapsing this degenerates to one singleton class per
-/// non-skipped fault, which is exactly the legacy engine's `live` list.
 struct SimPlan {
   std::vector<std::uint32_t> offsets;  // num_classes() + 1
   std::vector<std::uint32_t> members;  // fault indices, grouped by class
@@ -37,67 +37,62 @@ struct SimPlan {
   std::size_t num_classes() const { return offsets.size() - 1; }
 };
 
-SimPlan BuildSimPlan(const FaultCollapse* collapse, const BitVec* skip,
-                     std::size_t num_faults);
+SimPlan BuildSimPlan(const FaultCollapse& collapse, const BitVec* skip);
 
-/// Per-run trim state (fault/trim.h), built once by the orchestration and
-/// shared read-only by every shard of every backend.
-struct TrimPlan {
-  bool dedup = false;       // effective dedup_blocks toggle
-  bool early_exit = false;  // effective early_exit toggle
+/// Early-exit tables (fault/trim.cpp). Per fault class (stuck-at, SimPlan
+/// class indexing) or per fault (transition, fault-list indexing): the
+/// last 64-pattern block that can activate it (a class: its leader); -1 =
+/// no block activates it. Detection is contained in activation pointwise,
+/// so a class past its last activating block detects nothing later and
+/// the engines compact it out of the live list. The prepasses read good
+/// blocks through `good_blocks` (shared with the engine run that follows,
+/// so nothing is evaluated twice) and throw DeadlineError on cancellation.
+using LastActivation = std::vector<std::int64_t>;
+LastActivation StuckAtLastActivation(const netlist::Netlist& nl,
+                                     const netlist::PatternSet& patterns,
+                                     const std::vector<Fault>& faults,
+                                     const SimPlan& plan,
+                                     GoodBlockCache& good_blocks,
+                                     const FaultSimOptions& options);
+LastActivation TransitionLastActivation(
+    const netlist::Netlist& nl, const netlist::PatternSet& patterns,
+    const std::vector<TransitionFault>& faults,
+    const std::vector<std::uint32_t>& live, GoodBlockCache& good_blocks,
+    const FaultSimOptions& options);
 
-  /// Per 64-pattern block: the first block with an identical fingerprint
-  /// (self for a first occurrence). Fingerprints cover the block's pattern
-  /// count and its input bits restricted to the nets feeding the simulated
-  /// fault sites and their output cones, so equal fingerprints imply equal
-  /// detection words for every fault of the run.
-  std::vector<std::uint32_t> repeat_of;
-  /// Per block: some later block replays it (worth caching its words).
-  std::vector<char> has_repeat;
+/// Removes the entries of `live` (class or fault indices) whose last
+/// activating block precedes scalar block `block`, adding the retired
+/// fault count (`weight(index)`) to the early-exit counter.
+template <typename Weight>
+void EarlyExit(const LastActivation& last_act, std::size_t block,
+               const FaultSimOptions& options, Weight&& weight,
+               std::vector<std::uint32_t>& live) {
+  std::uint64_t exited = 0;
+  std::size_t w = 0;
+  for (const std::uint32_t i : live) {
+    if (last_act[i] >= static_cast<std::int64_t>(block)) {
+      live[w++] = i;
+    } else {
+      exited += weight(i);
+    }
+  }
+  if (exited == 0) return;
+  live.resize(w);
+  if (options.faults_early_exited != nullptr) {
+    options.faults_early_exited->fetch_add(exited, std::memory_order_relaxed);
+  }
+}
 
-  /// Per fault class (stuck-at, SimPlan class indexing) or per fault
-  /// (transition, fault-list indexing): the last 64-pattern block that can
-  /// activate it (a class: its leader), from the prepass; -1 = no block
-  /// activates it. A class past its last activating block detects nothing
-  /// in any later block, so the engines compact it out of the live list.
-  std::vector<std::int64_t> last_act;
-};
-
-/// Builders. The prepasses read good blocks through `good_blocks` (shared
-/// with the engine run that follows, so nothing is evaluated twice). On
-/// cancellation the early-exit prepass disarms itself (the engine's own
-/// block-loop poll turns the run into a clean abort).
-TrimPlan BuildStuckAtTrimPlan(const netlist::Netlist& nl,
-                              const netlist::PatternSet& patterns,
-                              const std::vector<Fault>& faults,
-                              const SimPlan& plan, GoodBlockCache& good_blocks,
-                              const FaultSimOptions& options);
-TrimPlan BuildTransitionTrimPlan(const netlist::Netlist& nl,
-                                 const netlist::PatternSet& patterns,
-                                 const std::vector<TransitionFault>& faults,
-                                 const std::vector<std::uint32_t>& live,
-                                 GoodBlockCache& good_blocks,
-                                 const FaultSimOptions& options);
-
-/// Trim state handed to the shard loops. `plan` null = no dedup and no
-/// early-exit; `stem_obs` null = no cross-run stem-observability reuse.
-struct TrimContext {
-  const TrimPlan* plan = nullptr;
-  StemObsCache* stem_obs = nullptr;
-  TrimCounters* counters = nullptr;
-};
-
-/// Prepared state of one stuck-at run, shared by every backend. `groups`
-/// is non-null exactly when the FFR-clustered engine is on.
+/// Prepared state of one stuck-at run, shared by every backend.
 struct StuckAtRun {
   const netlist::Netlist& nl;
   const netlist::PatternSet& patterns;
   const std::vector<Fault>& faults;
   const SimPlan& plan;
-  const FfrClassGroups* groups;
+  const FfrClassGroups& groups;
   GoodBlockCache& good_blocks;
   const FaultSimOptions& options;
-  TrimContext trim;
+  const LastActivation& last_act;  // per class
 };
 
 /// Prepared state of one transition run (no collapsing: the launch
@@ -109,7 +104,7 @@ struct TransitionRun {
   const std::vector<std::uint32_t>& live;
   GoodBlockCache& good_blocks;
   const FaultSimOptions& options;
-  TrimContext trim;
+  const LastActivation& last_act;  // per fault
 };
 
 /// Wide-backend entry points. Each translation unit instantiates the

@@ -13,7 +13,7 @@
 // Internal linkage pins each instantiation to the translation unit whose
 // flags compiled it.
 //
-// Bit-identity to the scalar oracle is THE invariant. Detection words are
+// Bit-identity across widths is THE invariant. Detection words are
 // per-pattern functions and a report holds only detections, so widening
 // blocks cannot change it: a class's first detection is the lowest set bit
 // of its diff at any width, and it drops right there. The one cross-width
@@ -24,13 +24,10 @@
 // Internal header — include from the backend_*.cpp translation units only.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,14 +50,7 @@ class WideGoodCache {
     std::vector<Wide<L>> values;  // good bundle per net
   };
 
-  /// `trim` (nullable): with block dedup on, every scalar sub-block reads
-  /// its dedup source's values instead — bit-identical on every net that
-  /// can influence this run's report (the fingerprint guarantee), so
-  /// repeated sub-blocks are never re-simulated even when the surrounding
-  /// wide blocks differ.
-  WideGoodCache(GoodBlockCache& base, const TrimPlan* trim)
-      : base_(base),
-        trim_(trim != nullptr && trim->dedup ? trim : nullptr) {}
+  explicit WideGoodCache(GoodBlockCache& base) : base_(base) {}
 
   /// Wide block `index` (patterns [64*L*index, 64*L*index + count)).
   /// Thread-safe with the same deque-never-moves-settled-elements contract
@@ -72,11 +62,7 @@ class WideGoodCache {
       const std::size_t sub0 = blocks_.size() * L;
       const GoodBlockCache::Block* subs[L];
       for (int k = 0; k < L; ++k) {
-        std::size_t sub = sub0 + static_cast<std::size_t>(k);
-        if (trim_ != nullptr && sub < trim_->repeat_of.size()) {
-          sub = trim_->repeat_of[sub];
-        }
-        subs[k] = &base_.Get(sub);
+        subs[k] = &base_.Get(sub0 + static_cast<std::size_t>(k));
         wb.count += subs[k]->count;
       }
       if (wb.count > 0) {
@@ -100,81 +86,8 @@ class WideGoodCache {
  private:
   std::mutex mu_;
   GoodBlockCache& base_;
-  const TrimPlan* trim_;
   std::deque<Block> blocks_;
 };
-
-/// Wide-block dedup map derived from the scalar TrimPlan: wide block J
-/// repeats J' when every scalar sub-block of J dedups to the same source
-/// as the corresponding sub-block of J' (UINT32_MAX marks sub-blocks past
-/// the pattern set, so partial tails only match partial tails). Equal
-/// tuples mean every lane reads literally the same good values — the
-/// captured detection bundles replay exactly.
-template <int L>
-struct WideTrim {
-  bool dedup = false;
-  std::vector<std::uint32_t> repeat_of;  // per wide block; self if first
-  std::vector<char> has_repeat;
-};
-
-template <int L>
-WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
-  WideTrim<L> wt;
-  if (tp == nullptr || !tp->dedup) return wt;
-  wt.dedup = true;
-  const std::size_t scalar_nb = (num_patterns + 63) / 64;
-  const std::size_t wide_nb = (num_patterns + 64 * L - 1) / (64 * L);
-  wt.repeat_of.resize(wide_nb);
-  wt.has_repeat.assign(wide_nb, 0);
-  std::map<std::array<std::uint32_t, L>, std::uint32_t> first_seen;
-  for (std::size_t j = 0; j < wide_nb; ++j) {
-    std::array<std::uint32_t, L> key;
-    for (int k = 0; k < L; ++k) {
-      const std::size_t sub = j * L + static_cast<std::size_t>(k);
-      key[static_cast<std::size_t>(k)] =
-          sub < scalar_nb ? tp->repeat_of[sub] : UINT32_MAX;
-    }
-    const auto [it, inserted] =
-        first_seen.emplace(key, static_cast<std::uint32_t>(j));
-    wt.repeat_of[j] = it->second;
-    if (!inserted) wt.has_repeat[it->second] = 1;
-  }
-  return wt;
-}
-
-/// Per-shard replay storage for one deduped wide source block (the Wide<L>
-/// analogue of the scalar engines' ReplayEntry). Zero-filled on creation.
-template <int L>
-struct WideReplayEntry {
-  std::vector<Wide<L>> diffs;
-  // Transition only: per-fault launch carry the bundle was captured under,
-  // and the carry-out it produces.
-  std::vector<std::uint8_t> carry_in;
-  std::vector<std::uint8_t> last_bit;
-};
-
-/// Class-list early-exit at wide granularity: a class whose last
-/// activating scalar block precedes this wide block's first sub-block is
-/// settled for the rest of the run.
-inline void EarlyExitFilterWide(const TrimPlan* tp, const SimPlan& plan,
-                                std::size_t first_sub, TrimCounters* counters,
-                                std::vector<std::uint32_t>& live) {
-  if (tp == nullptr || !tp->early_exit) return;
-  std::uint64_t exited = 0;
-  std::size_t w = 0;
-  for (const std::uint32_t ci : live) {
-    if (tp->last_act[ci] >= static_cast<std::int64_t>(first_sub)) {
-      live[w++] = ci;
-    } else {
-      exited += plan.offsets[ci + 1] - plan.offsets[ci];
-    }
-  }
-  if (exited == 0) return;
-  live.resize(w);
-  if (counters != nullptr) {
-    counters->faults_early_exited.fetch_add(exited, std::memory_order_relaxed);
-  }
-}
 
 /// fault/scratch.h's PropagationScratch over Wide<L> values: copy-on-write
 /// faulty bundles with epoch stamps and the level-bucket event queue. Same
@@ -237,7 +150,7 @@ struct WidePropagationScratch {
 /// small integer weights) into bit-plane vertical counters, so the no-drop
 /// detection histogram costs O(log n) bundle ops per contribution instead
 /// of one counter increment per SET BIT. The per-bit expansion happens once
-/// per plane per block. The sums are exactly the oracle's sums; only the
+/// per plane per block. The sums are exactly the scalar engine's sums; only the
 /// association order changes, and integer addition is associative.
 template <int L>
 struct WideCounterPlanes {
@@ -272,172 +185,11 @@ struct WideCounterPlanes {
   }
 };
 
-/// The classic PPSFP loop of faultsim.cpp::SimulateShard at L lanes.
-/// Control flow and accounting mirror the scalar loop statement for
-/// statement.
-template <int L>
-void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
-                       std::vector<std::uint32_t> live,
-                       WideGoodCache<L>& wide_blocks, FaultSimResult& result) {
-  using W = Wide<L>;
-  using netlist::Gate;
-  using netlist::NetId;
-
-  const netlist::Netlist& nl = run.nl;
-  const SimPlan& plan = run.plan;
-  const std::vector<Fault>& faults = run.faults;
-  const TrimPlan* tp = run.trim.plan;
-  TrimCounters* counters = run.trim.counters;
-
-  WidePropagationScratch<L> scratch(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
-  WideCounterPlanes<L> det_counts;
-  std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
-
-  for (std::size_t base = 0; base < run.patterns.size(); base += 64 * L) {
-    if (live.empty()) break;
-    if (run.options.cancel != nullptr && run.options.cancel->Expired()) return;
-    const std::size_t wbi = base / (64 * L);
-    EarlyExitFilterWide(tp, plan, wbi * L, counters, live);
-    if (live.empty()) break;
-
-    const WideReplayEntry<L>* load = nullptr;
-    WideReplayEntry<L>* store = nullptr;
-    std::size_t src = wbi;
-    if (wtrim.dedup) {
-      src = wtrim.repeat_of[wbi];
-      if (src != wbi) {
-        load = &replay.at(static_cast<std::uint32_t>(src));
-        if (counters != nullptr) {
-          counters->blocks_replayed.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (wtrim.has_repeat[wbi] != 0) {
-        WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(src)];
-        e.diffs.assign(plan.num_classes(), W::Zeros());
-        store = &e;
-      }
-    }
-
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(src);
-    if (block.count == 0) break;
-    const W valid = W::ValidMask(block.count);
-    const std::vector<W>& good = block.values;
-
-    std::size_t w = 0;  // compaction write index over `live`
-    for (std::size_t r = 0; r < live.size(); ++r) {
-      const std::uint32_t ci = live[r];
-      const std::uint32_t mbegin = plan.offsets[ci];
-      const std::uint32_t mend = plan.offsets[ci + 1];
-
-      W diff = W::Zeros();
-      if (load != nullptr) {
-        // Replay: the class diff captured at the source block is exact
-        // here; the accounting tail below is shared with the compute path.
-        diff = load->diffs[ci];
-      } else {
-        const Fault& f = faults[plan.members[mbegin]];
-        const NetId site_net =
-            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
-        const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-        if (((good[site_net] ^ stuck) & valid).IsZero()) {
-          live[w++] = ci;
-          continue;
-        }
-
-        const Gate& g = nl.gate(f.gate);
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const W out = EvalCellWide(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const W out = EvalCellWide(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o =
-                  outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= (scratch.fval[o] ^ good[o]);
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= (scratch.fval[o] ^ good[o]);
-            }
-          }
-        }
-        diff &= valid;
-        if (store != nullptr) store->diffs[ci] = diff;
-      }
-
-      if (diff.IsZero()) {
-        live[w++] = ci;
-        continue;
-      }
-
-      const std::size_t first_pattern =
-          base + static_cast<std::size_t>(diff.FirstSetBit());
-      const std::uint32_t num_members = mend - mbegin;
-      for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-        const std::uint32_t fi = plan.members[mi];
-        if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
-          result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
-          result.detected_mask.Set(fi, true);
-          ++result.num_detected;
-        }
-      }
-
-      if (run.options.drop_detected) {
-        result.detects_per_pattern[first_pattern] += num_members;
-      } else {
-        det_counts.AddWeighted(diff, num_members);
-        live[w++] = ci;
-      }
-    }
-    det_counts.ExpandInto(&result.detects_per_pattern[base]);
-    live.resize(w);
-    if (live.empty() && run.options.drop_detected) break;
-  }
-}
-
 /// The FFR-clustered loop of faultsim.cpp::SimulateFfrShard at L lanes.
-/// Same five steps.
+/// Same steps; early-exit compares against the wide block's first scalar
+/// sub-block.
 template <int L>
-void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
+void SimulateFfrShardWide(const StuckAtRun& run,
                           const std::vector<std::uint32_t>& shard_groups,
                           WideGoodCache<L>& wide_blocks,
                           FaultSimResult& result) {
@@ -448,21 +200,18 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   const netlist::Netlist& nl = run.nl;
   const SimPlan& plan = run.plan;
   const std::vector<Fault>& faults = run.faults;
-  const FfrClassGroups& groups = *run.groups;
-  const TrimPlan* tp = run.trim.plan;
-  TrimCounters* counters = run.trim.counters;
-  const std::size_t scalar_nb = (run.patterns.size() + 63) / 64;
-  std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
+  const FfrClassGroups& groups = run.groups;
+  const auto class_size = [&](std::uint32_t ci) {
+    return plan.offsets[ci + 1] - plan.offsets[ci];
+  };
 
   WidePropagationScratch<L> prop(nl);
   const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
 
   std::vector<W> obs(nl.gate_count(), W::Zeros());
   std::vector<W> leader_act;
   std::vector<W> stem_local;
-  std::vector<W> class_diff;  // per class; detection bundle of this block
   WideCounterPlanes<L> det_counts;
 
   struct FfrWork {
@@ -482,192 +231,113 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
     if (work.empty()) break;
     if (run.options.cancel != nullptr && run.options.cancel->Expired()) return;
     const std::size_t wbi = base / (64 * L);
-
-    const WideReplayEntry<L>* load = nullptr;
-    WideReplayEntry<L>* store = nullptr;
-    std::size_t wsrc = wbi;
-    if (wtrim.dedup) {
-      wsrc = wtrim.repeat_of[wbi];
-      if (wsrc != wbi) {
-        load = &replay.at(static_cast<std::uint32_t>(wsrc));
-        if (counters != nullptr) {
-          counters->blocks_replayed.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (wtrim.has_repeat[wbi] != 0) {
-        WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.diffs.assign(plan.num_classes(), W::Zeros());
-        store = &e;
-      }
-    }
-
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wsrc);
+    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wbi);
     if (block.count == 0) break;
     const W valid = W::ValidMask(block.count);
     const std::vector<W>& good = block.values;
 
     const auto process = [&](FfrWork& fw) {
       std::vector<std::uint32_t>& cls = fw.classes;
-      EarlyExitFilterWide(tp, plan, wbi * L, counters, cls);
+      EarlyExit(run.last_act, wbi * L, run.options, class_size, cls);
       if (cls.empty()) return;
 
-      class_diff.assign(cls.size(), W::Zeros());
-      if (load != nullptr) {
-        // Replay: the captured per-class detection bundles of the source
-        // block are exact here. Steps 1-4 vanish.
-        for (std::size_t k = 0; k < cls.size(); ++k) {
-          class_diff[k] = load->diffs[cls[k]];
-        }
-      } else {
-        // 1. Leader activation per class.
-        leader_act.assign(cls.size(), W::Zeros());
-        W any_act = W::Zeros();
-        for (std::size_t k = 0; k < cls.size(); ++k) {
-          const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
-          const NetId site_net = f.pin == Fault::kOutputPin
-                                     ? f.gate
-                                     : nl.gate(f.gate).fanin[f.pin];
-          const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-          leader_act[k] = (good[site_net] ^ stuck) & valid;
-          any_act |= leader_act[k];
-        }
+      // 1. Leader activation per class.
+      leader_act.assign(cls.size(), W::Zeros());
+      W any_act = W::Zeros();
+      for (std::size_t k = 0; k < cls.size(); ++k) {
+        const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
+        const NetId site_net =
+            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
+        const W stuck = f.sa1 ? W::Ones() : W::Zeros();
+        leader_act[k] = (good[site_net] ^ stuck) & valid;
+        any_act |= leader_act[k];
+      }
+      if (any_act.IsZero()) return;
 
-        W stem_obs = W::Zeros();
-        bool reaches_stem = !any_act.IsZero();
-        if (reaches_stem) {
-          // 2. Backward critical-path trace over the region's good bundles.
-          const std::span<const NetId> members = nl.ffr_members(fw.ffr);
-          obs[fw.stem] = W::Ones();
-          for (std::size_t r = members.size(); r-- > 0;) {
-            const NetId m = members[r];
-            const Gate& g = nl.gate(m);
-            const int fc = g.fanin_count();
-            if (fc == 0) continue;
-            W in[netlist::kMaxFanin];
-            for (int i = 0; i < fc; ++i) in[i] = good[g.fanin[i]];
-            const W obs_m = obs[m];
-            for (int p = 0; p < fc; ++p) {
-              const NetId src = g.fanin[p];
-              if (src == fw.stem || nl.stem_of(src) != fw.stem) continue;
-              const W saved = in[p];
-              in[p] = ~saved;
-              const W sens = EvalCellWide(g.type, in) ^ good[m];
-              in[p] = saved;
-              obs[src] = obs_m & sens;
-            }
-          }
-
-          // 3. Site-to-stem bundles per class, from the leader.
-          stem_local.assign(cls.size(), W::Zeros());
-          W any_local = W::Zeros();
-          for (std::size_t k = 0; k < cls.size(); ++k) {
-            if (leader_act[k].IsZero()) continue;
-            const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
-            W site_obs;
-            if (f.pin == Fault::kOutputPin) {
-              site_obs = obs[f.gate];
-            } else {
-              const Gate& g = nl.gate(f.gate);
-              W in[netlist::kMaxFanin];
-              for (int i = 0; i < g.fanin_count(); ++i) in[i] = good[g.fanin[i]];
-              in[f.pin] = ~in[f.pin];
-              site_obs = (EvalCellWide(g.type, in) ^ good[f.gate]) & obs[f.gate];
-            }
-            stem_local[k] = leader_act[k] & site_obs;
-            any_local |= stem_local[k];
-          }
-          reaches_stem = !any_local.IsZero();
-        }
-
-        if (reaches_stem) {
-          // 4. One stem propagation for the whole region — or, warm-started,
-          // the lanes' scalar stem-observability words from a previous run
-          // over the same (netlist, patterns). Wide propagation is
-          // lane-independent, so lane k of the computed bundle IS the scalar
-          // word of sub-block wbi*L+k; the cache speaks scalar indices and a
-          // partial hit just recomputes (lanes past the pattern set stay
-          // zero — their bits are invalid and masked by stem_local anyway).
-          StemObsCache* const socache = run.trim.stem_obs;
-          bool warm_hit = false;
-          if (socache != nullptr) {
-            W cached = W::Zeros();
-            bool all_hit = true;
-            for (int k = 0; k < L && all_hit; ++k) {
-              const std::size_t sub = wbi * L + static_cast<std::size_t>(k);
-              if (sub >= scalar_nb) break;
-              all_hit = socache->Lookup(sub, fw.stem, &cached.lane[k]);
-            }
-            if (all_hit) {
-              stem_obs = cached;
-              warm_hit = true;
-              if (counters != nullptr) {
-                counters->warm_stem_hits.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          }
-          if (!warm_hit) {
-            prop.NewFault();
-            prop.SetFaulty(fw.stem, ~good[fw.stem]);
-            for (NetId fo : nl.fanout(fw.stem)) {
-              if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-            }
-            prop.Drain([&](NetId id) {
-              const Gate& gg = nl.gate(id);
-              W in[netlist::kMaxFanin];
-              for (int i = 0; i < gg.fanin_count(); ++i) {
-                in[i] = prop.FaultyValue(good, gg.fanin[i]);
-              }
-              const W out = EvalCellWide(gg.type, in);
-              if (out != good[id]) {
-                prop.SetFaulty(id, out);
-                for (NetId fo : nl.fanout(id)) {
-                  if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-                }
-              }
-            });
-
-            if (cone_on) {
-              const std::uint64_t* cone = nl.OutputCone(fw.stem);
-              for (std::size_t cw = 0; cw < cone_words; ++cw) {
-                for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-                  const NetId o = outputs[cw * 64 + static_cast<std::size_t>(
-                                                        LowestSetBit(bits))];
-                  if (prop.touched_epoch[o] == prop.epoch) {
-                    stem_obs |= (prop.fval[o] ^ good[o]);
-                  }
-                }
-              }
-            } else {
-              for (NetId o : outputs) {
-                if (prop.touched_epoch[o] == prop.epoch) {
-                  stem_obs |= (prop.fval[o] ^ good[o]);
-                }
-              }
-            }
-            if (socache != nullptr) {
-              for (int k = 0; k < L; ++k) {
-                const std::size_t sub = wbi * L + static_cast<std::size_t>(k);
-                if (sub >= scalar_nb) break;
-                socache->Store(sub, fw.stem, stem_obs.lane[k]);
-              }
-            }
-          }
-        }
-
-        if (!stem_obs.IsZero()) {
-          for (std::size_t k = 0; k < cls.size(); ++k) {
-            class_diff[k] = stem_local[k] & stem_obs;
-            if (store != nullptr) store->diffs[cls[k]] = class_diff[k];
-          }
+      // 2. Backward critical-path trace over the region's good bundles.
+      const std::span<const NetId> members = nl.ffr_members(fw.ffr);
+      obs[fw.stem] = W::Ones();
+      for (std::size_t r = members.size(); r-- > 0;) {
+        const NetId m = members[r];
+        const Gate& g = nl.gate(m);
+        const int fc = g.fanin_count();
+        if (fc == 0) continue;
+        W in[netlist::kMaxFanin];
+        for (int i = 0; i < fc; ++i) in[i] = good[g.fanin[i]];
+        const W obs_m = obs[m];
+        for (int p = 0; p < fc; ++p) {
+          const NetId src = g.fanin[p];
+          if (src == fw.stem || nl.stem_of(src) != fw.stem) continue;
+          const W saved = in[p];
+          in[p] = ~saved;
+          const W sens = EvalCellWide(g.type, in) ^ good[m];
+          in[p] = saved;
+          obs[src] = obs_m & sens;
         }
       }
 
-      // 5. Detection accounting and class compaction.
-      std::size_t cw2 = 0;
+      // Site-to-stem bundles per class, from the leader.
+      stem_local.assign(cls.size(), W::Zeros());
+      W any_local = W::Zeros();
+      for (std::size_t k = 0; k < cls.size(); ++k) {
+        if (leader_act[k].IsZero()) continue;
+        const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
+        W site_obs;
+        if (f.pin == Fault::kOutputPin) {
+          site_obs = obs[f.gate];
+        } else {
+          const Gate& g = nl.gate(f.gate);
+          W in[netlist::kMaxFanin];
+          for (int i = 0; i < g.fanin_count(); ++i) in[i] = good[g.fanin[i]];
+          in[f.pin] = ~in[f.pin];
+          site_obs = (EvalCellWide(g.type, in) ^ good[f.gate]) & obs[f.gate];
+        }
+        stem_local[k] = leader_act[k] & site_obs;
+        any_local |= stem_local[k];
+      }
+      if (any_local.IsZero()) return;
+
+      // 3. One stem propagation for the whole region, confined to the
+      // stem's output cone.
+      prop.NewFault();
+      prop.SetFaulty(fw.stem, ~good[fw.stem]);
+      for (NetId fo : nl.fanout(fw.stem)) {
+        if (nl.ReachesOutput(fo)) prop.Enqueue(fo);
+      }
+      prop.Drain([&](NetId id) {
+        const Gate& gg = nl.gate(id);
+        W in[netlist::kMaxFanin];
+        for (int i = 0; i < gg.fanin_count(); ++i) {
+          in[i] = prop.FaultyValue(good, gg.fanin[i]);
+        }
+        const W out = EvalCellWide(gg.type, in);
+        if (out != good[id]) {
+          prop.SetFaulty(id, out);
+          for (NetId fo : nl.fanout(id)) {
+            if (nl.ReachesOutput(fo)) prop.Enqueue(fo);
+          }
+        }
+      });
+      W stem_obs = W::Zeros();
+      const std::uint64_t* cone = nl.OutputCone(fw.stem);
+      for (std::size_t cw = 0; cw < cone_words; ++cw) {
+        for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
+          const NetId o =
+              outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
+          if (prop.touched_epoch[o] == prop.epoch) {
+            stem_obs |= (prop.fval[o] ^ good[o]);
+          }
+        }
+      }
+      if (stem_obs.IsZero()) return;
+
+      // 4. Per-class detection, accounting and class compaction.
+      std::size_t w = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
         const std::uint32_t ci = cls[k];
-        const W diff = class_diff[k];
+        const W diff = stem_local[k] & stem_obs;
         if (diff.IsZero()) {
-          cls[cw2++] = ci;
+          cls[w++] = ci;
           continue;
         }
         const std::uint32_t mbegin = plan.offsets[ci];
@@ -687,10 +357,10 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
           result.detects_per_pattern[first_pattern] += mend - mbegin;
         } else {
           det_counts.AddWeighted(diff, mend - mbegin);
-          cls[cw2++] = ci;
+          cls[w++] = ci;
         }
       }
-      cls.resize(cw2);
+      cls.resize(w);
     };
 
     std::size_t gw = 0;  // compaction write index over `work`
@@ -712,7 +382,6 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
 /// per-sub-block carries composed.
 template <int L>
 void SimulateTransitionShardWide(const TransitionRun& run,
-                                 const WideTrim<L>& wtrim,
                                  std::vector<std::uint32_t> live,
                                  WideGoodCache<L>& wide_blocks,
                                  FaultSimResult& result) {
@@ -722,9 +391,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
 
   const netlist::Netlist& nl = run.nl;
   const std::vector<TransitionFault>& faults = run.faults;
-  const TrimPlan* tp = run.trim.plan;
-  TrimCounters* counters = run.trim.counters;
-  std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
 
   std::vector<std::uint8_t> prev_site_bit(faults.size());
   for (std::uint32_t i = 0; i < faults.size(); ++i) {
@@ -733,7 +399,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
 
   WidePropagationScratch<L> scratch(nl);
   const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
   WideCounterPlanes<L> det_counts;
 
@@ -744,46 +409,11 @@ void SimulateTransitionShardWide(const TransitionRun& run,
 
     // Per-fault early-exit: past its last launching block a fault can
     // never activate again, so it is settled for the rest of the run.
-    if (tp != nullptr && tp->early_exit) {
-      std::uint64_t exited = 0;
-      std::size_t we = 0;
-      for (const std::uint32_t fi : live) {
-        if (tp->last_act[fi] >= static_cast<std::int64_t>(wbi * L)) {
-          live[we++] = fi;
-        } else {
-          ++exited;
-        }
-      }
-      if (exited != 0) {
-        live.resize(we);
-        if (counters != nullptr) {
-          counters->faults_early_exited.fetch_add(exited,
-                                                  std::memory_order_relaxed);
-        }
-        if (live.empty()) break;
-      }
-    }
+    EarlyExit(run.last_act, wbi * L, run.options,
+              [](std::uint32_t) { return 1u; }, live);
+    if (live.empty()) break;
 
-    const WideReplayEntry<L>* load = nullptr;
-    WideReplayEntry<L>* store = nullptr;
-    std::size_t wsrc = wbi;
-    if (wtrim.dedup) {
-      wsrc = wtrim.repeat_of[wbi];
-      if (wsrc != wbi) {
-        load = &replay.at(static_cast<std::uint32_t>(wsrc));
-        if (counters != nullptr) {
-          counters->blocks_replayed.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (wtrim.has_repeat[wbi] != 0) {
-        WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.diffs.assign(faults.size(), W::Zeros());
-        e.carry_in.assign(faults.size(), 0);
-        e.last_bit.assign(faults.size(), 0);
-        store = &e;
-      }
-    }
-
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wsrc);
+    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wbi);
     if (block.count == 0) break;
     const int count = block.count;
     const W valid = W::ValidMask(count);
@@ -796,87 +426,64 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       const Gate& g = nl.gate(f.gate);
       const W stuck = f.sa1 ? W::Ones() : W::Zeros();
 
-      // A cached bundle replays only when this fault enters the block with
-      // the same launch-history carry it was captured under; the carry-out
-      // is carry-independent (last valid site bit), so the history still
-      // advances on a hit. A mismatch recomputes against the source
-      // block's good values — identical on every net that matters.
-      W diff = W::Zeros();
-      if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        diff = load->diffs[fi];
-        prev_site_bit[fi] = load->last_bit[fi];
-      } else {
-        const NetId site_net =
-            f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
-        const W site = good[site_net];
+      const NetId site_net =
+          f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
+      const W site = good[site_net];
+      const W launch = site.ShiftLeftOneCarry(prev_site_bit[fi] != 0);
+      prev_site_bit[fi] = site.Bit(count - 1) ? 1 : 0;
 
-        const W launch = site.ShiftLeftOneCarry(prev_site_bit[fi] != 0);
-        if (store != nullptr) store->carry_in[fi] = prev_site_bit[fi];
-        prev_site_bit[fi] = site.Bit(count - 1) ? 1 : 0;
-
-        const W act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
-        if (store != nullptr) store->last_bit[fi] = prev_site_bit[fi];
-        if (act.IsZero()) {
-          live[w++] = fi;
-          continue;
-        }
-
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const W out = EvalCellWide(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const W out = EvalCellWide(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o =
-                  outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= scratch.fval[o] ^ good[o];
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= scratch.fval[o] ^ good[o];
-            }
-          }
-        }
-        diff &= act;  // detection only on properly-launched capture vectors
-        if (store != nullptr) store->diffs[fi] = diff;
+      const W act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+      if (act.IsZero()) {
+        live[w++] = fi;
+        continue;
       }
 
+      scratch.NewFault();
+      if (f.pin == Fault::kOutputPin) {
+        scratch.SetFaulty(f.gate, stuck);
+        for (NetId fo : nl.fanout(f.gate)) {
+          if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+        }
+      } else {
+        W in[netlist::kMaxFanin];
+        for (int i = 0; i < g.fanin_count(); ++i) {
+          in[i] = i == f.pin ? stuck : good[g.fanin[i]];
+        }
+        const W out = EvalCellWide(g.type, in);
+        if (out != good[f.gate]) {
+          scratch.SetFaulty(f.gate, out);
+          for (NetId fo : nl.fanout(f.gate)) {
+            if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+          }
+        }
+      }
+      scratch.Drain([&](NetId id) {
+        const Gate& gg = nl.gate(id);
+        W in[netlist::kMaxFanin];
+        for (int i = 0; i < gg.fanin_count(); ++i) {
+          in[i] = scratch.FaultyValue(good, gg.fanin[i]);
+        }
+        const W out = EvalCellWide(gg.type, in);
+        if (out != good[id]) {
+          scratch.SetFaulty(id, out);
+          for (NetId fo : nl.fanout(id)) {
+            if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+          }
+        }
+      });
+
+      W diff = W::Zeros();
+      const std::uint64_t* cone = nl.OutputCone(f.gate);
+      for (std::size_t cw = 0; cw < cone_words; ++cw) {
+        for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
+          const NetId o =
+              outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
+          if (scratch.touched_epoch[o] == scratch.epoch) {
+            diff |= scratch.fval[o] ^ good[o];
+          }
+        }
+      }
+      diff &= act;  // detection only on properly-launched capture vectors
       if (diff.IsZero()) {
         live[w++] = fi;
         continue;
@@ -908,46 +515,21 @@ template <int L>
 FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
   FaultSimResult result =
       InitFaultSimResult(run.faults.size(), run.patterns.size());
-  WideGoodCache<L> wide_blocks(run.good_blocks, run.trim.plan);
-  const WideTrim<L> wtrim = BuildWideTrim<L>(run.trim.plan,
-                                             run.patterns.size());
-
-  if (run.groups != nullptr) {
-    std::vector<std::uint32_t> live(run.groups->num_groups());
-    std::iota(live.begin(), live.end(), 0u);
-    const int threads =
-        ResolveNumThreads(run.options.num_threads, live.size());
-    if (threads <= 1) {
-      SimulateFfrShardWide<L>(run, wtrim, live, wide_blocks, result);
-      AbortIfCancelled(run.options);
-      return result;
-    }
-    const std::vector<std::vector<std::uint32_t>> shards =
-        StrideShards(live, threads);
-    std::vector<FaultSimResult> partial(
-        threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-    RunOnShards(threads, [&](int t) {
-      SimulateFfrShardWide<L>(run, wtrim, shards[t], wide_blocks, partial[t]);
-    });
-    AbortIfCancelled(run.options);
-    MergeShardResults(partial, result);
-    return result;
-  }
-
-  std::vector<std::uint32_t> live(run.plan.num_classes());
+  WideGoodCache<L> wide_blocks(run.good_blocks);
+  std::vector<std::uint32_t> live(run.groups.num_groups());
   std::iota(live.begin(), live.end(), 0u);
   const int threads = ResolveNumThreads(run.options.num_threads, live.size());
   if (threads <= 1) {
-    SimulateShardWide<L>(run, wtrim, std::move(live), wide_blocks, result);
+    SimulateFfrShardWide<L>(run, live, wide_blocks, result);
     AbortIfCancelled(run.options);
     return result;
   }
-  std::vector<std::vector<std::uint32_t>> shards = StrideShards(live, threads);
+  const std::vector<std::vector<std::uint32_t>> shards =
+      StrideShards(live, threads);
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateShardWide<L>(run, wtrim, std::move(shards[t]), wide_blocks,
-                         partial[t]);
+    SimulateFfrShardWide<L>(run, shards[t], wide_blocks, partial[t]);
   });
   AbortIfCancelled(run.options);
   MergeShardResults(partial, result);
@@ -958,14 +540,11 @@ template <int L>
 FaultSimResult RunTransitionWideT(const TransitionRun& run) {
   FaultSimResult result =
       InitFaultSimResult(run.faults.size(), run.patterns.size());
-  WideGoodCache<L> wide_blocks(run.good_blocks, run.trim.plan);
-  const WideTrim<L> wtrim = BuildWideTrim<L>(run.trim.plan,
-                                             run.patterns.size());
-
+  WideGoodCache<L> wide_blocks(run.good_blocks);
   const int threads =
       ResolveNumThreads(run.options.num_threads, run.live.size());
   if (threads <= 1) {
-    SimulateTransitionShardWide<L>(run, wtrim, run.live, wide_blocks, result);
+    SimulateTransitionShardWide<L>(run, run.live, wide_blocks, result);
     AbortIfCancelled(run.options);
     return result;
   }
@@ -974,8 +553,8 @@ FaultSimResult RunTransitionWideT(const TransitionRun& run) {
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateTransitionShardWide<L>(run, wtrim, std::move(shards[t]),
-                                   wide_blocks, partial[t]);
+    SimulateTransitionShardWide<L>(run, std::move(shards[t]), wide_blocks,
+                                   partial[t]);
   });
   AbortIfCancelled(run.options);
   MergeShardResults(partial, result);

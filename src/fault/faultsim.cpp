@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -23,23 +21,13 @@ using netlist::PatternSet;
 
 namespace internal {
 
-SimPlan BuildSimPlan(const FaultCollapse* collapse, const BitVec* skip,
-                     std::size_t num_faults) {
+SimPlan BuildSimPlan(const FaultCollapse& collapse, const BitVec* skip) {
   SimPlan plan;
   plan.offsets.push_back(0);
-  if (collapse == nullptr) {
-    plan.members.reserve(num_faults);
-    for (std::uint32_t i = 0; i < num_faults; ++i) {
-      if (skip != nullptr && skip->Get(i)) continue;
-      plan.members.push_back(i);
-      plan.offsets.push_back(static_cast<std::uint32_t>(plan.members.size()));
-    }
-    return plan;
-  }
-  plan.members.reserve(collapse->members.size());
-  for (std::size_t c = 0; c < collapse->num_classes(); ++c) {
+  plan.members.reserve(collapse.members.size());
+  for (std::size_t c = 0; c < collapse.num_classes(); ++c) {
     const std::size_t before = plan.members.size();
-    for (std::uint32_t m : collapse->class_members(c)) {
+    for (std::uint32_t m : collapse.class_members(c)) {
       if (skip != nullptr && skip->Get(m)) continue;
       plan.members.push_back(m);
     }
@@ -54,281 +42,56 @@ SimPlan BuildSimPlan(const FaultCollapse* collapse, const BitVec* skip,
 
 namespace {
 
+using internal::LastActivation;
 using internal::SimPlan;
-using internal::TrimContext;
-using internal::TrimPlan;
 
-/// Per-shard replay storage for one deduped source block: every live
-/// class's detection diff, captured when the block is computed so repeats
-/// skip evaluation entirely. Zero-filled on creation — a class whose leader
-/// never activates (or whose diff is never reached) correctly replays as
-/// "no detection".
-struct ReplayEntry {
-  std::vector<std::uint64_t> diffs;  // per class index
-};
-
-/// Removes classes past their last activating block from `live`,
-/// accumulating the member-fault count into the early-exit counter. Exact:
-/// a class's diff is contained in its leader activation pointwise, so a
-/// class no later block can activate can never detect again.
-void EarlyExitFilter(const TrimPlan* tp, const SimPlan& plan, std::size_t bi,
-                     TrimCounters* counters, std::vector<std::uint32_t>& live) {
-  if (tp == nullptr || !tp->early_exit) return;
-  std::uint64_t exited = 0;
-  std::size_t w = 0;
-  for (const std::uint32_t ci : live) {
-    if (tp->last_act[ci] >= static_cast<std::int64_t>(bi)) {
-      live[w++] = ci;
-    } else {
-      exited += plan.offsets[ci + 1] - plan.offsets[ci];
-    }
-  }
-  if (exited == 0) return;
-  live.resize(w);
-  if (counters != nullptr) {
-    counters->faults_early_exited.fetch_add(exited, std::memory_order_relaxed);
-  }
-}
-
-/// Resolves one block of the dedup protocol: which block index to fetch
-/// good values from, whether to replay a cached entry, and whether to
-/// capture one for later repeats. Shards walk blocks in ascending order and
-/// only ever break forward, so a repeated block's source entry is always
-/// present by the time it is needed.
-struct BlockTrim {
-  std::uint32_t src;          // block whose good values to fetch
-  const ReplayEntry* load;    // non-null: replay, skip all evaluation
-  ReplayEntry* store;         // non-null: capture words while computing
-};
-
-BlockTrim ResolveBlockTrim(
-    const TrimPlan* tp, std::size_t bi, std::size_t num_classes,
-    TrimCounters* counters,
-    std::unordered_map<std::uint32_t, ReplayEntry>& replay) {
-  BlockTrim bt{static_cast<std::uint32_t>(bi), nullptr, nullptr};
-  if (tp == nullptr || !tp->dedup) return bt;
-  bt.src = tp->repeat_of[bi];
-  if (bt.src != bi) {
-    bt.load = &replay.at(bt.src);
-    if (counters != nullptr) {
-      counters->blocks_replayed.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (tp->has_repeat[bi] != 0) {
-    ReplayEntry& e = replay[bt.src];
-    e.diffs.assign(num_classes, 0);
-    bt.store = &e;
-  }
-  return bt;
-}
-
-/// The classic PPSFP loop over one shard of `live` class indices
-/// (ascending), accumulating into `result` (pre-sized by
-/// InitFaultSimResult). With `live` = all classes this IS the serial
-/// engine; the parallel engine runs it once per shard with private
-/// PropagationScratch state — only the good-machine blocks are shared,
-/// read-only, through `good_blocks`.
+/// The PPSFP loop over one shard of FFR-group indices (ascending; a group =
+/// every live class whose sites sit in one fanout-free region, see
+/// GroupClassesByFfr), accumulating into `result` (pre-sized by
+/// InitFaultSimResult). With every group in one shard this IS the serial
+/// engine; the parallel engine runs it once per shard with private scratch
+/// — only the good-machine blocks are shared, read-only, through
+/// `good_blocks`. Each class is simulated from its leader: the faulty
+/// function is the same for every member by construction of the classes,
+/// so detections expand to the whole class and a class drops wholesale.
+/// Each region runs per 64-pattern block:
 ///
-/// Per class: the faulty function is propagated once, from the leader —
-/// the detection diff (faulty^good at the outputs) is identical for every
-/// member by construction of the classes, so detections expand to the whole
-/// class exactly and a class drops wholesale. The diff is contained in the
-/// leader's activation word (good value differs from the stuck value), so
-/// an inactive leader skips propagation.
-void SimulateShard(const Netlist& nl, const PatternSet& patterns,
-                   const std::vector<Fault>& faults, const SimPlan& plan,
-                   std::vector<std::uint32_t> live,
-                   GoodBlockCache& good_blocks, const FaultSimOptions& options,
-                   const TrimContext& trim, FaultSimResult& result) {
-  internal::PropagationScratch scratch(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
-  const TrimPlan* tp = trim.plan;
-  std::unordered_map<std::uint32_t, ReplayEntry> replay;
-
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    if (live.empty()) break;
-    // Cooperative cancellation: one relaxed poll per pattern block. An
-    // expired token abandons this shard's remaining work; the engine
-    // discards the partial result by throwing after the join.
-    if (options.cancel != nullptr && options.cancel->Expired()) return;
-    const std::size_t bi = base / 64;
-    EarlyExitFilter(tp, plan, bi, trim.counters, live);
-    if (live.empty()) break;
-    const BlockTrim bt =
-        ResolveBlockTrim(tp, bi, plan.num_classes(), trim.counters, replay);
-    // Under dedup a repeated block reads its source block's good values —
-    // bit-identical on every net that matters (that is what the
-    // fingerprint certifies), evaluated once.
-    const GoodBlockCache::Block& block = good_blocks.Get(bt.src);
-    if (block.count == 0) break;
-    const std::uint64_t valid =
-        block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
-    const std::vector<std::uint64_t>& good = block.values;
-
-    std::size_t w = 0;  // compaction write index over `live`
-    for (std::size_t r = 0; r < live.size(); ++r) {
-      const std::uint32_t ci = live[r];
-      const std::uint32_t mbegin = plan.offsets[ci];
-      const std::uint32_t mend = plan.offsets[ci + 1];
-
-      std::uint64_t diff = 0;
-      if (bt.load != nullptr) {
-        // Replay: the class diff captured at the source block is exact
-        // here — skip all evaluation.
-        diff = bt.load->diffs[ci];
-        if (diff == 0) {
-          live[w++] = ci;
-          continue;
-        }
-      } else {
-        const Fault& f = faults[plan.members[mbegin]];
-        const NetId site_net =
-            f.pin == Fault::kOutputPin ? f.gate : nl.gate(f.gate).fanin[f.pin];
-        const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;
-        if (((good[site_net] ^ stuck) & valid) == 0) {
-          live[w++] = ci;
-          continue;
-        }
-
-        // Single-fault propagation from the leader site, event-driven in
-        // level order. Events that leave the output cone are not enqueued:
-        // every frontier net is reachable from the site, so "reaches some
-        // output" is equivalent to "reaches an output of this fault's cone".
-        const Gate& g = nl.gate(f.gate);
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          // Re-evaluate the faulted gate with the pin forced.
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const std::uint64_t out = netlist::EvalCell(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const std::uint64_t out = netlist::EvalCell(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        // Detection: any touched primary output that differs from good. Only
-        // outputs inside the site's cone can be touched, so with the cone on
-        // the scan walks just those set bits.
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o =
-                  outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= (scratch.fval[o] ^ good[o]);
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= (scratch.fval[o] ^ good[o]);
-            }
-          }
-        }
-        diff &= valid;
-        if (bt.store != nullptr) bt.store->diffs[ci] = diff;
-
-        if (diff == 0) {
-          live[w++] = ci;
-          continue;
-        }
-      }
-
-      const auto first_pattern =
-          base + static_cast<std::size_t>(LowestSetBit(diff));
-      const std::uint32_t num_members = mend - mbegin;
-      for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-        const std::uint32_t fi = plan.members[mi];
-        if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
-          result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
-          result.detected_mask.Set(fi, true);
-          ++result.num_detected;
-        }
-      }
-
-      if (options.drop_detected) {
-        result.detects_per_pattern[first_pattern] += num_members;
-        // dropped: do not keep in `live`.
-      } else {
-        for (std::uint64_t bits = diff; bits != 0; bits &= bits - 1) {
-          result.detects_per_pattern[base + static_cast<std::size_t>(
-                                                LowestSetBit(bits))] +=
-              num_members;
-        }
-        live[w++] = ci;
-      }
-    }
-    live.resize(w);
-    if (live.empty() && options.drop_detected) break;
-  }
-}
-
-/// The FFR-clustered PPSFP loop over one shard of FFR-group indices
-/// (ascending; a group = every live class whose sites sit in one
-/// fanout-free region, see GroupClassesByFfr). Instead of one event-driven
-/// propagation per class, each region runs per 64-pattern block:
-///
-///  1. leader activation per class, exactly as in the classic loop;
+///  0. early-exit: classes past their last activating block leave the
+///     live list for good;
+///  1. leader activation per class (good value differs from the stuck
+///     value) — detection is contained in it pointwise;
 ///  2. one backward critical-path trace over the region's good words: for
 ///     every member net, the word of patterns on which a value change there
 ///     reaches the region's stem. Exact, because an FFR has no
 ///     reconvergence — each internal net feeds exactly one pin, so the
 ///     chain of lane-wise pin sensitizations to the stem is unique;
-///  3. ONE stem propagation (faulty stem = ~good) whose output diff is the
-///     stem's observability word — lane-independent cell evaluation makes
-///     the all-lanes flip valid for every subset of lanes, so the word is
+///  3. ONE event-driven stem propagation (faulty stem = ~good), confined to
+///     the stem's output cone, whose output diff is the stem's
+///     observability word — lane-independent cell evaluation makes the
+///     all-lanes flip valid for every subset of lanes, so the word is
 ///     shared by every class of the region;
 ///  4. per-class detection = leader activation & site-to-stem observability
-///     & stem observability, followed by the classic accounting. This
-///     equals the classic engine's output diff bit-for-bit: the faulty
-///     machine differs from the good one beyond the stem exactly on the
-///     lanes where the effect reaches the stem, and there it looks like the
-///     good machine with the stem complemented.
+///     & stem observability: the faulty machine differs from the good one
+///     beyond the stem exactly on the lanes where the effect reaches the
+///     stem, and there it looks like the good machine with the stem
+///     complemented.
 ///
-/// Steps 2–4 are skipped outright when no live class activates, and step 4
-/// when every activated effect dies inside the region — the cheap local
-/// filter that removes most of the classic engine's per-class propagation.
+/// Steps 2–4 are skipped outright when no live class activates, and step 3
+/// when every activated effect dies inside the region.
 void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
                       const std::vector<Fault>& faults, const SimPlan& plan,
                       const FfrClassGroups& groups,
                       const std::vector<std::uint32_t>& shard_groups,
                       GoodBlockCache& good_blocks,
-                      const FaultSimOptions& options, const TrimContext& trim,
+                      const FaultSimOptions& options,
+                      const LastActivation& last_act,
                       FaultSimResult& result) {
   internal::FfrScratch scratch(nl);
   const auto& outputs = nl.outputs();
-  const bool cone_on = options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
-  const TrimPlan* tp = trim.plan;
-  std::unordered_map<std::uint32_t, ReplayEntry> replay;
+  const auto class_size = [&](std::uint32_t ci) {
+    return plan.offsets[ci + 1] - plan.offsets[ci];
+  };
 
   // Live state: per owned region, the class indices still needing
   // simulation. Regions compact away once every class has dropped.
@@ -351,11 +114,12 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
 
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     if (work.empty()) break;
+    // Cooperative cancellation: one relaxed poll per pattern block. An
+    // expired token abandons this shard's remaining work; the engine
+    // discards the partial result by throwing after the join.
     if (options.cancel != nullptr && options.cancel->Expired()) return;
     const std::size_t bi = base / 64;
-    const BlockTrim bt =
-        ResolveBlockTrim(tp, bi, plan.num_classes(), trim.counters, replay);
-    const GoodBlockCache::Block& block = good_blocks.Get(bt.src);
+    const GoodBlockCache::Block& block = good_blocks.Get(bi);
     if (block.count == 0) break;
     const std::uint64_t valid =
         block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
@@ -363,48 +127,8 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
 
     const auto process = [&](FfrWork& fw) {
       std::vector<std::uint32_t>& cls = fw.classes;
-      EarlyExitFilter(tp, plan, bi, trim.counters, cls);
+      internal::EarlyExit(last_act, bi, options, class_size, cls);
       if (cls.empty()) return;
-
-      // Classic per-class accounting, shared by the replay and compute
-      // paths; returns whether the class stays live.
-      const auto account = [&](std::uint32_t ci, std::uint64_t diff) -> bool {
-        if (diff == 0) return true;
-        const std::uint32_t mbegin = plan.offsets[ci];
-        const std::uint32_t mend = plan.offsets[ci + 1];
-        const auto first_pattern =
-            base + static_cast<std::size_t>(LowestSetBit(diff));
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          const std::uint32_t fi = plan.members[mi];
-          if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
-            result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
-            result.detected_mask.Set(fi, true);
-            ++result.num_detected;
-          }
-        }
-        if (options.drop_detected) {
-          result.detects_per_pattern[first_pattern] += mend - mbegin;
-          return false;  // dropped
-        }
-        for (std::uint64_t bits = diff; bits != 0; bits &= bits - 1) {
-          result.detects_per_pattern[base + static_cast<std::size_t>(
-                                                LowestSetBit(bits))] +=
-              mend - mbegin;
-        }
-        return true;
-      };
-
-      if (bt.load != nullptr) {
-        // Replay: per-class diffs captured at the source block; steps 1-4
-        // are skipped entirely.
-        std::size_t w = 0;
-        for (std::size_t k = 0; k < cls.size(); ++k) {
-          const std::uint32_t ci = cls[k];
-          if (account(ci, bt.load->diffs[ci])) cls[w++] = ci;
-        }
-        cls.resize(w);
-        return;
-      }
 
       // 1. Leader activation per class.
       leader_act.assign(cls.size(), 0);
@@ -444,7 +168,7 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
         }
       }
 
-      // 3. Site-to-stem words per class, from the leader (one faulty
+      // Site-to-stem words per class, from the leader (one faulty
       // function per class, so one word serves every member).
       stem_local.assign(cls.size(), 0);
       std::uint64_t any_local = 0;
@@ -469,71 +193,74 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
       }
       if (any_local == 0) return;  // every effect died inside the region
 
-      // 4. One stem propagation for the whole region — unless a warm
-      // cross-run cache already holds this (block, stem) word. The word is
-      // a pure function of (netlist, patterns): fault-list, dropping and
-      // cone-toggle independent, so any earlier run's value is exact here.
+      // 3. One stem propagation for the whole region. Events that leave
+      // the stem's output cone are not enqueued: every frontier net is
+      // reachable from the stem, so "reaches some output" is equivalent to
+      // "reaches an output of this cone".
+      internal::PropagationScratch& prop = scratch.prop;
+      prop.NewFault();
+      prop.SetFaulty(fw.stem, ~good[fw.stem]);
+      for (NetId fo : nl.fanout(fw.stem)) {
+        if (nl.ReachesOutput(fo)) prop.Enqueue(fo);
+      }
+      prop.Drain([&](NetId id) {
+        const Gate& gg = nl.gate(id);
+        std::uint64_t in[kMaxFanin];
+        for (int i = 0; i < gg.fanin_count(); ++i) {
+          in[i] = prop.FaultyValue(good, gg.fanin[i]);
+        }
+        const std::uint64_t out = netlist::EvalCell(gg.type, in);
+        if (out != good[id]) {
+          prop.SetFaulty(id, out);
+          for (NetId fo : nl.fanout(id)) {
+            if (nl.ReachesOutput(fo)) prop.Enqueue(fo);
+          }
+        }
+      });
       std::uint64_t stem_obs = 0;
-      const bool warm_hit = trim.stem_obs != nullptr &&
-                            trim.stem_obs->Lookup(bi, fw.stem, &stem_obs);
-      if (warm_hit) {
-        if (trim.counters != nullptr) {
-          trim.counters->warm_stem_hits.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-      } else {
-        internal::PropagationScratch& prop = scratch.prop;
-        prop.NewFault();
-        prop.SetFaulty(fw.stem, ~good[fw.stem]);
-        for (NetId fo : nl.fanout(fw.stem)) {
-          if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-        }
-        prop.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = prop.FaultyValue(good, gg.fanin[i]);
+      const std::uint64_t* cone = nl.OutputCone(fw.stem);
+      for (std::size_t cw = 0; cw < cone_words; ++cw) {
+        for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
+          const NetId o =
+              outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
+          if (prop.touched_epoch[o] == prop.epoch) {
+            stem_obs |= (prop.fval[o] ^ good[o]);
           }
-          const std::uint64_t out = netlist::EvalCell(gg.type, in);
-          if (out != good[id]) {
-            prop.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(fw.stem);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o = outputs[cw * 64 + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))];
-              if (prop.touched_epoch[o] == prop.epoch) {
-                stem_obs |= (prop.fval[o] ^ good[o]);
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (prop.touched_epoch[o] == prop.epoch) {
-              stem_obs |= (prop.fval[o] ^ good[o]);
-            }
-          }
-        }
-        if (trim.stem_obs != nullptr) {
-          trim.stem_obs->Store(bi, fw.stem, stem_obs);
         }
       }
       if (stem_obs == 0) return;
 
-      // 5. Per-class expansion with the classic accounting.
+      // 4. Per-class detection and accounting.
       std::size_t w = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
         const std::uint32_t ci = cls[k];
         const std::uint64_t diff = stem_local[k] & stem_obs;
-        if (bt.store != nullptr) bt.store->diffs[ci] = diff;
-        if (account(ci, diff)) cls[w++] = ci;
+        if (diff == 0) {
+          cls[w++] = ci;
+          continue;
+        }
+        const std::uint32_t mbegin = plan.offsets[ci];
+        const std::uint32_t mend = plan.offsets[ci + 1];
+        const auto first_pattern =
+            base + static_cast<std::size_t>(LowestSetBit(diff));
+        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
+          const std::uint32_t fi = plan.members[mi];
+          if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
+            result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
+            result.detected_mask.Set(fi, true);
+            ++result.num_detected;
+          }
+        }
+        if (options.drop_detected) {
+          result.detects_per_pattern[first_pattern] += mend - mbegin;
+          continue;  // dropped
+        }
+        for (std::uint64_t bits = diff; bits != 0; bits &= bits - 1) {
+          result.detects_per_pattern[base + static_cast<std::size_t>(
+                                                LowestSetBit(bits))] +=
+              mend - mbegin;
+        }
+        cls[w++] = ci;
       }
       cls.resize(w);
     };
@@ -553,12 +280,7 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
 
 FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
                            const std::vector<Fault>& faults, const BitVec* skip,
-                           const FaultSimOptions& requested_options) {
-  // $GPUSTL_NO_TRIM pins the untrimmed engine regardless of the caller's
-  // toggles (fault/trim.h); everything below sees the effective options.
-  FaultSimOptions options = requested_options;
-  options.trim = EffectiveTrim(requested_options.trim);
-
+                           const FaultSimOptions& options) {
   GPUSTL_ASSERT(nl.frozen(), "fault sim requires a frozen netlist");
   GPUSTL_ASSERT(nl.dffs().empty(),
                 "fault sim supports combinational modules only");
@@ -570,58 +292,32 @@ FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
   // request must fail fast (SimError, input error class).
   const Backend backend = ResolveBackend(options.backend);
 
-  FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
-
   FaultCollapse local;
-  const FaultCollapse* collapse = nullptr;
-  if (options.collapse) {
-    if (options.collapse_plan != nullptr) {
-      GPUSTL_ASSERT(options.collapse_plan->num_faults == faults.size(),
-                    "collapse plan does not match the fault list");
-      collapse = options.collapse_plan;
-    } else {
-      local = BuildFaultCollapse(nl, faults);
-      collapse = &local;
-    }
-  }
-  const SimPlan plan = internal::BuildSimPlan(collapse, skip, faults.size());
-
-  // Good-machine blocks are simulated once and shared read-only by every
-  // shard (and trivially by the serial loop). Under warm-start they come
-  // from the cross-run cache instead — together with the FFR stem-
-  // observability words — so runs over the same (netlist, patterns) pair
-  // re-evaluate nothing.
-  WarmStartCache::Shared warm;
-  std::optional<GoodBlockCache> local_good;
-  if (options.trim.warm_start && options.warm_cache != nullptr) {
-    warm = options.warm_cache->Acquire(nl, patterns, options.trim_counters);
+  const FaultCollapse* collapse = options.collapse_plan;
+  if (collapse != nullptr) {
+    GPUSTL_ASSERT(collapse->num_faults == faults.size(),
+                  "collapse plan does not match the fault list");
   } else {
-    local_good.emplace(nl, patterns);
+    local = BuildFaultCollapse(nl, faults);
+    collapse = &local;
   }
-  GoodBlockCache& good_blocks = warm.good != nullptr ? *warm.good : *local_good;
+  const SimPlan plan = internal::BuildSimPlan(*collapse, skip);
+  // The region is the work (and sharding) unit: its single stem
+  // propagation serves every class inside.
+  const FfrClassGroups groups =
+      GroupClassesByFfr(nl, faults, plan.offsets, plan.members);
 
-  internal::TrimPlan trim_plan;
-  if (options.trim.dedup_blocks || options.trim.early_exit) {
-    trim_plan = internal::BuildStuckAtTrimPlan(nl, patterns, faults, plan,
-                                               good_blocks, options);
-  }
-  const internal::TrimContext trim{
-      trim_plan.dedup || trim_plan.early_exit ? &trim_plan : nullptr,
-      warm.stem_obs.get(), options.trim_counters};
+  // Good-machine blocks are simulated once and shared read-only by the
+  // early-exit prepass and every shard.
+  GoodBlockCache good_blocks(nl, patterns);
+  const LastActivation last_act = internal::StuckAtLastActivation(
+      nl, patterns, faults, plan, good_blocks, options);
 
   if (backend != Backend::kScalar) {
     // Wide backends own their pattern-block loop; everything prepared so
-    // far (plan, groups, good blocks, trim plan) is shared with them as-is.
-    const FfrClassGroups groups =
-        options.ffr_trace
-            ? GroupClassesByFfr(nl, faults, plan.offsets, plan.members)
-            : FfrClassGroups{};
-    const internal::StuckAtRun run{
-        nl,          patterns,
-        faults,      plan,
-        options.ffr_trace ? &groups : nullptr,
-        good_blocks, options,
-        trim};
+    // far is shared with them as-is.
+    const internal::StuckAtRun run{nl,     patterns,    faults,  plan,
+                                   groups, good_blocks, options, last_act};
     switch (backend) {
       case Backend::kWide:
         return internal::RunStuckAtWide(run);
@@ -639,53 +335,24 @@ FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
     }
   }
 
-  if (options.ffr_trace) {
-    // FFR-clustered engine: the work (and sharding) unit is a fanout-free
-    // region, since its single stem propagation serves every class inside.
-    const FfrClassGroups groups =
-        GroupClassesByFfr(nl, faults, plan.offsets, plan.members);
-    std::vector<std::uint32_t> live(groups.num_groups());
-    std::iota(live.begin(), live.end(), 0u);
-
-    const int threads = ResolveNumThreads(options.num_threads, live.size());
-    if (threads <= 1) {
-      SimulateFfrShard(nl, patterns, faults, plan, groups, live, good_blocks,
-                       options, trim, result);
-      AbortIfCancelled(options);
-      return result;
-    }
-
-    const std::vector<std::vector<std::uint32_t>> shards =
-        StrideShards(live, threads);
-    std::vector<FaultSimResult> partial(
-        threads, InitFaultSimResult(faults.size(), patterns.size()));
-    RunOnShards(threads, [&](int t) {
-      SimulateFfrShard(nl, patterns, faults, plan, groups, shards[t],
-                       good_blocks, options, trim, partial[t]);
-    });
-    AbortIfCancelled(options);
-    MergeShardResults(partial, result);
-    return result;
-  }
-
-  // `live` = class indices still needing simulation.
-  std::vector<std::uint32_t> live(plan.num_classes());
+  FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
+  std::vector<std::uint32_t> live(groups.num_groups());
   std::iota(live.begin(), live.end(), 0u);
-
   const int threads = ResolveNumThreads(options.num_threads, live.size());
   if (threads <= 1) {
-    SimulateShard(nl, patterns, faults, plan, std::move(live), good_blocks,
-                  options, trim, result);
+    SimulateFfrShard(nl, patterns, faults, plan, groups, live, good_blocks,
+                     options, last_act, result);
     AbortIfCancelled(options);
     return result;
   }
 
-  std::vector<std::vector<std::uint32_t>> shards = StrideShards(live, threads);
+  const std::vector<std::vector<std::uint32_t>> shards =
+      StrideShards(live, threads);
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(faults.size(), patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateShard(nl, patterns, faults, plan, std::move(shards[t]),
-                  good_blocks, options, trim, partial[t]);
+    SimulateFfrShard(nl, patterns, faults, plan, groups, shards[t],
+                     good_blocks, options, last_act, partial[t]);
   });
   AbortIfCancelled(options);
   MergeShardResults(partial, result);

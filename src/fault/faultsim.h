@@ -12,13 +12,19 @@
 // is a filter over the full-list run of the same patterns (fault/replay.h).
 //
 // The simulator is fault-parallel: with num_threads > 1 the work list —
-// fault classes, or whole fanout-free regions under ffr_trace — is sharded
-// across a worker pool (good-machine blocks are simulated once and shared
-// read-only; propagation scratch stays private) and the shard reports are
-// merged deterministically, producing a report bit-identical to the serial
-// loop (see fault/parallel.h).
+// whole fanout-free regions, each served by one stem propagation — is
+// sharded across a worker pool (good-machine blocks are simulated once and
+// shared read-only; propagation scratch stays private) and the shard
+// reports are merged deterministically, producing a report bit-identical
+// to the serial loop (see fault/parallel.h).
+//
+// There is one engine configuration: fault collapsing, output-cone
+// limiting, FFR critical-path tracing and per-fault early-exit are always
+// on. Only the backend (word width) and the thread count vary, and neither
+// changes a report.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -26,48 +32,23 @@
 #include "common/status.h"
 #include "fault/backend.h"
 #include "fault/fault.h"
-#include "fault/trim.h"
 #include "netlist/logicsim.h"
 #include "netlist/patterns.h"
 
 namespace gpustl::fault {
 
-struct FaultCollapse;   // fault/collapse.h
-class WarmStartCache;   // fault/parallel.h
+struct FaultCollapse;  // fault/collapse.h
 
 struct FaultSimOptions {
   /// Stop simulating a fault after its first detection (fault dropping).
   /// When false every detection of every fault is counted per pattern.
   bool drop_detected = true;
 
-  /// Worker threads for the fault-parallel engine. 1 = the exact serial
-  /// legacy loop on the calling thread; 0 = hardware_concurrency; N > 1 =
-  /// the fault list is sharded over N workers with a deterministic merge.
-  /// The report is bit-identical for every value (see fault/parallel.h).
+  /// Worker threads for the fault-parallel engine. 1 = the serial loop on
+  /// the calling thread; 0 = hardware_concurrency; N > 1 = the work list is
+  /// sharded over N workers with a deterministic merge. The report is
+  /// bit-identical for every value (see fault/parallel.h).
   int num_threads = 1;
-
-  /// Propagate one representative per structural equivalence class (see
-  /// fault/collapse.h) and expand detections to every member. The report
-  /// stays bit-identical to the collapse=false engine; only the
-  /// propagation work shrinks.
-  bool collapse = true;
-
-  /// Restrict detection scans to the fault's output cone and stop
-  /// propagating events through nets that reach no primary output. Exact:
-  /// a fault effect outside the site's cone can never be observed.
-  bool cone_limit = true;
-
-  /// Cluster fault classes by fanout-free region: per 64-pattern block, one
-  /// backward critical-path-tracing pass over the region's good-machine
-  /// words yields every member site's observability at the region's stem,
-  /// and ONE event-driven stem propagation per region replaces one
-  /// propagation per fault class (detections expand as site activation &
-  /// stem-local observability & stem detect). Tracing is exact within an
-  /// FFR — no reconvergence — so the report is bit-identical to the
-  /// ffr_trace=false engine for every thread count; the result store keys
-  /// therefore ignore this toggle. Stuck-at only: the transition engine's
-  /// launch condition is per-fault history and keeps its per-fault loop.
-  bool ffr_trace = true;
 
   /// Engine backend: how many patterns one propagation word carries and
   /// how it is evaluated (see fault/backend.h). kAuto = runtime CPU
@@ -79,34 +60,23 @@ struct FaultSimOptions {
   Backend backend = Backend::kAuto;
 
   /// Optional precomputed collapse plan for this exact fault list (e.g.
-  /// cached across PTP runs by the campaign driver). Ignored when
-  /// `collapse` is false; when null the plan is built per run.
+  /// cached across PTP runs by the campaign driver). When null the plan is
+  /// built per run. Stuck-at only: the transition engine does not collapse.
   const FaultCollapse* collapse_plan = nullptr;
 
   /// Cooperative cancellation / deadline token (not owned). Workers poll
-  /// it once per 64-pattern block; when it expires they return early and
+  /// it once per pattern block; when it expires they return early and
   /// the engine throws DeadlineError AFTER all shards join — a partial
   /// result is discarded wholesale, never returned, so an aborted run can
   /// never produce silently wrong coverage numbers. Null = never aborts.
   const CancelToken* cancel = nullptr;
 
-  /// Redundancy trimming (fault/trim.h): pattern-block dedup, per-fault
-  /// early-exit and cross-run warm-start. Every mechanism is exact — the
-  /// report is bit-identical to an untrimmed run for every backend, thread
-  /// count and model — so, like num_threads and backend, these are pure
-  /// cost knobs excluded from result-store fingerprints.
-  TrimOptions trim;
-
-  /// Cross-run warm-start state (not owned; null = no warm-start even when
-  /// trim.warm_start is set). Good-machine blocks and stem-observability
-  /// words are reused across runs whose (netlist, patterns) fingerprints
-  /// match — the cross-PTP case, where a campaign re-simulates the same
-  /// captured pattern set against a shrinking fault list.
-  WarmStartCache* warm_cache = nullptr;
-
-  /// Observability counters bumped by the trim paths (not owned; null =
-  /// not counted). See fault/trim.h for their determinism caveats.
-  TrimCounters* trim_counters = nullptr;
+  /// Observability counter (not owned; null = not counted): faults retired
+  /// by early-exit, i.e. dropped from the live list once no later pattern
+  /// block can activate them. Relaxed atomic — shards bump it
+  /// concurrently; the total is exact but depends on the backend's block
+  /// width, so it is not part of any deterministic result.
+  std::atomic<std::uint64_t>* faults_early_exited = nullptr;
 };
 
 /// Per-run result: the paper's Fault Sim Report.

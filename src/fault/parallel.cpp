@@ -49,67 +49,6 @@ const GoodBlockCache::Block& GoodBlockCache::Get(std::size_t index) {
   return blocks_[index];
 }
 
-bool StemObsCache::Lookup(std::size_t block, std::uint32_t stem,
-                          std::uint64_t* out) {
-  Stripe& stripe = stripes_[block % kStripes];
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.words.find(Key(block, stem));
-  if (it == stripe.words.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void StemObsCache::Store(std::size_t block, std::uint32_t stem,
-                         std::uint64_t word) {
-  Stripe& stripe = stripes_[block % kStripes];
-  const std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.words.emplace(Key(block, stem), word);
-}
-
-WarmStartCache::Shared WarmStartCache::Acquire(
-    const netlist::Netlist& nl, const netlist::PatternSet& patterns,
-    TrimCounters* counters) {
-  // Content fingerprint over everything that determines the cached values.
-  // Hashed here (not via store/fingerprint.h) because the fault library
-  // sits below the store in the layering. The cc stamps are deliberately
-  // excluded: good values and stem observability depend on the pattern
-  // BITS only.
-  Hasher128 h;
-  h.AddHash(nl.fingerprint());
-  h.AddU64(patterns.size());
-  h.AddU64(static_cast<std::uint64_t>(patterns.width()));
-  const std::size_t words = patterns.words_per_pattern();
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    h.AddBytes(patterns.Row(p), words * sizeof(std::uint64_t));
-  }
-  const Hash128 key = h.Finish();
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.stamp = ++next_stamp_;
-      if (counters != nullptr) {
-        counters->warm_good_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return e.shared;
-    }
-  }
-  if (entries_.size() >= max_entries_) {
-    std::size_t oldest = 0;
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].stamp < entries_[oldest].stamp) oldest = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(oldest));
-  }
-  Entry e;
-  e.key = key;
-  e.shared.good = std::make_shared<GoodBlockCache>(nl, patterns);
-  e.shared.stem_obs = std::make_shared<StemObsCache>();
-  e.stamp = ++next_stamp_;
-  entries_.push_back(e);
-  return entries_.back().shared;
-}
-
 int ResolveNumThreads(int requested, std::size_t work_items) {
   GPUSTL_ASSERT(requested >= 0, "num_threads must be >= 0");
   std::size_t n = requested == 0

@@ -1,9 +1,9 @@
 // Fault-parallel execution support for the PPSFP simulators.
 //
 // Both RunFaultSim and RunTransitionFaultSim parallelize the same way: the
-// live work list — fault classes, or whole fanout-free regions when the
-// FFR-clustered engine is on (a stem propagation is shared by every class
-// of a region, so the region is the indivisible unit) — is sharded across
+// live work list — whole fanout-free regions for stuck-at (a stem
+// propagation is shared by every class of a region, so the region is the
+// indivisible unit), faults for transition — is sharded across
 // a small worker pool, each worker runs the unmodified serial PPSFP loop
 // over its shard with private propagation scratch (good-machine blocks are
 // shared read-only through GoodBlockCache), and a deterministic merge
@@ -28,10 +28,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
 #include "fault/faultsim.h"
 #include "netlist/logicsim.h"
 #include "netlist/patterns.h"
@@ -40,11 +38,9 @@ namespace gpustl::fault {
 
 /// Shared good-machine state for fault-simulation runs. The good values of
 /// each 64-pattern block are a pure function of (netlist, patterns), so
-/// they are simulated once — lazily, on first demand — and shared
-/// read-only by every shard (and, under warm-start, by every run of the
-/// same inputs through a WarmStartCache). Laziness matters: with fault
-/// dropping a run can finish before the pattern set is exhausted, and
-/// blocks nobody asks for are never simulated.
+/// they are simulated once, on first demand (the early-exit prepass of
+/// fault/engine.h asks for each block in order), and shared read-only by
+/// every shard.
 ///
 /// Population is contention-friendly: the block table is pre-sized (never
 /// reallocates), each block publishes through its own acquire/release flag,
@@ -86,73 +82,6 @@ class GoodBlockCache {
   std::vector<Block> blocks_;  // pre-sized; elements never move
   std::unique_ptr<std::atomic<char>[]> done_;  // per-block publication flag
   Stripe stripes_[kStripes];
-};
-
-/// Cross-run cache of per-FFR stem-observability words, shared through a
-/// WarmStartCache entry (one instance per (netlist, patterns) pair). The
-/// word for (block, stem) — which patterns of the block observe a stem
-/// flip at the module outputs — is independent of the fault list, the skip
-/// mask, dropping and the cone toggle (a stem propagation touches exactly
-/// the stem's output cone), so it can be stored on first computation and
-/// reused by any later run over the same patterns. Striped like
-/// GoodBlockCache; values for one key are deterministic, so double-stores
-/// are idempotent.
-class StemObsCache {
- public:
-  /// True and *out filled when (block, stem) is cached.
-  bool Lookup(std::size_t block, std::uint32_t stem, std::uint64_t* out);
-  void Store(std::size_t block, std::uint32_t stem, std::uint64_t word);
-
- private:
-  static constexpr std::size_t kStripes = 8;
-  struct Stripe {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::uint64_t> words;
-  };
-  static std::uint64_t Key(std::size_t block, std::uint32_t stem) {
-    return (static_cast<std::uint64_t>(block) << 32) | stem;
-  }
-  Stripe stripes_[kStripes];
-};
-
-/// Cross-run warm-start state (TrimOptions::warm_start): good-machine
-/// blocks and stem-observability words keyed by the (netlist, patterns)
-/// content fingerprint. A campaign's compactor owns one of these per
-/// module; the fault simulations inside one CompactPtp (the original and
-/// the compacted pattern set) and runs across PTPs hit it whenever a
-/// pattern set recurs. Entries are a
-/// small LRU (a CompactPtp juggles two pattern sets; older PTPs' patterns
-/// rarely return). Thread-safe; the returned shared state does its own
-/// locking.
-class WarmStartCache {
- public:
-  /// `max_entries` bounds the LRU. The default suits one campaign (a
-  /// CompactPtp juggles two live pattern sets); a multi-tenant service
-  /// sharing one cache across concurrent campaigns passes a larger bound.
-  explicit WarmStartCache(std::size_t max_entries = 4)
-      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
-  struct Shared {
-    std::shared_ptr<GoodBlockCache> good;
-    std::shared_ptr<StemObsCache> stem_obs;
-  };
-
-  /// The shared state for (nl, patterns), created on first sight. A
-  /// returned Shared keeps the entry alive independent of later eviction.
-  /// `counters` (nullable) gets warm_good_hits bumped on a hit.
-  Shared Acquire(const netlist::Netlist& nl,
-                 const netlist::PatternSet& patterns, TrimCounters* counters);
-
- private:
-  struct Entry {
-    Hash128 key;
-    Shared shared;
-    std::uint64_t stamp = 0;  // LRU clock
-  };
-  std::size_t max_entries_;
-  std::mutex mu_;
-  std::vector<Entry> entries_;
-  std::uint64_t next_stamp_ = 0;
 };
 
 /// Resolves a FaultSimOptions::num_threads request against the amount of

@@ -53,11 +53,10 @@ ReplayCounters& GlobalReplayCounters();
 /// Derives the result of `RunFaultSim(nl, patterns, faults, &skip,
 /// {drop_detected = true, ...})` (or its transition counterpart) from
 /// `full`, the result of the same run with skip = null. Bit-identical to
-/// the live engine for every engine toggle (threads, collapse, cone, FFR,
-/// backend, trim) — those are already bit-identical to each other. O(faults
-/// + patterns). Throws Error when `skip` does not match `full`'s fault
-/// count or `full` is not a dropped run (a misuse, never a data-dependent
-/// state).
+/// the live engine for every thread count and backend — those are already
+/// bit-identical to each other. O(faults + patterns). Throws Error when
+/// `skip` does not match `full`'s fault count or `full` is not a dropped
+/// run (a misuse, never a data-dependent state).
 FaultSimResult ReplaySkipFromFull(const FaultSimResult& full,
                                   const BitVec& skip);
 

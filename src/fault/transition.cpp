@@ -1,7 +1,5 @@
 #include "fault/transition.h"
 
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -26,20 +24,20 @@ std::vector<TransitionFault> TransitionFaultList(const Netlist& nl) {
 namespace {
 
 /// The transition-fault loop over one fault shard (see
-/// faultsim.cpp::SimulateShard for the sharding contract). The launch-side
-/// history (`prev_site_bit`) is per fault, so it shards with the fault list;
-/// each worker keeps its own copy indexed by global fault id.
+/// faultsim.cpp::SimulateFfrShard for the sharding contract). The
+/// launch-side history (`prev_site_bit`) is per fault, so it shards with the
+/// fault list; each worker keeps its own copy indexed by global fault id.
 ///
 /// No fault collapsing here: the launch condition is a property of the
 /// fault *site's* value history, so two transition faults with identical
 /// faulty functions still activate on different patterns. The bucket-queue
-/// scratch and output-cone restriction apply unchanged (FaultSimOptions::
-/// collapse is ignored, cone_limit is honoured).
+/// scratch, output-cone restriction and early-exit apply unchanged.
 void SimulateShard(const Netlist& nl, const PatternSet& patterns,
                    const std::vector<TransitionFault>& faults,
                    std::vector<std::uint32_t> live,
                    GoodBlockCache& good_blocks, const FaultSimOptions& options,
-                   const internal::TrimContext& trim, FaultSimResult& result) {
+                   const internal::LastActivation& last_act,
+                   FaultSimResult& result) {
   // Launch-side history: the site value of the last pattern of the previous
   // block, per fault. Initialized to the FINAL value so pattern 0 (which
   // has no launch vector) can never activate.
@@ -50,23 +48,7 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
 
   internal::PropagationScratch scratch(nl);
   const auto& outputs = nl.outputs();
-  const bool cone_on = options.cone_limit;
   const std::size_t cone_words = nl.cone_words();
-  const internal::TrimPlan* tp = trim.plan;
-
-  // Replay storage for deduped source blocks. A transition word is NOT a
-  // pure function of the block (the launch side carries the previous
-  // block's last site bit in), so each cached fault word records the
-  // carry-in it was captured under; a replay is taken per fault only when
-  // the current carry matches, and falls back to a full recompute — over
-  // the source block's good values, which are bit-identical on every net
-  // that matters — when it doesn't.
-  struct ReplayEntry {
-    std::vector<std::uint64_t> diffs;     // per fault id
-    std::vector<std::uint8_t> carry_in;   // prev_site_bit when captured
-    std::vector<std::uint8_t> last_bit;   // prev_site_bit after the block
-  };
-  std::unordered_map<std::uint32_t, ReplayEntry> replay;
 
   for (std::size_t base = 0; base < patterns.size(); base += 64) {
     if (live.empty()) break;
@@ -75,47 +57,11 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
     const std::size_t bi = base / 64;
 
     // Early-exit: faults past their last launch-capture block are settled.
-    if (tp != nullptr && tp->early_exit) {
-      std::uint64_t exited = 0;
-      std::size_t wf = 0;
-      for (const std::uint32_t fi : live) {
-        if (tp->last_act[fi] >= static_cast<std::int64_t>(bi)) {
-          live[wf++] = fi;
-        } else {
-          ++exited;
-        }
-      }
-      if (exited != 0) {
-        live.resize(wf);
-        if (trim.counters != nullptr) {
-          trim.counters->faults_early_exited.fetch_add(
-              exited, std::memory_order_relaxed);
-        }
-      }
-      if (live.empty()) break;
-    }
+    internal::EarlyExit(last_act, bi, options,
+                        [](std::uint32_t) { return 1u; }, live);
+    if (live.empty()) break;
 
-    const ReplayEntry* load = nullptr;
-    ReplayEntry* store = nullptr;
-    std::uint32_t src = static_cast<std::uint32_t>(bi);
-    if (tp != nullptr && tp->dedup) {
-      src = tp->repeat_of[bi];
-      if (src != bi) {
-        load = &replay.at(src);
-        if (trim.counters != nullptr) {
-          trim.counters->blocks_replayed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } else if (tp->has_repeat[bi] != 0) {
-        ReplayEntry& e = replay[src];
-        e.diffs.assign(faults.size(), 0);
-        e.carry_in.assign(faults.size(), 0);
-        e.last_bit.assign(faults.size(), 0);
-        store = &e;
-      }
-    }
-
-    const GoodBlockCache::Block& block = good_blocks.Get(src);
+    const GoodBlockCache::Block& block = good_blocks.Get(bi);
     if (block.count == 0) break;
     const int count = block.count;
     const std::uint64_t valid = count >= 64 ? ~0ull : ((1ull << count) - 1);
@@ -132,92 +78,67 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
           f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
       const std::uint64_t site = good[site_net];
 
-      std::uint64_t diff = 0;
-      if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        // Replay: same block contents, same carry — the detection word is
-        // exact, and so is the carry-out.
-        diff = load->diffs[fi];
-        prev_site_bit[fi] = load->last_bit[fi];
-      } else {
-        const std::uint8_t carry_in = prev_site_bit[fi];
+      // Launch values: site at pattern j-1 (carry from the previous block).
+      const std::uint64_t launch =
+          (site << 1) | static_cast<std::uint64_t>(prev_site_bit[fi]);
+      prev_site_bit[fi] = static_cast<std::uint8_t>((site >> (count - 1)) & 1);
 
-        // Launch values: site at pattern j-1 (carry from the previous
-        // block).
-        const std::uint64_t launch =
-            (site << 1) | static_cast<std::uint64_t>(carry_in);
-        prev_site_bit[fi] =
-            static_cast<std::uint8_t>((site >> (count - 1)) & 1);
-
-        // Activation: launch == init (== stuck value) and capture toggles.
-        const std::uint64_t act =
-            (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
-        if (store != nullptr) {
-          store->carry_in[fi] = carry_in;
-          store->last_bit[fi] = prev_site_bit[fi];
-        }
-        if (act == 0) {
-          live[w++] = fi;
-          continue;
-        }
-
-        // Propagate the late value (a stuck-at of the initial value) on the
-        // capture vectors.
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const std::uint64_t out = netlist::EvalCell(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const std::uint64_t out = netlist::EvalCell(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o = outputs[cw * 64 + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= scratch.fval[o] ^ good[o];
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= scratch.fval[o] ^ good[o];
-            }
-          }
-        }
-        diff &= act;  // detection only on properly-launched capture vectors
-        if (store != nullptr) store->diffs[fi] = diff;
+      // Activation: launch == init (== stuck value) and capture toggles.
+      const std::uint64_t act =
+          (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+      if (act == 0) {
+        live[w++] = fi;
+        continue;
       }
 
+      // Propagate the late value (a stuck-at of the initial value) on the
+      // capture vectors, confined to the site's output cone.
+      scratch.NewFault();
+      if (f.pin == Fault::kOutputPin) {
+        scratch.SetFaulty(f.gate, stuck);
+        for (NetId fo : nl.fanout(f.gate)) {
+          if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+        }
+      } else {
+        std::uint64_t in[kMaxFanin];
+        for (int i = 0; i < g.fanin_count(); ++i) {
+          in[i] = i == f.pin ? stuck : good[g.fanin[i]];
+        }
+        const std::uint64_t out = netlist::EvalCell(g.type, in);
+        if (out != good[f.gate]) {
+          scratch.SetFaulty(f.gate, out);
+          for (NetId fo : nl.fanout(f.gate)) {
+            if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+          }
+        }
+      }
+      scratch.Drain([&](NetId id) {
+        const Gate& gg = nl.gate(id);
+        std::uint64_t in[kMaxFanin];
+        for (int i = 0; i < gg.fanin_count(); ++i) {
+          in[i] = scratch.FaultyValue(good, gg.fanin[i]);
+        }
+        const std::uint64_t out = netlist::EvalCell(gg.type, in);
+        if (out != good[id]) {
+          scratch.SetFaulty(id, out);
+          for (NetId fo : nl.fanout(id)) {
+            if (nl.ReachesOutput(fo)) scratch.Enqueue(fo);
+          }
+        }
+      });
+
+      std::uint64_t diff = 0;
+      const std::uint64_t* cone = nl.OutputCone(f.gate);
+      for (std::size_t cw = 0; cw < cone_words; ++cw) {
+        for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
+          const NetId o =
+              outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
+          if (scratch.touched_epoch[o] == scratch.epoch) {
+            diff |= scratch.fval[o] ^ good[o];
+          }
+        }
+      }
+      diff &= act;  // detection only on properly-launched capture vectors
       if (diff == 0) {
         live[w++] = fi;
         continue;
@@ -251,12 +172,7 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
                                      const PatternSet& patterns,
                                      const std::vector<TransitionFault>& faults,
                                      const BitVec* skip,
-                                     const FaultSimOptions& requested_options) {
-  // $GPUSTL_NO_TRIM pins the untrimmed engine regardless of the caller's
-  // toggles (fault/trim.h); everything below sees the effective options.
-  FaultSimOptions options = requested_options;
-  options.trim = EffectiveTrim(requested_options.trim);
-
+                                     const FaultSimOptions& options) {
   GPUSTL_ASSERT(nl.frozen(), "transition sim requires a frozen netlist");
   GPUSTL_ASSERT(nl.dffs().empty(),
                 "transition sim supports combinational modules only");
@@ -266,39 +182,20 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
 
   const Backend backend = ResolveBackend(options.backend);
 
-  FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
-
   std::vector<std::uint32_t> live;
   live.reserve(faults.size());
   for (std::uint32_t i = 0; i < faults.size(); ++i) {
     if (skip == nullptr || !skip->Get(i)) live.push_back(i);
   }
 
-  // Shared good-machine blocks: from the cross-run warm cache when armed,
-  // else created per run (see RunFaultSim for the layering).
-  WarmStartCache::Shared warm;
-  std::optional<GoodBlockCache> local_good;
-  if (options.trim.warm_start && options.warm_cache != nullptr) {
-    warm = options.warm_cache->Acquire(nl, patterns, options.trim_counters);
-  } else {
-    local_good.emplace(nl, patterns);
-  }
-  GoodBlockCache& good_blocks = warm.good != nullptr ? *warm.good : *local_good;
-
-  internal::TrimPlan trim_plan;
-  if (options.trim.dedup_blocks || options.trim.early_exit) {
-    trim_plan = internal::BuildTransitionTrimPlan(nl, patterns, faults, live,
-                                                  good_blocks, options);
-  }
-  // No stem-observability reuse here: the transition engines are per-fault
-  // and never run the FFR stem propagation.
-  const internal::TrimContext trim{
-      trim_plan.dedup || trim_plan.early_exit ? &trim_plan : nullptr, nullptr,
-      options.trim_counters};
+  // Shared good-machine blocks (see RunFaultSim for the layering).
+  GoodBlockCache good_blocks(nl, patterns);
+  const internal::LastActivation last_act = internal::TransitionLastActivation(
+      nl, patterns, faults, live, good_blocks, options);
 
   if (backend != Backend::kScalar) {
-    const internal::TransitionRun run{nl,   patterns,    faults,  live,
-                                      good_blocks, options, trim};
+    const internal::TransitionRun run{nl,          patterns, faults,  live,
+                                      good_blocks, options,  last_act};
     switch (backend) {
       case Backend::kWide:
         return internal::RunTransitionWide(run);
@@ -316,10 +213,11 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
     }
   }
 
+  FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
   const int threads = ResolveNumThreads(options.num_threads, live.size());
   if (threads <= 1) {
     SimulateShard(nl, patterns, faults, std::move(live), good_blocks, options,
-                  trim, result);
+                  last_act, result);
     AbortIfCancelled(options);
     return result;
   }
@@ -329,7 +227,7 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
       threads, InitFaultSimResult(faults.size(), patterns.size()));
   RunOnShards(threads, [&](int t) {
     SimulateShard(nl, patterns, faults, std::move(shards[t]), good_blocks,
-                  options, trim, partial[t]);
+                  options, last_act, partial[t]);
   });
   AbortIfCancelled(options);
   MergeShardResults(partial, result);

@@ -1,5 +1,9 @@
 #include "service/protocol.h"
 
+#include <algorithm>
+#include <string>
+#include <thread>
+
 #include "service/admission.h"
 
 namespace gpustl::service {
@@ -23,12 +27,19 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
   }
   req.deadline_seconds = request.GetDouble("deadline", -1.0);
   req.stage_deadline_seconds = request.GetDouble("stage_deadline", -1.0);
-  req.threads = static_cast<int>(request.GetInt("threads", -1));
+  // Range-checked before narrowing: each fault-sim thread is an OS
+  // thread, so a peer must not be able to ask for more than the host has.
+  // Checked as the wire double, so no value converts out of range.
+  const double threads = request.GetDouble("threads", -1.0);
+  const unsigned max_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  if (!(threads >= -1.0 && threads <= max_threads)) {
+    *error = "threads must be -1 (service default), 0 (all cores) or 1.." +
+             std::to_string(max_threads);
+    return false;
+  }
+  req.threads = static_cast<int>(threads);
   req.backend = request.GetString("backend");
-  req.no_collapse = request.GetBool("no_collapse");
-  req.no_cone = request.GetBool("no_cone");
-  req.no_ffr = request.GetBool("no_ffr");
-  req.no_trim = request.GetBool("no_trim");
   req.checkpoint_dir = request.GetString("checkpoint_dir");
   req.manifest = request.GetString("manifest");
 

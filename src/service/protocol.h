@@ -33,12 +33,8 @@ struct SubmitRequest {
   double stage_deadline_seconds = -1.0;  // per-stage budget; -1 = default
   std::string manifest;                  // manifest path, or:
   std::vector<SubmitEntry> entries;      // inline entries
-  int threads = -1;                      // fault-sim workers; -1 = default
+  int threads = -1;  // fault-sim workers; -1 = default, 0 = all cores
   std::string backend;                   // "" = service default
-  bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
-  bool no_trim = false;
   std::string checkpoint_dir;            // "" = no checkpointing
 };
 
@@ -47,8 +43,9 @@ struct SubmitRequest {
 std::string RequestOp(const Json& request);
 
 /// Parses a submit request. Returns false (with a diagnostic in `error`)
-/// on schema violations — unknown priority, entry without a source, both
-/// manifest and entries, ...
+/// on schema violations — unknown priority, a `threads` value outside
+/// -1 .. hardware_concurrency, entry without a source, both manifest and
+/// entries, ...
 bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
                         std::string* error);
 

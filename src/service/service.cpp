@@ -13,7 +13,6 @@
 #include "compact/report.h"
 #include "distrib/coordinator.h"
 #include "fault/backend.h"
-#include "fault/trim.h"
 #include "isa/assembler.h"
 #include "isa/binary.h"
 
@@ -88,10 +87,6 @@ JobSpec MakeJobSpec(const SubmitRequest& request) {
     if (!b) throw Error("bad backend " + request.backend);
     spec.backend = *b;
   }
-  spec.no_collapse = request.no_collapse;
-  spec.no_cone = request.no_cone;
-  spec.no_ffr = request.no_ffr;
-  spec.no_trim = request.no_trim;
   spec.checkpoint_dir = request.checkpoint_dir;
   spec.plan = BuildPlan(request);
   return spec;
@@ -103,8 +98,6 @@ CampaignService::CampaignService(ServiceOptions options)
       sp_(circuits::BuildSpCore()),
       sfu_(circuits::BuildSfu()),
       fp32_(circuits::BuildFp32()),
-      warm_cache_(std::make_shared<fault::WarmStartCache>(
-          options_.warm_cache_entries)),
       queue_(options_.admission) {
   preps_.du = compact::BuildModulePrep(du_);
   preps_.sp = compact::BuildModulePrep(sp_);
@@ -205,16 +198,11 @@ void CampaignService::RunJob(Job& job, int worker_index) {
     compact::CompactorOptions opt = options_.base;
     if (spec.threads >= 0) opt.num_threads = spec.threads;
     if (spec.backend) opt.backend = *spec.backend;
-    if (spec.no_collapse) opt.collapse_faults = false;
-    if (spec.no_cone) opt.cone_limit = false;
-    if (spec.no_ffr) opt.ffr_trace = false;
-    if (spec.no_trim) opt.trim = fault::NoTrim();
     opt.stage_deadline_seconds = spec.stage_deadline_seconds >= 0
                                      ? spec.stage_deadline_seconds
                                      : options_.stage_deadline_seconds;
     opt.cancel = &job.token;
     opt.result_store = store_ ? &*store_ : nullptr;
-    opt.warm_cache = warm_cache_;
 
     const bool distrib = !options_.distrib_dir.empty() && store_.has_value();
     if (distrib) {

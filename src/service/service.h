@@ -6,8 +6,7 @@
 //     equivalence plans, digests) — built once, shared read-only by every
 //     job's compactors;
 //   * one content-addressed ResultStore — concurrent campaigns with
-//     overlapping inputs hit each other's fault-sim results;
-//   * one WarmStartCache — content-keyed, so cross-tenant sharing is exact.
+//     overlapping inputs hit each other's fault-sim results.
 //
 // Jobs enter through an AdmissionQueue (bounded depth, per-tenant quotas,
 // priority classes) and run on a fixed worker pool. Each job streams
@@ -59,8 +58,6 @@ struct ServiceOptions {
   /// Content-addressed result store shared by all jobs; empty = no cache.
   std::string cache_dir;
   std::uint64_t cache_limit_bytes = 0;
-  /// Entries kept by the shared warm-start cache.
-  std::size_t warm_cache_entries = 32;
   /// Distributed prefetch (src/distrib): when set — cache_dir must be set
   /// too — every job runs a Coordinator::Prefetch over this dir before its
   /// campaign, posting work units for external gpustl-worker processes.
@@ -72,8 +69,8 @@ struct ServiceOptions {
   std::string distrib_dir;
   /// Claim staleness horizon for the distrib dir.
   double distrib_stale_seconds = 30.0;
-  /// Baseline compactor knobs (threads, backend, toggles) that per-job
-  /// overrides start from.
+  /// Baseline compactor knobs (threads, backend) that per-job overrides
+  /// start from.
   compact::CompactorOptions base;
 };
 
@@ -95,10 +92,6 @@ struct JobSpec {
   std::vector<compact::PlanEntry> plan;
   int threads = -1;
   std::optional<fault::Backend> backend;
-  bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
-  bool no_trim = false;
   std::string checkpoint_dir;
 };
 
@@ -192,7 +185,6 @@ class CampaignService {
 
   // Shared mutable campaign state (each thread-safe on its own).
   std::optional<store::ResultStore> store_;
-  std::shared_ptr<fault::WarmStartCache> warm_cache_;
 
   AdmissionQueue queue_;
   std::vector<std::thread> workers_;

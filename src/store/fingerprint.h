@@ -2,11 +2,10 @@
 //
 // A fault-simulation run is a pure function of (module topology, applied
 // pattern sequence, fault list, cross-PTP skip mask, fault model, dropping
-// mode). Everything else in FaultSimOptions — thread count, structural
-// collapsing, cone pruning — is bit-identical by construction (the PR 1/2
-// engines guarantee it), so it is deliberately EXCLUDED from the key:
-// a result computed with 8 threads and collapsing serves a serial
-// no-collapse run, and vice versa.
+// mode). Everything else in FaultSimOptions — thread count, backend — is
+// bit-identical by construction, so it is deliberately EXCLUDED from the
+// key: a result computed with 8 threads on avx2 serves a serial scalar run,
+// and vice versa.
 //
 // Each component is fingerprinted independently with a domain-tagged
 // Hasher128 and the component digests are combined into the final

@@ -44,41 +44,6 @@ run_cli(faultsim tiny.gptp --module DU --fault-model transition --threads 2)
 run_cli(compact tiny.gptp --module DU -o tiny.cptp.asm --report tiny)
 run_cli(disasm tiny.cptp.asm)
 
-# --no-ffr falls back to the per-class engine; the report is bit-identical,
-# so the printed summary must match the default run character for character.
-execute_process(COMMAND ${GPUSTLC} faultsim tiny.gptp --module DU
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_ffr ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim (ffr) failed (${rc}):\n${out_ffr}\n${err}")
-endif()
-execute_process(COMMAND ${GPUSTLC} faultsim tiny.gptp --module DU --no-ffr
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_noffr ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim --no-ffr failed (${rc}):\n${out_noffr}\n${err}")
-endif()
-if(NOT out_ffr STREQUAL out_noffr)
-  message(FATAL_ERROR "--no-ffr changed the faultsim summary:\n${out_ffr}\nvs\n${out_noffr}")
-endif()
-message(STATUS "gpustlc faultsim --no-ffr: OK (summary identical)")
-
-# GPUSTL_NO_FFR is the env spelling of the same switch.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env GPUSTL_NO_FFR=1
-                        ${GPUSTLC} faultsim tiny.gptp --module DU
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_env ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim (GPUSTL_NO_FFR=1) failed (${rc}):\n${out_env}\n${err}")
-endif()
-if(NOT out_ffr STREQUAL out_env)
-  message(FATAL_ERROR "GPUSTL_NO_FFR=1 changed the faultsim summary:\n${out_ffr}\nvs\n${out_env}")
-endif()
-message(STATUS "gpustlc faultsim GPUSTL_NO_FFR=1: OK (summary identical)")
-
-run_cli(faultsim tiny.gptp --module DU --no-ffr --threads 2)
-run_cli(compact tiny.gptp --module DU --no-ffr -o tiny.noffr.asm)
-
 # Backend selection: every backend produces a bit-identical report, so the
 # scalar and auto summaries must match once the (intentionally different)
 # "backend: <name>" observability line is stripped.
@@ -162,7 +127,6 @@ fpu.asm FP32 compact
 ")
 run_cli(campaign manifest.txt --state stl --threads 2)
 run_cli(campaign manifest.txt --state stl --threads 2)  # resumed second run
-run_cli(campaign manifest.txt --no-ffr --threads 2)
 
 # Like run_cli, but additionally requires `pattern` in the combined output.
 function(run_cli_match pattern)
@@ -210,97 +174,6 @@ endif()
 if(NOT EXISTS ${WORK}/ckpt/campaign.ckpt)
   message(FATAL_ERROR "missing checkpoint file ckpt/campaign.ckpt")
 endif()
-
-# Redundancy trimming: reports are bit-identical on and off, so the
-# faultsim summaries must match once the (intentionally different)
-# "trim: <mode>" observability line is stripped. The default-mode run
-# unsets GPUSTL_NO_TRIM explicitly: the no-trim CI leg exports it for the
-# whole suite, and this check is about the default, not the inherited env.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env --unset=GPUSTL_NO_TRIM
-                        ${GPUSTLC} faultsim tiny.gptp --module DU
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_trim ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim (trim) failed (${rc}):\n${out_trim}\n${err}")
-endif()
-if(NOT out_trim MATCHES "trim: dedup\\+early-exit\\+warm-start")
-  message(FATAL_ERROR "default faultsim summary does not report the trim mode:\n${out_trim}")
-endif()
-execute_process(COMMAND ${GPUSTLC} faultsim tiny.gptp --module DU --no-trim
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_notrim ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim --no-trim failed (${rc}):\n${out_notrim}\n${err}")
-endif()
-if(NOT out_notrim MATCHES "trim: off")
-  message(FATAL_ERROR "--no-trim summary does not report trim: off:\n${out_notrim}")
-endif()
-string(REGEX REPLACE " *trim: [^\n]*\n" "" stripped_trim "${out_trim}")
-string(REGEX REPLACE " *trim: [^\n]*\n" "" stripped_notrim "${out_notrim}")
-if(NOT stripped_trim STREQUAL stripped_notrim)
-  message(FATAL_ERROR "--no-trim changed the faultsim report:\n${out_trim}\nvs\n${out_notrim}")
-endif()
-message(STATUS "gpustlc faultsim --no-trim: OK (report identical)")
-
-# GPUSTL_NO_TRIM is the env spelling of the same switch; "0" means unset.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env GPUSTL_NO_TRIM=1
-                        ${GPUSTLC} faultsim tiny.gptp --module DU
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_tenv ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim (GPUSTL_NO_TRIM=1) failed (${rc}):\n${out_tenv}\n${err}")
-endif()
-if(NOT out_notrim STREQUAL out_tenv)
-  message(FATAL_ERROR "GPUSTL_NO_TRIM=1 differs from --no-trim:\n${out_notrim}\nvs\n${out_tenv}")
-endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E env GPUSTL_NO_TRIM=0
-                        ${GPUSTLC} faultsim tiny.gptp --module DU
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_tenv0 ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim (GPUSTL_NO_TRIM=0) failed (${rc}):\n${out_tenv0}\n${err}")
-endif()
-if(NOT out_trim STREQUAL out_tenv0)
-  message(FATAL_ERROR "GPUSTL_NO_TRIM=0 disabled trimming:\n${out_trim}\nvs\n${out_tenv0}")
-endif()
-message(STATUS "gpustlc faultsim GPUSTL_NO_TRIM: OK (env mirrors the flag)")
-
-# --no-trim composes with --backend (and the report stays identical).
-execute_process(COMMAND ${GPUSTLC} faultsim tiny.gptp --module DU --backend scalar --no-trim
-                WORKING_DIRECTORY ${WORK}
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out_snt ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gpustlc faultsim --backend scalar --no-trim failed (${rc}):\n${out_snt}\n${err}")
-endif()
-string(REGEX REPLACE " *trim: [^\n]*\n" "" stripped_snt "${out_snt}")
-string(REGEX REPLACE " *trim: [^\n]*\n" "" stripped_scalar_trim "${out_scalar}")
-if(NOT stripped_snt STREQUAL stripped_scalar_trim)
-  message(FATAL_ERROR "--backend scalar --no-trim changed the report:\n${out_scalar}\nvs\n${out_snt}")
-endif()
-run_cli(faultsim tiny.gptp --module DU --no-trim --threads 2)
-run_cli(faultsim tiny.gptp --module DU --no-trim --fault-model transition)
-run_cli(compact tiny.gptp --module DU --no-trim -o tiny.notrim.asm)
-message(STATUS "gpustlc faultsim --no-trim composition: OK")
-
-# Campaign: the deterministic report excludes the trim observability
-# fields entirely, so trimmed and untrimmed campaigns write identical
-# bytes; --no-trim also composes with --resume (the restored run must
-# reproduce the trimmed run's report).
-run_cli(campaign manifest.txt --report rt1.txt --threads 2)
-run_cli(campaign manifest.txt --no-trim --report rt2.txt --threads 2)
-file(READ ${WORK}/rt1.txt report_trim)
-file(READ ${WORK}/rt2.txt report_notrim)
-if(NOT report_trim STREQUAL report_notrim)
-  message(FATAL_ERROR "--no-trim changed the campaign report")
-endif()
-run_cli(campaign manifest.txt --resume ckpt2 --report rt3.txt --threads 2)
-run_cli_match("resumed 3/3 entries" campaign manifest.txt --no-trim --resume ckpt2 --report rt4.txt --threads 2)
-file(READ ${WORK}/rt3.txt report_ckpt_trim)
-file(READ ${WORK}/rt4.txt report_ckpt_notrim)
-if(NOT report_ckpt_trim STREQUAL report_ckpt_notrim)
-  message(FATAL_ERROR "--no-trim --resume changed the campaign report")
-endif()
-message(STATUS "gpustlc campaign --no-trim: OK (report identical, resume composes)")
 
 foreach(artifact tiny.gptp tiny.trace.txt tiny.vcde tiny.vcd tiny.cptp.asm tiny.labels.txt tiny.report.txt)
   if(NOT EXISTS ${WORK}/${artifact})

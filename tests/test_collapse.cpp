@@ -1,10 +1,10 @@
-// Property and differential tests for structural fault collapsing and the
-// cone-aware engine paths: on randomized netlists, the collapsed engine
-// (one propagated representative per equivalence class), the output-cone
-// restricted engine and every combination must reproduce the plain engine
-// bit-for-bit — first_detect, detected_mask and both per-pattern
-// histograms — across drop/no-drop, skip masks, thread counts and both
-// fault-list flavours. Plus structural checks on the class partition, the
+// Property and conformance tests for structural fault collapsing: on
+// randomized netlists, the collapsed, cone-limited engine (one propagated
+// representative per equivalence class) must reproduce the independent
+// reference simulator (reference_sim.h) — first_detect, detected_mask and
+// the per-pattern histogram — across drop/no-drop, skip masks that split
+// classes, every backend, thread counts 1 and 4 and both fault-list
+// flavours. Plus structural checks on the class partition, the
 // primary-output stem exclusion the legacy list-level collapser misses,
 // and a known-answer AND-gate class/dominance count.
 //
@@ -20,190 +20,99 @@
 #include "fault/fault.h"
 #include "fault/faultsim.h"
 #include "fault/transition.h"
+#include "fault_test_util.h"
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
+#include "reference_sim.h"
 
 namespace gpustl::fault {
 namespace {
 
+using conformance::ExpectEnginesMatchReference;
+using conformance::RandomNetlist;
+using conformance::RandomPatterns;
+using conformance::RandomSkip;
 using netlist::CellType;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::PatternSet;
+using reference::Model;
 
-Netlist RandomNetlist(Rng& rng, int num_inputs, int num_gates) {
-  static constexpr CellType kTypes[] = {
-      CellType::kBuf,   CellType::kInv,   CellType::kAnd2,  CellType::kAnd3,
-      CellType::kAnd4,  CellType::kOr2,   CellType::kOr3,   CellType::kOr4,
-      CellType::kNand2, CellType::kNand3, CellType::kNand4, CellType::kNor2,
-      CellType::kNor3,  CellType::kNor4,  CellType::kXor2,  CellType::kXnor2,
-      CellType::kMux2,  CellType::kAoi21, CellType::kAoi22, CellType::kOai21,
-      CellType::kOai22, CellType::kConst0, CellType::kConst1};
+// --- Conformance with the reference: collapsing is exact ---
 
-  Netlist nl("rand");
-  std::vector<NetId> nets;
-  for (int i = 0; i < num_inputs; ++i) {
-    nets.push_back(nl.AddInput("i" + std::to_string(i)));
-  }
-  for (int g = 0; g < num_gates; ++g) {
-    const CellType type = kTypes[rng.below(std::size(kTypes))];
-    std::vector<NetId> fanin(netlist::CellFaninCount(type));
-    for (NetId& f : fanin) f = nets[rng.below(nets.size())];
-    nets.push_back(nl.AddGate(type, fanin));
-  }
-  int out = 0;
-  nl.MarkOutput(nets[nets.size() - 1], "o" + std::to_string(out++));
-  nl.MarkOutput(nets[nets.size() - 2], "o" + std::to_string(out++));
-  for (int k = 0; k < 3; ++k) {
-    nl.MarkOutput(nets[num_inputs + rng.below(num_gates)],
-                  "o" + std::to_string(out++));
-  }
-  nl.Freeze();
-  return nl;
-}
-
-PatternSet RandomPatterns(Rng& rng, int width, int count) {
-  PatternSet pats(width);
-  const std::uint64_t mask = width >= 64 ? ~0ull : ((1ull << width) - 1);
-  for (int p = 0; p < count; ++p) {
-    pats.Add64(static_cast<std::uint64_t>(p), rng() & mask);
-  }
-  return pats;
-}
-
-BitVec RandomSkip(Rng& rng, std::size_t n, double p) {
-  BitVec skip(n, false);
-  for (std::size_t i = 0; i < n; ++i) skip.Set(i, rng.chance(p));
-  return skip;
-}
-
-void ExpectIdentical(const FaultSimResult& want, const FaultSimResult& got,
-                     const char* what) {
-  EXPECT_EQ(want.first_detect, got.first_detect) << what;
-  EXPECT_EQ(want.detects_per_pattern, got.detects_per_pattern) << what;
-  EXPECT_EQ(want.num_detected, got.num_detected) << what;
-  EXPECT_TRUE(want.detected_mask == got.detected_mask) << what;
-}
-
-// --- Engine differentials: collapse/cone are exact ---
-
-TEST(FaultCollapse, CollapsedEngineMatchesPlainEngine) {
+TEST(FaultCollapse, CollapsedEngineMatchesReference) {
   Rng rng(0xC0113);
   for (int round = 0; round < 5; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(12));
     const Netlist nl =
         RandomNetlist(rng, inputs, 20 + static_cast<int>(rng.below(120)));
-    const int npat = 1 + static_cast<int>(rng.below(200));
-    const PatternSet pats = RandomPatterns(rng, inputs, npat);
-
-    // Both fault-list flavours: the full universe (uncollapsed sites,
-    // exercising single-member-heavy partitions) and the legacy collapsed
-    // list the compactor feeds the engine.
+    const PatternSet pats =
+        RandomPatterns(rng, inputs, 1 + static_cast<int>(rng.below(200)));
+    // Both fault-list flavours: the full universe (every stem/branch and
+    // pin/output pair present, so classes have many members) and the
+    // legacy collapsed list the compactor feeds the engine.
     for (const auto& faults : {EnumerateFaults(nl), CollapsedFaultList(nl)}) {
       for (const bool drop : {true, false}) {
-        const auto plain = RunFaultSim(nl, pats, faults, nullptr,
-                                       {.drop_detected = drop,
-                                        .num_threads = 1,
-                                        .collapse = false,
-                                        .cone_limit = false});
-        for (const bool collapse : {false, true}) {
-          for (const bool cone : {false, true}) {
-            if (!collapse && !cone) continue;
-            const auto optimized = RunFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = collapse,
-                                                .cone_limit = cone});
-            ExpectIdentical(plain, optimized,
-                            collapse ? (cone ? "collapse+cone" : "collapse")
-                                     : "cone");
-          }
-        }
+        ExpectEnginesMatchReference(Model::kStuckAt, nl, pats, faults,
+                                    nullptr, {.drop_detected = drop},
+                                    "round " + std::to_string(round));
       }
     }
   }
 }
 
-TEST(FaultCollapse, SkipMasksDropAndThreads) {
+TEST(FaultCollapse, PartiallySkippedClasses) {
+  // A skip mask removes members from a class: a skipped member must not
+  // surface even though its classmates are simulated, and a surviving
+  // member must still see its own first detection. Includes the
+  // degenerate all-skipped mask.
   Rng rng(0x5111);
   for (int round = 0; round < 3; ++round) {
     const int inputs = 6 + static_cast<int>(rng.below(8));
     const Netlist nl =
         RandomNetlist(rng, inputs, 30 + static_cast<int>(rng.below(80)));
-    const auto faults = CollapsedFaultList(nl);
+    const auto faults = EnumerateFaults(nl);
     const PatternSet pats =
         RandomPatterns(rng, inputs, 40 + static_cast<int>(rng.below(120)));
-    // Includes the degenerate all-skipped mask and partially skipped
-    // equivalence classes (a skipped member must not surface even though
-    // its classmates are simulated).
     for (const double density : {0.1, 0.5, 1.0}) {
       const BitVec skip = RandomSkip(rng, faults.size(), density);
       for (const bool drop : {true, false}) {
-        const auto plain = RunFaultSim(nl, pats, faults, &skip,
-                                       {.drop_detected = drop,
-                                        .num_threads = 1,
-                                        .collapse = false,
-                                        .cone_limit = false});
-        for (const int threads : {1, 4}) {
-          const auto optimized = RunFaultSim(nl, pats, faults, &skip,
-                                             {.drop_detected = drop,
-                                              .num_threads = threads});
-          ExpectIdentical(plain, optimized, "skip mask");
-          for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-            if (skip.Get(fi)) {
-              EXPECT_EQ(optimized.first_detect[fi],
-                        FaultSimResult::kNotDetected);
-              EXPECT_FALSE(optimized.detected_mask.Get(fi));
-            }
-          }
-        }
+        ExpectEnginesMatchReference(Model::kStuckAt, nl, pats, faults, &skip,
+                                    {.drop_detected = drop},
+                                    "skip " + std::to_string(density));
       }
     }
   }
 }
 
-TEST(FaultCollapse, PrecomputedPlanMatchesPerRunPlan) {
+TEST(FaultCollapse, PrecomputedPlanMatchesReference) {
   // The campaign driver caches one FaultCollapse per module and passes it
-  // to every run; the cached path must match the build-per-run path.
+  // to every run; the cached path must match the reference like the
+  // build-per-run path does.
   Rng rng(0xCAC4E);
   const Netlist nl = RandomNetlist(rng, 8, 90);
   const auto faults = CollapsedFaultList(nl);
   const PatternSet pats = RandomPatterns(rng, 8, 100);
   const FaultCollapse plan = BuildFaultCollapse(nl, faults);
-
-  const auto per_run = RunFaultSim(nl, pats, faults);
-  const auto cached = RunFaultSim(nl, pats, faults, nullptr,
-                                  {.drop_detected = true,
-                                   .num_threads = 1,
-                                   .collapse = true,
-                                   .cone_limit = true,
-                                   .collapse_plan = &plan});
-  ExpectIdentical(per_run, cached, "cached plan");
+  ExpectEnginesMatchReference(Model::kStuckAt, nl, pats, faults, nullptr,
+                              {.collapse_plan = &plan}, "cached plan");
 }
 
-TEST(FaultCollapse, TransitionConeMatchesPlain) {
-  // The transition engine takes the cone/bucket-queue paths (collapse is
-  // ignored there); cone off/on must agree bit-for-bit too.
+TEST(FaultCollapse, TransitionMatchesReference) {
+  // The transition engine does not collapse (the launch condition is
+  // per-fault history) but shares the cone-limited propagation.
   Rng rng(0x7C0E);
   for (int round = 0; round < 3; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(10));
     const Netlist nl =
         RandomNetlist(rng, inputs, 25 + static_cast<int>(rng.below(100)));
-    const auto faults = TransitionFaultList(nl);
+    const auto faults = EnumerateFaults(nl);
     const PatternSet pats =
         RandomPatterns(rng, inputs, 70 + static_cast<int>(rng.below(100)));
     for (const bool drop : {true, false}) {
-      const auto plain = RunTransitionFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = false,
-                                                .cone_limit = false});
-      const auto coned = RunTransitionFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = true,
-                                                .cone_limit = true});
-      ExpectIdentical(plain, coned, "transition cone");
+      ExpectEnginesMatchReference(Model::kTransition, nl, pats, faults,
+                                  nullptr, {.drop_detected = drop},
+                                  "transition round " + std::to_string(round));
     }
   }
 }
@@ -247,17 +156,6 @@ TEST(FaultCollapse, CsrPartitionIsValid) {
     EXPECT_EQ(stats.num_classes, fc.num_classes());
     EXPECT_LE(stats.num_classes, stats.num_faults);
   }
-}
-
-TEST(FaultCollapse, IdentityCollapseIsTrivial) {
-  const FaultCollapse id = IdentityCollapse(5);
-  EXPECT_EQ(id.num_classes(), 5u);
-  for (std::size_t c = 0; c < 5; ++c) {
-    ASSERT_EQ(id.class_members(c).size(), 1u);
-    EXPECT_EQ(id.leader(c), c);
-  }
-  EXPECT_EQ(id.Stats().reduction_percent(), 0.0);
-  EXPECT_EQ(IdentityCollapse(0).num_classes(), 0u);
 }
 
 // --- The stem/branch rules ---

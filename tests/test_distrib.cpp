@@ -111,9 +111,8 @@ std::string RunCampaign(const std::vector<compact::PlanEntry>& plan,
 // --- Skip-mask replay -------------------------------------------------------
 
 /// 200 patterns over the module's full input width: 128 random ones, then
-/// the first 72 again — so 64-pattern block 2 repeats block 0 and the trim
-/// layer's dedup replay runs — leaving a ragged tail for the 64-, 256- and
-/// 512-pattern words alike.
+/// the first 72 again — so 64-pattern block 2 repeats block 0 — leaving a
+/// ragged tail for the 64-, 256- and 512-pattern words alike.
 netlist::PatternSet TiledRandomPatterns(Rng& rng, std::size_t width) {
   constexpr std::size_t count = 200;
   netlist::PatternSet pats(static_cast<int>(width));

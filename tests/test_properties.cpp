@@ -1,7 +1,9 @@
 // Cross-validation property tests (parameterized sweeps over seeds):
 //
-//  * random netlists: the PPSFP fault simulator is checked fault-by-fault,
-//    pattern-by-pattern against a brute-force faulty-circuit evaluator;
+//  * random netlists: the PPSFP fault simulator, and the reference
+//    simulator the conformance suites use as their oracle
+//    (reference_sim.h), are checked fault-by-fault, pattern-by-pattern
+//    against a brute-force faulty-circuit evaluator;
 //  * PODEM patterns on random netlists are confirmed by the fault sim;
 //  * random programs: the GPU model's architectural results are invariant
 //    under the SP-core count (timing-only knob) and bit-identical across
@@ -22,6 +24,7 @@
 #include "isa/cfg.h"
 #include "isa/disasm.h"
 #include "netlist/logicsim.h"
+#include "reference_sim.h"
 #include "stl/generators.h"
 
 namespace gpustl {
@@ -157,6 +160,53 @@ TEST_P(RandomCircuits, PerPatternCountsMatchBruteForce) {
       expect += ref.Detects(f, pi_rows[p]) ? 1 : 0;
     }
     EXPECT_EQ(res.detects_per_pattern[p], expect) << "pattern " << p;
+  }
+}
+
+TEST_P(RandomCircuits, ReferenceMatchesBruteForce) {
+  // The conformance suites' oracle against this file's: every detection of
+  // every fault, stuck-at and transition, over patterns spanning blocks.
+  Rng rng(GetParam() + 3000);
+  const Netlist nl = RandomNetlist(rng, 6, 30, 4);
+  const auto faults = fault::EnumerateFaults(nl);
+
+  PatternSet pats(6);
+  std::vector<std::vector<bool>> pi_rows;
+  for (int p = 0; p < 100; ++p) {
+    const std::uint64_t bits = rng() & 0x3F;
+    pats.Add64(static_cast<std::uint64_t>(p), bits);
+    std::vector<bool> row(6);
+    for (int i = 0; i < 6; ++i) row[i] = (bits >> i) & 1;
+    pi_rows.push_back(std::move(row));
+  }
+
+  const BruteForce good{nl, nullptr};
+  for (const auto model :
+       {reference::Model::kStuckAt, reference::Model::kTransition}) {
+    const auto res =
+        reference::Simulate(model, nl, pats, faults, nullptr, false);
+    std::vector<std::uint32_t> counts(pi_rows.size(), 0);
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      const fault::Fault& f = faults[fi];
+      const NetId site = f.pin == fault::Fault::kOutputPin
+                             ? f.gate
+                             : nl.gate(f.gate).fanin[f.pin];
+      std::uint32_t first = fault::FaultSimResult::kNotDetected;
+      for (std::size_t p = 0; p < pi_rows.size(); ++p) {
+        bool hit = good.Detects(f, pi_rows[p]);
+        if (model == reference::Model::kTransition) {
+          hit = hit && p > 0 && good.Eval(site, pi_rows[p - 1]) == f.sa1;
+        }
+        if (!hit) continue;
+        ++counts[p];
+        if (first == fault::FaultSimResult::kNotDetected) {
+          first = static_cast<std::uint32_t>(p);
+        }
+      }
+      EXPECT_EQ(res.first_detect[fi], first)
+          << fault::FaultName(nl, f) << " seed " << GetParam();
+    }
+    EXPECT_EQ(res.detects_per_pattern, counts) << "seed " << GetParam();
   }
 }
 

@@ -8,6 +8,7 @@
 // threads contend on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -117,11 +118,11 @@ TEST(ProtocolTest, ParseSubmitRequestValidatesSchema) {
 
   EXPECT_TRUE(parse("{\"op\":\"submit\",\"manifest\":\"m.txt\","
                     "\"tenant\":\"t1\",\"priority\":\"high\","
-                    "\"deadline\":9,\"threads\":2}"));
+                    "\"deadline\":9,\"threads\":1}"));
   EXPECT_EQ(req.tenant, "t1");
   EXPECT_EQ(req.priority, "high");
   EXPECT_EQ(req.deadline_seconds, 9.0);
-  EXPECT_EQ(req.threads, 2);
+  EXPECT_EQ(req.threads, 1);
 
   EXPECT_TRUE(parse("{\"op\":\"submit\",\"entries\":[{\"asm\":\".entry x\","
                     "\"module\":\"DU\",\"mode\":\"carry\"}]}"));
@@ -136,6 +137,39 @@ TEST(ProtocolTest, ParseSubmitRequestValidatesSchema) {
   EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"module\":\"DU\"}]}"));
   EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\","
                      "\"path\":\"y\",\"module\":\"DU\"}]}"));
+}
+
+TEST(ProtocolTest, SubmitThreadsAreBoundedByTheHost) {
+  // Each fault-sim thread is an OS thread: a peer must not be able to make
+  // one job start thousands of them. Out-of-range values fail the parse,
+  // so no job is ever built from them.
+  const int max_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const auto parse = [](const std::string& threads, SubmitRequest* req,
+                        std::string* error) {
+    const auto j = Json::Parse("{\"op\":\"submit\",\"manifest\":\"m\","
+                               "\"threads\":" + threads + "}");
+    EXPECT_TRUE(j.has_value()) << threads;
+    return ParseSubmitRequest(*j, req, error);
+  };
+
+  for (const int ok : {-1, 0, 1, max_threads}) {
+    SubmitRequest req;
+    std::string error;
+    EXPECT_TRUE(parse(std::to_string(ok), &req, &error)) << ok << error;
+    EXPECT_EQ(req.threads, ok);
+  }
+  for (const std::string& bad :
+       {std::string("100000"), std::string("1099511627776"),  // 2^40
+        std::to_string(max_threads + 1), std::string("-2"),
+        std::string("1e300")}) {
+    SubmitRequest req;
+    req.threads = 7;
+    std::string error;
+    EXPECT_FALSE(parse(bad, &req, &error)) << bad;
+    EXPECT_NE(error.find("threads must be"), std::string::npos) << error;
+    EXPECT_EQ(req.threads, 7) << "a rejected request must not be filled";
+  }
 }
 
 // --- AdmissionQueue ----------------------------------------------------------

@@ -381,11 +381,9 @@ TEST(SimulateWithStoreTest, WarmRunIsBitIdenticalAndCounted) {
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().misses, 1u);
 
-  // Collapse/cone/threads toggles are bit-identical by engine contract, so
-  // they deliberately share the entry: all of these must hit.
+  // The thread count is bit-identical by engine contract, so it
+  // deliberately shares the entry: this must hit.
   fault::FaultSimOptions variants;
-  variants.collapse = false;
-  variants.cone_limit = false;
   variants.num_threads = 2;
   const FaultSimResult hit = SimulateWithStore(
       &store, nl, ps, faults, nullptr, variants, SimModel::kStuckAt);
@@ -393,35 +391,11 @@ TEST(SimulateWithStoreTest, WarmRunIsBitIdenticalAndCounted) {
   EXPECT_EQ(store.stats().hits, 2u);
 }
 
-TEST(SimulateWithStoreTest, FfrToggleSharesTheCacheEntry) {
-  // The FFR-clustered engine is bit-identical to the per-class engine, so
-  // ffr_trace must not enter the store key: a result computed with the
-  // default engine serves --no-ffr runs (and vice versa) from the cache.
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-
-  ResultStore store(ScratchDir("ffr_key"));
-  fault::FaultSimOptions with_ffr;
-  with_ffr.ffr_trace = true;
-  const FaultSimResult cold = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, with_ffr, SimModel::kStuckAt);
-  EXPECT_EQ(store.stats().misses, 1u);
-
-  fault::FaultSimOptions without_ffr;
-  without_ffr.ffr_trace = false;
-  const FaultSimResult warm = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, without_ffr, SimModel::kStuckAt);
-  ExpectSameResult(cold, warm);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-}
-
 TEST(SimulateWithStoreTest, BackendToggleSharesTheCacheEntry) {
   // Every engine backend is bit-identical by the conformance contract
   // (tests/test_backend.cpp), so the backend must not enter the store key:
-  // a result computed by the scalar oracle serves wide-backend runs (and
-  // vice versa) from the cache, exactly like the ffr/collapse toggles.
+  // a result computed by the scalar backend serves wide-backend runs (and
+  // vice versa) from the cache, exactly like the thread count.
   const Netlist nl = SmallNetlist();
   const PatternSet ps = SmallPatterns();
   const auto faults = fault::CollapsedFaultList(nl);
@@ -437,31 +411,6 @@ TEST(SimulateWithStoreTest, BackendToggleSharesTheCacheEntry) {
   wide.backend = fault::Backend::kWide;
   const FaultSimResult warm = SimulateWithStore(
       &store, nl, ps, faults, nullptr, wide, SimModel::kStuckAt);
-  ExpectSameResult(cold, warm);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-}
-
-TEST(SimulateWithStoreTest, TrimToggleSharesTheCacheEntry) {
-  // Redundancy trimming is exact (tests/test_trim.cpp), so, like the
-  // backend, none of its toggles may enter the store key: an untrimmed
-  // run's entry serves trimmed runs (and vice versa) from the cache.
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-
-  ResultStore store(ScratchDir("trim_key"));
-  fault::FaultSimOptions untrimmed;
-  untrimmed.trim = fault::NoTrim();
-  const FaultSimResult cold = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, untrimmed, SimModel::kStuckAt);
-  EXPECT_EQ(store.stats().misses, 1u);
-
-  fault::WarmStartCache warm_cache;
-  fault::FaultSimOptions trimmed;  // trim defaults: everything on
-  trimmed.warm_cache = &warm_cache;
-  const FaultSimResult warm = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, trimmed, SimModel::kStuckAt);
   ExpectSameResult(cold, warm);
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().misses, 1u);

@@ -72,7 +72,6 @@ int Usage() {
       "  --backend B            fault-sim backend for this job\n"
       "  --checkpoint <dir>     checkpoint after every PTP; resume from a\n"
       "                         matching checkpoint in <dir>\n"
-      "  --no-collapse / --no-cone / --no-ffr / --no-trim\n"
       "  --report <file>        write the campaign report text\n"
       "  --json                 print raw event lines instead of summaries\n"
       "\n"
@@ -148,10 +147,6 @@ struct SubmitArgs {
   double deadline = -1.0;
   double stage_deadline = -1.0;
   int threads = -1;
-  bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
-  bool no_trim = false;
   bool raw_json = false;
 };
 
@@ -168,10 +163,6 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
   if (args.stage_deadline >= 0) req.Set("stage_deadline", args.stage_deadline);
   if (args.threads >= 0) req.Set("threads", args.threads);
   if (!args.backend.empty()) req.Set("backend", args.backend);
-  if (args.no_collapse) req.Set("no_collapse", true);
-  if (args.no_cone) req.Set("no_cone", true);
-  if (args.no_ffr) req.Set("no_ffr", true);
-  if (args.no_trim) req.Set("no_trim", true);
   if (!args.checkpoint_dir.empty()) {
     req.Set("checkpoint_dir",
             std::filesystem::absolute(args.checkpoint_dir).string());
@@ -352,10 +343,6 @@ int Main(int argc, char** argv) {
     else if (arg == "--backend") submit.backend = next();
     else if (arg == "--checkpoint") submit.checkpoint_dir = next();
     else if (arg == "--report") submit.report_path = next();
-    else if (arg == "--no-collapse") submit.no_collapse = true;
-    else if (arg == "--no-cone") submit.no_cone = true;
-    else if (arg == "--no-ffr") submit.no_ffr = true;
-    else if (arg == "--no-trim") submit.no_trim = true;
     else if (arg == "--json") submit.raw_json = true;
     else if (!arg.empty() && arg[0] == '-') Die("unknown flag " + arg);
     else if (command.empty()) command = arg;

@@ -104,25 +104,12 @@ int Usage() {
       "with N workers (0 = all cores, default 1 = serial). Reports are\n"
       "bit-identical for every N.\n"
       "\n"
-      "faultsim/compact/campaign also accept --no-collapse (simulate every\n"
-      "fault instead of one representative per structural equivalence\n"
-      "class), --no-cone (disable output-cone pruning) and --no-ffr (or\n"
-      "GPUSTL_NO_FFR=1: fall back from FFR-clustered critical-path tracing\n"
-      "to one propagation per fault class). All three only trade speed;\n"
-      "reports are bit-identical either way.\n"
-      "\n"
       "faultsim/compact/campaign accept --backend B (or GPUSTL_BACKEND):\n"
       "selects the fault-simulation engine backend. B is one of auto\n"
-      "(default: runtime CPU dispatch), scalar (the 64-pattern oracle),\n"
+      "(default: runtime CPU dispatch), scalar (64-pattern words),\n"
       "wide (portable 256-bit bundles), avx2 or avx512. An explicit\n"
       "backend the CPU or binary lacks is an input error — never a\n"
       "silent fallback. Reports are bit-identical for every backend.\n"
-      "\n"
-      "faultsim/compact/campaign accept --no-trim (or GPUSTL_NO_TRIM=1):\n"
-      "disables execution-redundancy trimming in the fault simulators\n"
-      "(pattern-block dedup, per-fault early-exit, cross-PTP warm-start).\n"
-      "Trimming is exact: reports are bit-identical on and off, so the\n"
-      "flag only trades speed (mainly for A/B measurement).\n"
       "\n"
       "caching: --cache-dir <dir> (or GPUSTL_CACHE_DIR) enables the\n"
       "content-addressed result store: fault simulations whose inputs are\n"
@@ -152,12 +139,6 @@ int Usage() {
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustlc: %s\n", msg.c_str());
   std::exit(1);
-}
-
-/// Boolean env toggle: set and neither empty nor "0".
-bool EnvTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::string(v) != "0";
 }
 
 std::string ReadFile(const std::string& path) {
@@ -222,13 +203,6 @@ struct Args {
   int threads = 1;
   bool reverse = false;
   bool no_drop = false;
-  bool no_collapse = false;
-  bool no_cone = false;
-  // GPUSTL_NO_FFR mirrors the flag for wrappers that cannot edit argv
-  // (same precedent as GPUSTL_CACHE_DIR); "0"/empty mean unset.
-  bool no_ffr = EnvTruthy("GPUSTL_NO_FFR");
-  // GPUSTL_NO_TRIM: same contract for the redundancy-trimming layer.
-  bool no_trim = EnvTruthy("GPUSTL_NO_TRIM");
   // kAuto defers to ResolveBackend, which honours $GPUSTL_BACKEND — the
   // flag takes precedence by selecting a concrete backend here.
   fault::Backend backend = fault::Backend::kAuto;
@@ -252,10 +226,6 @@ struct Args {
       else if (arg == "--fault-model") fault_model = next();
       else if (arg == "--state") state = next();
       else if (arg == "--no-drop") no_drop = true;
-      else if (arg == "--no-collapse") no_collapse = true;
-      else if (arg == "--no-cone") no_cone = true;
-      else if (arg == "--no-ffr") no_ffr = true;
-      else if (arg == "--no-trim") no_trim = true;
       else if (arg == "--backend") {
         const auto b = fault::ParseBackend(next());
         if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
@@ -306,10 +276,6 @@ struct Args {
         positional.push_back(arg);
       }
     }
-  }
-
-  fault::TrimOptions Trim() const {
-    return no_trim ? fault::NoTrim() : fault::TrimOptions{};
   }
 
   trace::TargetModule RequireModule() const {
@@ -452,12 +418,8 @@ int CmdFaultsim(const Args& args) {
   const fault::FaultSimOptions sim_options{
       .drop_detected = !args.no_drop,
       .num_threads = args.threads,
-      .collapse = !args.no_collapse,
-      .cone_limit = !args.no_cone,
-      .ffr_trace = !args.no_ffr,
       .backend = args.backend,
-      .cancel = args.deadline > 0 ? &deadline_token : nullptr,
-      .trim = args.Trim()};
+      .cancel = args.deadline > 0 ? &deadline_token : nullptr};
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
   const store::SimModel model = args.fault_model == "transition"
                                     ? store::SimModel::kTransition
@@ -470,7 +432,7 @@ int CmdFaultsim(const Args& args) {
               prog.name().c_str(), nl.name().c_str(), patterns.size(),
               report.num_detected, faults.size(),
               fault::CoveragePercent(report.num_detected, faults.size()));
-  if (!args.no_collapse && args.fault_model != "transition") {
+  if (args.fault_model != "transition") {
     const auto stats = fault::BuildFaultCollapse(nl, faults).Stats();
     std::printf("  collapsed: %zu classes for %zu faults (-%.1f%%), "
                 "%zu dominance edges\n",
@@ -482,7 +444,6 @@ int CmdFaultsim(const Args& args) {
   std::printf("  %zu patterns contribute detections\n", detecting);
   std::printf("  backend: %s\n",
               fault::BackendName(fault::ResolveBackend(args.backend)).data());
-  std::printf("  trim: %s\n", fault::TrimModeName(args.Trim()).c_str());
   if (cache) PrintCacheStats(cache->stats());
   return 0;
 }
@@ -497,11 +458,7 @@ int CmdCompact(const Args& args) {
   options.reverse_patterns = args.reverse;
   options.drop_within_ptp = !args.no_drop;
   options.num_threads = args.threads;
-  options.collapse_faults = !args.no_collapse;
-  options.cone_limit = !args.no_cone;
-  options.ffr_trace = !args.no_ffr;
   options.backend = args.backend;
-  options.trim = args.Trim();
   options.stage_deadline_seconds = args.deadline;
   if (args.fault_model == "transition") {
     options.fault_model = compact::FaultModel::kTransition;
@@ -561,11 +518,7 @@ int CmdCampaign(const Args& args) {
   const netlist::Netlist fp32 = circuits::BuildFp32();
   compact::CompactorOptions base;
   base.num_threads = args.threads;
-  base.collapse_faults = !args.no_collapse;
-  base.cone_limit = !args.no_cone;
-  base.ffr_trace = !args.no_ffr;
   base.backend = args.backend;
-  base.trim = args.Trim();
   base.stage_deadline_seconds = args.deadline;
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
   base.result_store = cache.get();
@@ -720,12 +673,9 @@ int CmdCampaign(const Args& args) {
       summary.simulated_classes, summary.total_faults,
       summary.fault_collapse_percent());
   std::printf("backend: %s\n", summary.backend.c_str());
-  std::printf("trim: %s (%llu blocks replayed, %llu faults early-exited, "
-              "%llu warm hits)\n",
-              summary.trim.c_str(),
-              static_cast<unsigned long long>(summary.trim_blocks_replayed),
-              static_cast<unsigned long long>(summary.trim_faults_early_exited),
-              static_cast<unsigned long long>(summary.trim_warm_hits));
+  std::printf(
+      "early-exit: %llu faults\n",
+      static_cast<unsigned long long>(summary.trim_faults_early_exited));
   if (summary.cache_enabled) PrintCacheStats(summary.cache);
   if (summary.degraded_records > 0) {
     std::printf("campaign DEGRADED: %zu of %zu entries carried uncompacted "

@@ -2,7 +2,7 @@
 //
 // Accepts compaction campaign jobs over a local AF_UNIX socket speaking
 // newline-delimited JSON (docs/FORMATS.md), runs them on a worker pool
-// sharing one result store / warm-start cache / per-module fault prep,
+// sharing one result store and per-module fault prep,
 // admission-controls the queue (bounded depth, per-tenant quotas, priority
 // classes) and streams per-job lifecycle events back to each client.
 //
@@ -23,7 +23,6 @@
 #include "common/error.h"
 #include "common/strutil.h"
 #include "fault/backend.h"
-#include "fault/trim.h"
 #include "net/broker.h"
 #include "net/net.h"
 #include "net/tcp_server.h"
@@ -70,8 +69,6 @@ int Usage() {
       "  --threads N            fault-sim workers per job (default 1)\n"
       "  --backend B            fault-sim backend (auto, scalar, wide,\n"
       "                         avx2, avx512)\n"
-      "  --no-collapse / --no-cone / --no-ffr / --no-trim\n"
-      "                         engine toggles, as in gpustlc\n"
       "  --drain-cancel         on drain, cancel in-flight jobs instead of\n"
       "                         letting them finish\n"
       "  --chaos <spec>         deterministic failure injection (gpustlc\n"
@@ -150,10 +147,6 @@ struct Args {
         if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
         service.base.backend = *b;
       }
-      else if (arg == "--no-collapse") service.base.collapse_faults = false;
-      else if (arg == "--no-cone") service.base.cone_limit = false;
-      else if (arg == "--no-ffr") service.base.ffr_trace = false;
-      else if (arg == "--no-trim") service.base.trim = fault::NoTrim();
       else if (arg == "--drain-cancel") drain_cancel = true;
       else if (arg == "--chaos") chaos = next();
       else if (arg == "--chaos-seed")
