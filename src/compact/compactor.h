@@ -260,6 +260,13 @@ class Compactor {
   /// report.
   std::uint64_t faults_early_exited() const { return early_exited_->load(); }
 
+  /// Counts this compactor's early exits into `owner`'s counter from now
+  /// on: a sibling compactor of the same module (see StlCampaign) reports
+  /// its retired faults through the module's compactor.
+  void ShareEarlyExitCounter(const Compactor& owner) {
+    early_exited_ = owner.early_exited_;
+  }
+
  private:
   /// Stage 2: one logic simulation with monitors attached.
   struct TraceRun {

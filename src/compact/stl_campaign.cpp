@@ -111,11 +111,12 @@ const CampaignRecord& StlCampaign::Process(const StlEntry& entry) {
         // compactor with the adjusted options and transplant the persistent
         // fault-list state so inter-PTP dropping is preserved. On failure
         // the transplant back never happens — the module keeps its
-        // pre-entry state.
+        // pre-entry state. Its early exits count as the module's.
         CompactorOptions adjusted = base_;
         adjusted.reverse_patterns = entry.reverse_patterns;
         Compactor tmp(c.module(), entry.target, adjusted, c.prep());
         tmp.MutableDetected() = c.detected();
+        tmp.ShareEarlyExitCounter(c);
         rec.result = tmp.CompactPtp(entry.ptp);
         c.MutableDetected() = tmp.detected();
       } else {

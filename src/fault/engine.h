@@ -1,16 +1,19 @@
 // Internal engine-backend interface of the PPSFP fault simulators.
 //
 // RunFaultSim / RunTransitionFaultSim own everything backend-independent:
-// argument validation, collapse-plan and SimPlan construction, FFR class
-// grouping, the shared GoodBlockCache, the early-exit prepass and the final
-// cancellation check. The per-backend entry points below receive that
-// prepared state and run the (possibly sharded) pattern-block loop at their
-// own word width. Every backend must produce the FaultSimResult of the
-// independent reference simulator (tests/reference_sim.h) — the contract
-// tests/test_backend.cpp enforces (see fault/engine_wide.h for the one
-// cross-width seam, the transition launch carry).
+// argument validation, backend resolution, collapse-plan and SimPlan
+// construction, FFR class grouping, the good pass (one block-parallel
+// good-machine simulation that fills the run's GoodTable at the backend's
+// width and folds the early-exit tables) and the final cancellation check.
+// The per-backend entry points below receive that prepared state and run
+// the (possibly sharded) pattern-block loop at their own word width. Every
+// backend must produce the FaultSimResult of the independent reference
+// simulator (tests/reference_sim.h) — the contract tests/test_backend.cpp
+// enforces (see fault/engine_wide.h for the one cross-width seam, the
+// transition launch carry).
 //
-// Internal header — include from src/fault/*.cpp only.
+// Internal header — include from src/fault/*.cpp (and the good-pass suite,
+// tests/test_good_pass.cpp) only.
 #pragma once
 
 #include <atomic>
@@ -39,26 +42,39 @@ struct SimPlan {
 
 SimPlan BuildSimPlan(const FaultCollapse& collapse, const BitVec* skip);
 
-/// Early-exit tables (fault/trim.cpp). Per fault class (stuck-at, SimPlan
-/// class indexing) or per fault (transition, fault-list indexing): the
-/// last 64-pattern block that can activate it (a class: its leader); -1 =
-/// no block activates it. Detection is contained in activation pointwise,
-/// so a class past its last activating block detects nothing later and
-/// the engines compact it out of the live list. The prepasses read good
-/// blocks through `good_blocks` (shared with the engine run that follows,
-/// so nothing is evaluated twice) and throw DeadlineError on cancellation.
+/// Early-exit tables. Per fault class (stuck-at, SimPlan class indexing)
+/// or per fault (transition, fault-list indexing): the last 64-pattern
+/// block that can activate it (a class: its leader); -1 = no block
+/// activates it. Detection is contained in activation pointwise, so a class
+/// past its last activating block detects nothing later and the engines
+/// compact it out of the live list.
 using LastActivation = std::vector<std::int64_t>;
-LastActivation StuckAtLastActivation(const netlist::Netlist& nl,
-                                     const netlist::PatternSet& patterns,
-                                     const std::vector<Fault>& faults,
-                                     const SimPlan& plan,
-                                     GoodBlockCache& good_blocks,
-                                     const FaultSimOptions& options);
-LastActivation TransitionLastActivation(
-    const netlist::Netlist& nl, const netlist::PatternSet& patterns,
-    const std::vector<TransitionFault>& faults,
-    const std::vector<std::uint32_t>& live, GoodBlockCache& good_blocks,
-    const FaultSimOptions& options);
+
+/// What the good pass (fault/trim.cpp) hands the engines: the run's good
+/// values, read-only from here on, and its early-exit table.
+struct GoodPass {
+  GoodTable good;
+  LastActivation last_act;
+};
+
+/// The good pass of one run at `lanes` lanes per net (1 for the scalar
+/// engines, the backend's lane count for the wide ones). The wide blocks
+/// are split into ResolveNumThreads(options.num_threads, blocks) contiguous
+/// ranges; each worker simulates its range on its own BitSimulator, writes
+/// it into the table and folds it into private last-0/last-1 (stuck-at) or
+/// last-rise/last-fall (transition) tables, which merge by max after the
+/// join. Polls `options.cancel` per block and throws DeadlineError after
+/// the join — never returns a partial table. With one thread it runs
+/// inline on the calling thread.
+GoodPass StuckAtGoodPass(const netlist::Netlist& nl,
+                         const netlist::PatternSet& patterns,
+                         const std::vector<Fault>& faults, const SimPlan& plan,
+                         int lanes, const FaultSimOptions& options);
+GoodPass TransitionGoodPass(const netlist::Netlist& nl,
+                            const netlist::PatternSet& patterns,
+                            const std::vector<TransitionFault>& faults,
+                            const std::vector<std::uint32_t>& live, int lanes,
+                            const FaultSimOptions& options);
 
 /// Removes the entries of `live` (class or fault indices) whose last
 /// activating block precedes scalar block `block`, adding the retired
@@ -90,7 +106,7 @@ struct StuckAtRun {
   const std::vector<Fault>& faults;
   const SimPlan& plan;
   const FfrClassGroups& groups;
-  GoodBlockCache& good_blocks;
+  const GoodTable& good;
   const FaultSimOptions& options;
   const LastActivation& last_act;  // per class
 };
@@ -102,7 +118,7 @@ struct TransitionRun {
   const netlist::PatternSet& patterns;
   const std::vector<TransitionFault>& faults;
   const std::vector<std::uint32_t>& live;
-  GoodBlockCache& good_blocks;
+  const GoodTable& good;
   const FaultSimOptions& options;
   const LastActivation& last_act;  // per fault
 };

@@ -21,72 +21,43 @@
 // ShiftLeftOneCarry chains the carry through lane boundaries exactly like
 // the scalar engine chains it across blocks.
 //
+// Good values come straight from the run's GoodTable (fault/parallel.h),
+// which the good pass lays out at L lanes per net: a net's good bundle is
+// one load from the table, with no transpose, copy or lock per block.
+//
 // Internal header — include from the backend_*.cpp translation units only.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <cstring>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "fault/engine.h"
 #include "fault/wide.h"
 
 namespace gpustl::fault::internal {
 namespace {
 
-/// Shared good-machine bundles of one run: the SoA transpose of L
-/// consecutive GoodBlockCache blocks per net. Built lazily in block order
-/// and shared read-only by every shard, exactly like the base cache (the
-/// base stays authoritative — a transpose is cheap next to simulating the
-/// block, and reusing it keeps good-value computation in one place).
+/// The good bundles of one wide block of the run's GoodTable, which the
+/// good pass lays out at L contiguous, aligned lanes per net. Read through
+/// memcpy — the defined way to view the table's words as a Wide<L> — which
+/// compiles to one vector load per bundle.
 template <int L>
-class WideGoodCache {
- public:
-  struct Block {
-    int count = 0;  // patterns in this wide block (0 = past the end)
-    std::vector<Wide<L>> values;  // good bundle per net
-  };
+struct GoodBundles {
+  GoodBundles(const GoodTable& table, std::size_t wb)
+      : words(table.block(wb)) {}
 
-  explicit WideGoodCache(GoodBlockCache& base) : base_(base) {}
-
-  /// Wide block `index` (patterns [64*L*index, 64*L*index + count)).
-  /// Thread-safe with the same deque-never-moves-settled-elements contract
-  /// as GoodBlockCache::Get.
-  const Block& Get(std::size_t index) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    while (blocks_.size() <= index) {
-      Block wb;
-      const std::size_t sub0 = blocks_.size() * L;
-      const GoodBlockCache::Block* subs[L];
-      for (int k = 0; k < L; ++k) {
-        subs[k] = &base_.Get(sub0 + static_cast<std::size_t>(k));
-        wb.count += subs[k]->count;
-      }
-      if (wb.count > 0) {
-        // Blocks are sequential, so a non-empty wide block has a non-empty
-        // first sub-block; trailing empty sub-blocks leave zero lanes that
-        // ValidMask(count) excludes anyway.
-        const std::size_t nets = subs[0]->values.size();
-        wb.values.assign(nets, Wide<L>::Zeros());
-        for (int k = 0; k < L; ++k) {
-          if (subs[k]->count == 0) continue;
-          for (std::size_t net = 0; net < nets; ++net) {
-            wb.values[net].lane[k] = subs[k]->values[net];
-          }
-        }
-      }
-      blocks_.push_back(std::move(wb));
-    }
-    return blocks_[index];
+  Wide<L> operator[](netlist::NetId net) const {
+    Wide<L> w;
+    std::memcpy(w.lane, words + static_cast<std::size_t>(net) * L,
+                sizeof w.lane);
+    return w;
   }
 
- private:
-  std::mutex mu_;
-  GoodBlockCache& base_;
-  std::deque<Block> blocks_;
+  const std::uint64_t* words;
 };
 
 /// fault/scratch.h's PropagationScratch over Wide<L> values: copy-on-write
@@ -116,8 +87,7 @@ struct WidePropagationScratch {
     hi = 0;
   }
 
-  Wide<L> FaultyValue(const std::vector<Wide<L>>& good,
-                      netlist::NetId net) const {
+  Wide<L> FaultyValue(const GoodBundles<L>& good, netlist::NetId net) const {
     return touched_epoch[net] == epoch ? fval[net] : good[net];
   }
 
@@ -191,7 +161,6 @@ struct WideCounterPlanes {
 template <int L>
 void SimulateFfrShardWide(const StuckAtRun& run,
                           const std::vector<std::uint32_t>& shard_groups,
-                          WideGoodCache<L>& wide_blocks,
                           FaultSimResult& result) {
   using W = Wide<L>;
   using netlist::Gate;
@@ -231,10 +200,8 @@ void SimulateFfrShardWide(const StuckAtRun& run,
     if (work.empty()) break;
     if (run.options.cancel != nullptr && run.options.cancel->Expired()) return;
     const std::size_t wbi = base / (64 * L);
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wbi);
-    if (block.count == 0) break;
-    const W valid = W::ValidMask(block.count);
-    const std::vector<W>& good = block.values;
+    const W valid = W::ValidMask(run.good.count(wbi));
+    const GoodBundles<L> good(run.good, wbi);
 
     const auto process = [&](FfrWork& fw) {
       std::vector<std::uint32_t>& cls = fw.classes;
@@ -383,7 +350,6 @@ void SimulateFfrShardWide(const StuckAtRun& run,
 template <int L>
 void SimulateTransitionShardWide(const TransitionRun& run,
                                  std::vector<std::uint32_t> live,
-                                 WideGoodCache<L>& wide_blocks,
                                  FaultSimResult& result) {
   using W = Wide<L>;
   using netlist::Gate;
@@ -413,11 +379,9 @@ void SimulateTransitionShardWide(const TransitionRun& run,
               [](std::uint32_t) { return 1u; }, live);
     if (live.empty()) break;
 
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(wbi);
-    if (block.count == 0) break;
-    const int count = block.count;
+    const int count = run.good.count(wbi);
     const W valid = W::ValidMask(count);
-    const std::vector<W>& good = block.values;
+    const GoodBundles<L> good(run.good, wbi);
 
     std::size_t w = 0;
     for (std::size_t r = 0; r < live.size(); ++r) {
@@ -513,14 +477,14 @@ void SimulateTransitionShardWide(const TransitionRun& run,
 /// engines (fault/parallel.h), instantiated at L lanes.
 template <int L>
 FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
+  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
   FaultSimResult result =
       InitFaultSimResult(run.faults.size(), run.patterns.size());
-  WideGoodCache<L> wide_blocks(run.good_blocks);
   std::vector<std::uint32_t> live(run.groups.num_groups());
   std::iota(live.begin(), live.end(), 0u);
   const int threads = ResolveNumThreads(run.options.num_threads, live.size());
   if (threads <= 1) {
-    SimulateFfrShardWide<L>(run, live, wide_blocks, result);
+    SimulateFfrShardWide<L>(run, live, result);
     AbortIfCancelled(run.options);
     return result;
   }
@@ -529,7 +493,7 @@ FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateFfrShardWide<L>(run, shards[t], wide_blocks, partial[t]);
+    SimulateFfrShardWide<L>(run, shards[t], partial[t]);
   });
   AbortIfCancelled(run.options);
   MergeShardResults(partial, result);
@@ -538,13 +502,13 @@ FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
 
 template <int L>
 FaultSimResult RunTransitionWideT(const TransitionRun& run) {
+  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
   FaultSimResult result =
       InitFaultSimResult(run.faults.size(), run.patterns.size());
-  WideGoodCache<L> wide_blocks(run.good_blocks);
   const int threads =
       ResolveNumThreads(run.options.num_threads, run.live.size());
   if (threads <= 1) {
-    SimulateTransitionShardWide<L>(run, run.live, wide_blocks, result);
+    SimulateTransitionShardWide<L>(run, run.live, result);
     AbortIfCancelled(run.options);
     return result;
   }
@@ -553,8 +517,7 @@ FaultSimResult RunTransitionWideT(const TransitionRun& run) {
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateTransitionShardWide<L>(run, std::move(shards[t]), wide_blocks,
-                                   partial[t]);
+    SimulateTransitionShardWide<L>(run, std::move(shards[t]), partial[t]);
   });
   AbortIfCancelled(run.options);
   MergeShardResults(partial, result);

@@ -50,8 +50,8 @@ using internal::SimPlan;
 /// GroupClassesByFfr), accumulating into `result` (pre-sized by
 /// InitFaultSimResult). With every group in one shard this IS the serial
 /// engine; the parallel engine runs it once per shard with private scratch
-/// — only the good-machine blocks are shared, read-only, through
-/// `good_blocks`. Each class is simulated from its leader: the faulty
+/// — only the good-machine values are shared, read-only, through `good`
+/// (one lane per net). Each class is simulated from its leader: the faulty
 /// function is the same for every member by construction of the classes,
 /// so detections expand to the whole class and a class drops wholesale.
 /// Each region runs per 64-pattern block:
@@ -82,7 +82,7 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
                       const std::vector<Fault>& faults, const SimPlan& plan,
                       const FfrClassGroups& groups,
                       const std::vector<std::uint32_t>& shard_groups,
-                      GoodBlockCache& good_blocks,
+                      const GoodTable& good_table,
                       const FaultSimOptions& options,
                       const LastActivation& last_act,
                       FaultSimResult& result) {
@@ -119,11 +119,9 @@ void SimulateFfrShard(const Netlist& nl, const PatternSet& patterns,
     // discards the partial result by throwing after the join.
     if (options.cancel != nullptr && options.cancel->Expired()) return;
     const std::size_t bi = base / 64;
-    const GoodBlockCache::Block& block = good_blocks.Get(bi);
-    if (block.count == 0) break;
-    const std::uint64_t valid =
-        block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
-    const std::vector<std::uint64_t>& good = block.values;
+    const int count = good_table.count(bi);
+    const std::uint64_t valid = count >= 64 ? ~0ull : ((1ull << count) - 1);
+    const std::uint64_t* good = good_table.block(bi);
 
     const auto process = [&](FfrWork& fw) {
       std::vector<std::uint32_t>& cls = fw.classes;
@@ -307,17 +305,16 @@ FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
   const FfrClassGroups groups =
       GroupClassesByFfr(nl, faults, plan.offsets, plan.members);
 
-  // Good-machine blocks are simulated once and shared read-only by the
-  // early-exit prepass and every shard.
-  GoodBlockCache good_blocks(nl, patterns);
-  const LastActivation last_act = internal::StuckAtLastActivation(
-      nl, patterns, faults, plan, good_blocks, options);
+  // The good machine is simulated once, block-parallel, at the backend's
+  // width; every shard then reads the table without a lock.
+  const internal::GoodPass pass = internal::StuckAtGoodPass(
+      nl, patterns, faults, plan, BackendWordBits(backend) / 64, options);
 
   if (backend != Backend::kScalar) {
     // Wide backends own their pattern-block loop; everything prepared so
     // far is shared with them as-is.
-    const internal::StuckAtRun run{nl,     patterns,    faults,  plan,
-                                   groups, good_blocks, options, last_act};
+    const internal::StuckAtRun run{nl,     patterns,  faults,  plan,
+                                   groups, pass.good, options, pass.last_act};
     switch (backend) {
       case Backend::kWide:
         return internal::RunStuckAtWide(run);
@@ -340,8 +337,8 @@ FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
   std::iota(live.begin(), live.end(), 0u);
   const int threads = ResolveNumThreads(options.num_threads, live.size());
   if (threads <= 1) {
-    SimulateFfrShard(nl, patterns, faults, plan, groups, live, good_blocks,
-                     options, last_act, result);
+    SimulateFfrShard(nl, patterns, faults, plan, groups, live, pass.good,
+                     options, pass.last_act, result);
     AbortIfCancelled(options);
     return result;
   }
@@ -351,8 +348,8 @@ FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(faults.size(), patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateFfrShard(nl, patterns, faults, plan, groups, shards[t],
-                     good_blocks, options, last_act, partial[t]);
+    SimulateFfrShard(nl, patterns, faults, plan, groups, shards[t], pass.good,
+                     options, pass.last_act, partial[t]);
   });
   AbortIfCancelled(options);
   MergeShardResults(partial, result);

@@ -1,6 +1,8 @@
 #include "fault/parallel.h"
 
+#include <algorithm>
 #include <exception>
+#include <new>
 #include <string>
 #include <thread>
 
@@ -9,44 +11,49 @@
 
 namespace gpustl::fault {
 
-GoodBlockCache::GoodBlockCache(const netlist::Netlist& nl,
-                               const netlist::PatternSet& patterns)
-    : nl_(&nl), patterns_(&patterns) {
-  const std::size_t num_blocks = (patterns.size() + 63) / 64;
-  blocks_.resize(num_blocks);
-  if (num_blocks > 0) {
-    done_ = std::make_unique<std::atomic<char>[]>(num_blocks);
-    for (std::size_t i = 0; i < num_blocks; ++i) {
-      done_[i].store(0, std::memory_order_relaxed);
+namespace {
+constexpr std::align_val_t kTableAlign{64};
+}  // namespace
+
+void GoodTable::AlignedDelete::operator()(std::uint64_t* p) const {
+  ::operator delete[](p, kTableAlign);
+}
+
+GoodTable::GoodTable(std::size_t nets, std::size_t num_patterns, int lanes)
+    : nets_(nets),
+      num_patterns_(num_patterns),
+      lanes_(lanes),
+      num_blocks_((num_patterns + 64 * lanes - 1) / (64 * lanes)) {
+  GPUSTL_ASSERT(lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8,
+                "good table lane count must be 1, 2, 4 or 8");
+  const std::size_t block_words = nets_ * static_cast<std::size_t>(lanes);
+  if (num_blocks_ == 0 || block_words == 0) return;
+  // Left uninitialized: the good pass writes every word of every pattern
+  // block, each page first by the worker that owns it.
+  words_.reset(static_cast<std::uint64_t*>(::operator new[](
+      num_blocks_ * block_words * sizeof(std::uint64_t), kTableAlign)));
+  // Zero the last wide block's lanes past the final pattern block.
+  const std::size_t used =
+      (num_patterns + 63) / 64 - (num_blocks_ - 1) * lanes;
+  std::uint64_t* last = words_.get() + (num_blocks_ - 1) * block_words;
+  for (std::size_t n = 0; n < nets_; ++n) {
+    for (std::size_t k = used; k < static_cast<std::size_t>(lanes); ++k) {
+      last[n * lanes + k] = 0;
     }
   }
 }
 
-const GoodBlockCache::Block& GoodBlockCache::Get(std::size_t index) {
-  // Probes past the pattern set (the wide transpose reads L sub-blocks at
-  // a time) see a shared empty block, exactly like the old grow-past-the-
-  // end behaviour.
-  static const Block kPastTheEnd;
-  if (index >= blocks_.size()) return kPastTheEnd;
+int GoodTable::count(std::size_t wb) const {
+  const std::size_t first = wb * 64 * lanes_;
+  return static_cast<int>(
+      std::min<std::size_t>(num_patterns_ - first, 64 * lanes_));
+}
 
-  std::atomic<char>& done = done_[index];
-  if (done.load(std::memory_order_acquire) == 0) {
-    Stripe& stripe = stripes_[index % kStripes];
-    const std::lock_guard<std::mutex> lock(stripe.mu);
-    if (done.load(std::memory_order_relaxed) == 0) {
-      if (stripe.sim == nullptr) {
-        stripe.sim = std::make_unique<netlist::BitSimulator>(*nl_);
-      }
-      Block& b = blocks_[index];
-      b.count = stripe.sim->LoadBlock(*patterns_, index * 64);
-      if (b.count > 0) {
-        stripe.sim->Eval();
-        b.values = stripe.sim->values();
-      }
-      done.store(1, std::memory_order_release);
-    }
-  }
-  return blocks_[index];
+void GoodTable::Store(std::size_t b, const std::uint64_t* values) {
+  const std::size_t lanes = lanes_;
+  std::uint64_t* dst =
+      words_.get() + (b / lanes) * nets_ * lanes + b % lanes;
+  for (std::size_t n = 0; n < nets_; ++n) dst[n * lanes] = values[n];
 }
 
 int ResolveNumThreads(int requested, std::size_t work_items) {
@@ -70,50 +77,43 @@ std::vector<std::vector<std::uint32_t>> StrideShards(
   return out;
 }
 
-void RunOnShards(int shards, const std::function<void(int)>& kernel) {
-  // Chaos worker-throw decisions are drawn HERE, on the calling thread,
-  // one per shard, before any worker spawns: drawing inside the workers
-  // would make the injection schedule depend on thread interleaving and
-  // break same-seed reproducibility.
-  std::vector<char> inject(shards, 0);
-  if (chaos::Armed()) {
-    for (int t = 0; t < shards; ++t) {
-      inject[t] = chaos::Fail(chaos::Site::kWorkerThrow) ? 1 : 0;
-    }
-  }
+WorkerRange ContiguousRange(std::size_t items, int workers, int t) {
+  const auto share = [&](int k) {
+    return items * static_cast<std::size_t>(k) /
+           static_cast<std::size_t>(workers);
+  };
+  return {share(t), share(t + 1)};
+}
 
-  std::vector<std::exception_ptr> errors(shards);
+void RunOnWorkers(int workers, const std::function<void(int)>& kernel) {
+  std::vector<std::exception_ptr> errors(workers);
   auto guarded = [&](int t) {
     try {
-      if (inject[t] != 0) {
-        throw Error("chaos: injected worker failure in shard " +
-                    std::to_string(t));
-      }
       kernel(t);
     } catch (...) {
       errors[t] = std::current_exception();
     }
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(shards - 1);
-  for (int t = 1; t < shards; ++t) workers.emplace_back(guarded, t);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (int t = 1; t < workers; ++t) threads.emplace_back(guarded, t);
   guarded(0);
-  for (std::thread& w : workers) w.join();
+  for (std::thread& w : threads) w.join();
 
   // Aggregate after the join: one failed shard rethrows its original
   // exception (the type carries the error classification); several are
   // folded into one Error naming every failed shard — previously only the
   // first was reported and the rest vanished.
   std::vector<int> failed;
-  for (int t = 0; t < shards; ++t) {
+  for (int t = 0; t < workers; ++t) {
     if (errors[t]) failed.push_back(t);
   }
   if (failed.empty()) return;
   if (failed.size() == 1) std::rethrow_exception(errors[failed[0]]);
 
   std::string msg = "parallel: " + std::to_string(failed.size()) + " of " +
-                    std::to_string(shards) + " shards failed:";
+                    std::to_string(workers) + " shards failed:";
   for (const int t : failed) {
     msg += "\n  shard " + std::to_string(t) + ": ";
     try {
@@ -125,6 +125,26 @@ void RunOnShards(int shards, const std::function<void(int)>& kernel) {
     }
   }
   throw Error(msg);
+}
+
+void RunOnShards(int shards, const std::function<void(int)>& kernel) {
+  // Chaos worker-throw decisions are drawn HERE, on the calling thread,
+  // one per shard, before any worker spawns: drawing inside the workers
+  // would make the injection schedule depend on thread interleaving and
+  // break same-seed reproducibility.
+  std::vector<char> inject(shards, 0);
+  if (chaos::Armed()) {
+    for (int t = 0; t < shards; ++t) {
+      inject[t] = chaos::Fail(chaos::Site::kWorkerThrow) ? 1 : 0;
+    }
+  }
+  RunOnWorkers(shards, [&](int t) {
+    if (inject[t] != 0) {
+      throw Error("chaos: injected worker failure in shard " +
+                  std::to_string(t));
+    }
+    kernel(t);
+  });
 }
 
 FaultSimResult InitFaultSimResult(std::size_t num_faults,

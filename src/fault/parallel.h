@@ -1,14 +1,23 @@
-// Fault-parallel execution support for the PPSFP simulators.
+// Parallel execution support for the PPSFP simulators.
 //
-// Both RunFaultSim and RunTransitionFaultSim parallelize the same way: the
-// live work list — whole fanout-free regions for stuck-at (a stem
-// propagation is shared by every class of a region, so the region is the
-// indivisible unit), faults for transition — is sharded across
-// a small worker pool, each worker runs the unmodified serial PPSFP loop
-// over its shard with private propagation scratch (good-machine blocks are
-// shared read-only through GoodBlockCache), and a deterministic merge
-// reconstructs the serial report. The merge is exact — not approximately
-// equal — because the serial loop's accounting is per-fault independent:
+// Every run of RunFaultSim / RunTransitionFaultSim has two parallel
+// phases, both sized by FaultSimOptions::num_threads:
+//
+//  1. The good pass (fault/trim.cpp): the pattern blocks are split into
+//     contiguous ranges, one per worker; each worker simulates its range
+//     on its own BitSimulator, writes the values straight into the run's
+//     GoodTable and folds them into private early-exit tables that merge
+//     after the join. The good machine is simulated exactly once per run.
+//  2. Propagation: the live work list — whole fanout-free regions for
+//     stuck-at (a stem propagation is shared by every class of a region,
+//     so the region is the indivisible unit), faults for transition — is
+//     sharded across the workers, each worker runs the unmodified serial
+//     PPSFP loop over its shard with private propagation scratch (the
+//     GoodTable is read-only by then, shared without any lock), and a
+//     deterministic merge reconstructs the serial report.
+//
+// The merge is exact — not approximately equal — because the serial
+// loop's accounting is per-fault independent:
 //
 //  * `first_detect[f]` and `detected_mask[f]` depend only on fault f's own
 //    propagation history;
@@ -19,69 +28,63 @@
 //
 // Summing shard histograms in (pattern, fault-id) order therefore replays
 // the serial drop-ordered accounting bit-for-bit, for any shard count and
-// any thread interleaving. The differential suite in
-// tests/test_faultsim_parallel.cpp locks this equivalence down.
+// any thread interleaving. The differential suites in
+// tests/test_faultsim_parallel.cpp and tests/test_good_pass.cpp lock this
+// equivalence down.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "fault/faultsim.h"
-#include "netlist/logicsim.h"
-#include "netlist/patterns.h"
 
 namespace gpustl::fault {
 
-/// Shared good-machine state for fault-simulation runs. The good values of
-/// each 64-pattern block are a pure function of (netlist, patterns), so
-/// they are simulated once, on first demand (the early-exit prepass of
-/// fault/engine.h asks for each block in order), and shared read-only by
-/// every shard.
-///
-/// Population is contention-friendly: the block table is pre-sized (never
-/// reallocates), each block publishes through its own acquire/release flag,
-/// and building serializes only within one of kStripes lock stripes — wide
-/// backends warming the same cache from many shards no longer funnel
-/// through a single mutex. Block content stays deterministic regardless of
-/// arrival order: BitSimulator::LoadBlock is random-access by pattern
-/// index, so block i's values never depend on which blocks built first.
-class GoodBlockCache {
+/// The good-machine values of one run, at the engine's width: one
+/// pre-sized allocation indexed (wide block, net, lane). Wide block `wb`
+/// holds patterns [64*L*wb, 64*L*wb + count(wb)); lane k of a net is the
+/// good word of 64-pattern block L*wb + k, so a net's L lanes form one
+/// aligned Wide<L> bundle (fault/wide.h) and the scalar engines read L = 1.
+/// Filled once by the good pass — each 64-pattern block by exactly one
+/// worker — and read-only afterwards. Lanes past the last 64-pattern block
+/// are zero.
+class GoodTable {
  public:
-  GoodBlockCache(const netlist::Netlist& nl,
-                 const netlist::PatternSet& patterns);
+  GoodTable(std::size_t nets, std::size_t num_patterns, int lanes);
 
-  struct Block {
-    int count = 0;  // patterns in this block (0 = past the end)
-    std::vector<std::uint64_t> values;  // good word per net
-  };
+  int lanes() const { return lanes_; }
+  std::size_t nets() const { return nets_; }
 
-  /// Block `index` (patterns [64*index, 64*index + count)). The first
-  /// caller simulates it; later callers get the cached block. Past the end
-  /// of the pattern set an empty block (count 0) is returned. Thread-safe;
-  /// a returned block is immutable.
-  const Block& Get(std::size_t index);
+  /// Wide blocks: ceil(patterns / (64 * lanes)).
+  std::size_t num_blocks() const { return num_blocks_; }
 
-  /// ceil(patterns / 64): blocks with at least one pattern.
-  std::size_t num_blocks() const { return blocks_.size(); }
+  /// Patterns in wide block `wb` (1 .. 64 * lanes).
+  int count(std::size_t wb) const;
+
+  /// The nets x lanes words of wide block `wb`: net n's lane k is word
+  /// n * lanes + k. Aligned to 64 bytes, so every net's bundle is aligned
+  /// to its own size.
+  const std::uint64_t* block(std::size_t wb) const {
+    return words_.get() + wb * nets_ * static_cast<std::size_t>(lanes_);
+  }
+
+  /// Writes the per-net good words of 64-pattern block `b` into lane
+  /// b % lanes of wide block b / lanes. Concurrent calls for distinct `b`
+  /// are safe (they write disjoint words).
+  void Store(std::size_t b, const std::uint64_t* values);
 
  private:
-  static constexpr std::size_t kStripes = 8;
-  struct Stripe {
-    std::mutex mu;
-    // One lazily-built simulator per stripe: cheaper than per-block
-    // construction, no sharing across stripes.
-    std::unique_ptr<netlist::BitSimulator> sim;
+  struct AlignedDelete {
+    void operator()(std::uint64_t* p) const;
   };
 
-  const netlist::Netlist* nl_;
-  const netlist::PatternSet* patterns_;
-  std::vector<Block> blocks_;  // pre-sized; elements never move
-  std::unique_ptr<std::atomic<char>[]> done_;  // per-block publication flag
-  Stripe stripes_[kStripes];
+  std::size_t nets_;
+  std::size_t num_patterns_;
+  int lanes_;
+  std::size_t num_blocks_;
+  std::unique_ptr<std::uint64_t[], AlignedDelete> words_;
 };
 
 /// Resolves a FaultSimOptions::num_threads request against the amount of
@@ -97,13 +100,24 @@ int ResolveNumThreads(int requested, std::size_t work_items);
 std::vector<std::vector<std::uint32_t>> StrideShards(
     const std::vector<std::uint32_t>& live, int shards);
 
-/// Runs `kernel(shard_index)` once per shard on `shards` worker threads
-/// (shard 0 runs on the calling thread). After all workers join, a single
-/// failed shard rethrows its original exception (type intact, so the
-/// campaign's error classification still sees it); multiple failures are
-/// aggregated into one Error listing every failed shard index and message
-/// — no shard's failure is ever silently dropped. The chaos site
-/// `worker-throw` (common/chaos.h) is pre-drawn per shard on the calling
+/// Worker `t`'s contiguous share [first, last) of `items` items split over
+/// `workers` workers: the shares differ in size by at most one.
+struct WorkerRange {
+  std::size_t first;
+  std::size_t last;
+};
+WorkerRange ContiguousRange(std::size_t items, int workers, int t);
+
+/// Runs `kernel(t)` once per worker t on `workers` threads (worker 0 runs
+/// on the calling thread). After all workers join, a single failed worker
+/// rethrows its original exception (type intact, so the campaign's error
+/// classification still sees it); multiple failures are aggregated into
+/// one Error listing every failed shard index and message — no failure is
+/// ever silently dropped. The good pass runs on this directly.
+void RunOnWorkers(int workers, const std::function<void(int)>& kernel);
+
+/// RunOnWorkers for the propagation shards, plus the chaos site
+/// `worker-throw` (common/chaos.h): pre-drawn once per shard on the calling
 /// thread before workers spawn, keeping the injection schedule independent
 /// of thread interleaving.
 void RunOnShards(int shards, const std::function<void(int)>& kernel);

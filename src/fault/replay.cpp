@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "fault/parallel.h"
 
 namespace gpustl::fault {
 

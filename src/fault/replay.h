@@ -39,7 +39,6 @@
 
 #include "common/bitops.h"
 #include "fault/faultsim.h"
-#include "fault/parallel.h"
 
 namespace gpustl::fault {
 
@@ -59,6 +58,14 @@ ReplayCounters& GlobalReplayCounters();
 /// run (a misuse, never a data-dependent state).
 FaultSimResult ReplaySkipFromFull(const FaultSimResult& full,
                                   const BitVec& skip);
+
+/// Kept for perfbench/ only, whose replay probe still constructs one to
+/// pass to the former signature below. It holds nothing and simulates
+/// nothing: good-machine values live in each run's GoodTable.
+struct GoodBlockCache {
+  GoodBlockCache(const netlist::Netlist& /*nl*/,
+                 const netlist::PatternSet& /*patterns*/) {}
+};
 
 /// The former signature, kept for perfbench/ (its only caller), which
 /// still calls it: forwards to the filter above. `nl`, `faults` and

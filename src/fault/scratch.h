@@ -43,7 +43,7 @@ struct PropagationScratch {
     hi = 0;
   }
 
-  std::uint64_t FaultyValue(const std::vector<std::uint64_t>& good,
+  std::uint64_t FaultyValue(const std::uint64_t* good,
                             netlist::NetId net) const {
     return touched_epoch[net] == epoch ? fval[net] : good[net];
   }

@@ -34,8 +34,8 @@ namespace {
 /// scratch, output-cone restriction and early-exit apply unchanged.
 void SimulateShard(const Netlist& nl, const PatternSet& patterns,
                    const std::vector<TransitionFault>& faults,
-                   std::vector<std::uint32_t> live,
-                   GoodBlockCache& good_blocks, const FaultSimOptions& options,
+                   std::vector<std::uint32_t> live, const GoodTable& good_table,
+                   const FaultSimOptions& options,
                    const internal::LastActivation& last_act,
                    FaultSimResult& result) {
   // Launch-side history: the site value of the last pattern of the previous
@@ -61,11 +61,9 @@ void SimulateShard(const Netlist& nl, const PatternSet& patterns,
                         [](std::uint32_t) { return 1u; }, live);
     if (live.empty()) break;
 
-    const GoodBlockCache::Block& block = good_blocks.Get(bi);
-    if (block.count == 0) break;
-    const int count = block.count;
+    const int count = good_table.count(bi);
     const std::uint64_t valid = count >= 64 ? ~0ull : ((1ull << count) - 1);
-    const std::vector<std::uint64_t>& good = block.values;
+    const std::uint64_t* good = good_table.block(bi);
 
     std::size_t w = 0;
     for (std::size_t r = 0; r < live.size(); ++r) {
@@ -188,14 +186,13 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
     if (skip == nullptr || !skip->Get(i)) live.push_back(i);
   }
 
-  // Shared good-machine blocks (see RunFaultSim for the layering).
-  GoodBlockCache good_blocks(nl, patterns);
-  const internal::LastActivation last_act = internal::TransitionLastActivation(
-      nl, patterns, faults, live, good_blocks, options);
+  // One good pass at the backend's width (see RunFaultSim).
+  const internal::GoodPass pass = internal::TransitionGoodPass(
+      nl, patterns, faults, live, BackendWordBits(backend) / 64, options);
 
   if (backend != Backend::kScalar) {
-    const internal::TransitionRun run{nl,          patterns, faults,  live,
-                                      good_blocks, options,  last_act};
+    const internal::TransitionRun run{nl,        patterns, faults,       live,
+                                      pass.good, options,  pass.last_act};
     switch (backend) {
       case Backend::kWide:
         return internal::RunTransitionWide(run);
@@ -216,8 +213,8 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
   FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
   const int threads = ResolveNumThreads(options.num_threads, live.size());
   if (threads <= 1) {
-    SimulateShard(nl, patterns, faults, std::move(live), good_blocks, options,
-                  last_act, result);
+    SimulateShard(nl, patterns, faults, std::move(live), pass.good, options,
+                  pass.last_act, result);
     AbortIfCancelled(options);
     return result;
   }
@@ -226,8 +223,8 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
   std::vector<FaultSimResult> partial(
       threads, InitFaultSimResult(faults.size(), patterns.size()));
   RunOnShards(threads, [&](int t) {
-    SimulateShard(nl, patterns, faults, std::move(shards[t]), good_blocks,
-                  options, last_act, partial[t]);
+    SimulateShard(nl, patterns, faults, std::move(shards[t]), pass.good,
+                  options, pass.last_act, partial[t]);
   });
   AbortIfCancelled(options);
   MergeShardResults(partial, result);

@@ -395,6 +395,33 @@ TEST(StlCampaignParallel, ThreadsReproduceSerialCampaignExactly) {
   }
 }
 
+TEST(StlCampaignSummary, ReversedEntryEarlyExitsAreCounted) {
+  // An entry whose pattern order differs from the campaign's runs on a
+  // temporary compactor; its early exits must still reach the summary, and
+  // count exactly what the module compactor counts when the campaign's own
+  // options already reverse the patterns.
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const netlist::Netlist sp = circuits::BuildSpCore();
+  const netlist::Netlist sfu = circuits::BuildSfu();
+  const std::vector<StlEntry> entries = {
+      {stl::GenerateImm(6, 21), TargetModule::kDecoderUnit, true, true},
+      {SmallSfuPtp(), TargetModule::kSfu, true, true},
+  };
+
+  StlCampaign per_entry(du, sp, sfu, CompactorOptions{});
+  CompactorOptions reversed;
+  reversed.reverse_patterns = true;
+  StlCampaign whole_campaign(du, sp, sfu, reversed);
+  for (const StlEntry& entry : entries) {
+    per_entry.Process(entry);
+    whole_campaign.Process(entry);
+  }
+
+  const std::uint64_t exited = per_entry.Summary().trim_faults_early_exited;
+  EXPECT_GT(exited, 0u);
+  EXPECT_EQ(exited, whole_campaign.Summary().trim_faults_early_exited);
+}
+
 TEST(StlCampaignRecords, ProcessReferencesSurviveReallocation) {
   // Process returns a reference into the record store; with a vector this
   // would dangle as soon as push_back reallocates. The deque-backed store
