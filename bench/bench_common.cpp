@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "common/timer.h"
+#include "fault/backend.h"
 #include "fault/fault.h"
 #include "stl/atpg_convert.h"
 #include "stl/generators.h"
@@ -131,7 +132,8 @@ void AppendBenchJson(const std::string& path, const BenchRecord& record) {
   entry += Format("\"patterns\": %zu, ", record.patterns);
   entry += Format("\"faults\": %zu, ", record.faults);
   entry += Format("\"threads\": %d, ", record.threads);
-  entry += "\"backend\": \"" + record.backend + "\"";
+  entry += "\"backend\": \"" +
+           std::string(fault::BackendName(fault::ResolveBackend())) + "\"";
   for (const auto& [key, value] : record.extra) {
     entry += Format(", \"%s\": %.6f", key.c_str(), value);
   }

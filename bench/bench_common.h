@@ -67,15 +67,15 @@ struct BenchRecord {
   std::size_t patterns = 0;
   std::size_t faults = 0;
   int threads = 1;
-  /// Resolved engine backend the row was measured on ("scalar", "avx2", ...).
-  std::string backend = "scalar";
   /// Additional numeric fields, appended verbatim (e.g. classes, speedup).
   std::vector<std::pair<std::string, double>> extra;
 };
 
 /// Appends `record` to the JSON array at `path`, creating the file on first
-/// use. The file stays a valid JSON array after every call so partial bench
-/// runs are still parseable.
+/// use, tagged with the engine width this machine runs multi-block pattern
+/// sets at ("backend": "avx512" or "wide", see fault/backend.h). The file
+/// stays a valid JSON array after every call so partial bench runs are
+/// still parseable.
 void AppendBenchJson(const std::string& path, const BenchRecord& record);
 
 /// Output path for fault-sim bench records: $GPUSTL_BENCH_JSON when set,

@@ -148,7 +148,6 @@ fault::FaultSimResult Compactor::SimulateFaults(
   const fault::FaultSimOptions sim_options{
       .drop_detected = drop_detected,
       .num_threads = options_.num_threads,
-      .backend = options_.backend,
       .collapse_plan = &prep_->collapse,
       .cancel = ActiveToken(),
       .faults_early_exited = early_exited_.get()};

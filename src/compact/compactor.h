@@ -42,7 +42,6 @@
 #include "common/bitops.h"
 #include "common/status.h"
 #include "compact/run_guard.h"
-#include "fault/backend.h"
 #include "fault/collapse.h"
 #include "fault/faultsim.h"
 #include "gpu/sm.h"
@@ -151,13 +150,6 @@ struct CompactorOptions {
   /// 0 = hardware_concurrency. Results are bit-identical for every value,
   /// so campaigns parallelize without perturbing the tables.
   int num_threads = 1;
-
-  /// Engine backend for every fault simulation this compactor runs (see
-  /// fault/backend.h): kAuto = runtime CPU dispatch ($GPUSTL_BACKEND
-  /// honoured), or an explicit width. Reports are bit-identical for every
-  /// backend — a pure cost knob like num_threads, excluded from result-store
-  /// keys, so cached results are shared across the toggle.
-  fault::Backend backend = fault::Backend::kAuto;
 
   /// Content-addressed result store consulted before every fault
   /// simulation (and written back after a miss). Null = caching off. Not

@@ -1,6 +1,7 @@
 #include "compact/stl_campaign.h"
 
 #include "common/error.h"
+#include "fault/backend.h"
 
 namespace gpustl::compact {
 
@@ -165,8 +166,7 @@ CampaignSummary StlCampaign::Summary() const {
     s.cache_enabled = true;
     s.cache = base_.result_store->stats();
   }
-  s.backend = std::string(
-      fault::BackendName(fault::ResolveBackend(base_.backend)));
+  s.backend = std::string(fault::BackendName(fault::ResolveBackend()));
   return s;
 }
 

@@ -76,11 +76,11 @@ struct CampaignSummary {
   bool cache_enabled = false;
   store::StoreStats cache;
 
-  /// Resolved engine backend name ("scalar", "avx2", ...) of the
-  /// campaign's fault simulations. Observability only, like the cache
-  /// counters: every backend produces the same bytes, so the campaign
-  /// report excludes it — a report must not differ across machines that
-  /// dispatched to different CPU features.
+  /// Name of the engine width this machine runs multi-block pattern sets
+  /// at ("avx512" or "wide", see fault/backend.h). Observability only,
+  /// like the cache counters: every width produces the same bytes, so the
+  /// campaign report excludes it — a report must not differ across
+  /// machines with different CPU features.
   std::string backend;
 
   /// Faults retired by early-exit, summed over the campaign's modules at

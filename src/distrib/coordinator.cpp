@@ -42,7 +42,6 @@ fault::FaultSimOptions FullSimOptions(
   return fault::FaultSimOptions{
       .drop_detected = true,
       .num_threads = base.num_threads,
-      .backend = base.backend,
       .collapse_plan = &prep.collapse,
   };
 }

@@ -1,28 +1,20 @@
 #include "fault/backend.h"
 
-#include <cstdlib>
 #include <string>
 
 #include "common/error.h"
+#include "fault/engine.h"
 
 namespace gpustl::fault {
 
 namespace {
 
-/// CPU feature probes. __builtin_cpu_supports is a GCC/Clang builtin that
-/// reads CPUID once at startup; on non-x86 targets the SIMD backends are
-/// never supported (they are x86 instruction sets).
-bool CpuHasAvx2() {
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx512() {
-#if (defined(__GNUC__) || defined(__clang__)) && \
+/// True when the 8-lane translation unit is in this binary and the CPU
+/// runs it. __builtin_cpu_supports is a GCC/Clang builtin that reads CPUID
+/// once at startup; AVX-512 is an x86 instruction set.
+bool Avx512Runs() {
+#if defined(GPUSTL_HAVE_AVX512) && \
+    (defined(__GNUC__) || defined(__clang__)) &&        \
     (defined(__x86_64__) || defined(__i386__))
   return __builtin_cpu_supports("avx512f") != 0;
 #else
@@ -32,104 +24,49 @@ bool CpuHasAvx512() {
 
 }  // namespace
 
-std::optional<Backend> ParseBackend(std::string_view name) {
-  if (name == "auto") return Backend::kAuto;
-  if (name == "scalar") return Backend::kScalar;
-  if (name == "wide") return Backend::kWide;
-  if (name == "avx2") return Backend::kAvx2;
-  if (name == "avx512") return Backend::kAvx512;
-  return std::nullopt;
-}
-
 std::string_view BackendName(Backend backend) {
   switch (backend) {
     case Backend::kAuto: return "auto";
-    case Backend::kScalar: return "scalar";
     case Backend::kWide: return "wide";
-    case Backend::kAvx2: return "avx2";
     case Backend::kAvx512: return "avx512";
   }
-  return "scalar";
+  return "wide";
 }
 
-bool BackendCompiled(Backend backend) {
-  switch (backend) {
-    case Backend::kAuto:
-    case Backend::kScalar:
-    case Backend::kWide:
-      return true;
-    case Backend::kAvx2:
-#if defined(GPUSTL_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Backend::kAvx512:
+Backend ResolveBackend(Backend /*requested*/) {
+  return Avx512Runs() ? Backend::kAvx512 : Backend::kWide;
+}
+
+namespace internal {
+
+int PickLanes(std::size_t patterns) {
+  if (patterns <= 64) return 1;
+  return Avx512Runs() ? 8 : 4;
+}
+
+std::vector<int> SupportedLanes() {
+  std::vector<int> lanes{1, 4};
+  if (Avx512Runs()) lanes.push_back(8);
+  return lanes;
+}
+
+LaneKernels KernelsAt(int lanes) {
+  switch (lanes) {
+    case 1:
+    case 4:
+      return PortableKernels(lanes);
 #if defined(GPUSTL_HAVE_AVX512)
-      return true;
-#else
-      return false;
+    case 8:
+      if (Avx512Runs()) return Avx512Kernels();
+      break;
 #endif
-  }
-  return false;
-}
-
-bool BackendSupported(Backend backend) {
-  if (!BackendCompiled(backend)) return false;
-  switch (backend) {
-    case Backend::kAvx2:
-      return CpuHasAvx2();
-    case Backend::kAvx512:
-      return CpuHasAvx512();
     default:
-      return true;
+      break;
   }
+  throw SimError("no " + std::to_string(lanes) +
+                 "-lane fault-sim engine runs on this machine");
 }
 
-Backend ResolveBackend(Backend requested) {
-  if (requested == Backend::kAuto) {
-    // $GPUSTL_BACKEND mirrors --backend for wrappers that cannot edit argv
-    // (the CI scalar-forced leg runs the whole tier-1 suite this way).
-    if (const char* env = std::getenv("GPUSTL_BACKEND");
-        env != nullptr && env[0] != '\0') {
-      const auto parsed = ParseBackend(env);
-      if (!parsed) {
-        throw SimError("GPUSTL_BACKEND: unknown backend '" +
-                       std::string(env) +
-                       "' (expected auto, scalar, wide, avx2 or avx512)");
-      }
-      if (*parsed != Backend::kAuto) return ResolveBackend(*parsed);
-    }
-    return BackendSupported(Backend::kAvx2) ? Backend::kAvx2
-                                            : Backend::kScalar;
-  }
-  if (!BackendSupported(requested)) {
-    throw SimError(
-        "backend '" + std::string(BackendName(requested)) +
-        (BackendCompiled(requested)
-             ? "' is not supported by this CPU"
-             : "' was not compiled into this binary"));
-  }
-  return requested;
-}
-
-std::vector<Backend> RegisteredBackends() {
-  std::vector<Backend> out{Backend::kScalar, Backend::kWide};
-  if (BackendSupported(Backend::kAvx2)) out.push_back(Backend::kAvx2);
-  if (BackendSupported(Backend::kAvx512)) out.push_back(Backend::kAvx512);
-  return out;
-}
-
-int BackendWordBits(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar: return 64;
-    case Backend::kWide:
-    case Backend::kAvx2:
-      return 256;
-    case Backend::kAvx512: return 512;
-    case Backend::kAuto: break;
-  }
-  throw SimError("BackendWordBits: backend not concrete");
-}
+}  // namespace internal
 
 }  // namespace gpustl::fault

@@ -1,20 +1,17 @@
-// The AVX-512 backend: the 8-lane engine (512 patterns per block) compiled
-// with -mavx512f, build-gated exactly like the AVX2 translation unit.
-// Never selected by `auto` — wider blocks pay off only when enough faults
-// survive dropping to fill them, so opting in is an explicit decision.
+// The AVX-512 engine kernels: fault/engine_wide.h at 8 lanes (512 patterns
+// per block) compiled with -mavx512f (see src/fault/CMakeLists.txt — the
+// flag is per-source, so the rest of the library stays portable). The
+// translation unit is only added to the build when the toolchain accepts
+// the flag; the guard keeps a stray unconditional compile from emitting
+// AVX-512 code into a portable binary. KernelsAt hands these out only when
+// the CPU runs AVX-512F.
 #if defined(GPUSTL_HAVE_AVX512)
 
 #include "fault/engine_wide.h"
 
 namespace gpustl::fault::internal {
 
-FaultSimResult RunStuckAtAvx512(const StuckAtRun& run) {
-  return RunStuckAtWideT<8>(run);
-}
-
-FaultSimResult RunTransitionAvx512(const TransitionRun& run) {
-  return RunTransitionWideT<8>(run);
-}
+LaneKernels Avx512Kernels() { return KernelsOf<8>(); }
 
 }  // namespace gpustl::fault::internal
 

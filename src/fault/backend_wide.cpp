@@ -1,17 +1,13 @@
-// The portable wide backend: the 4-lane engine compiled WITHOUT SIMD
-// codegen flags. Semantically identical to the avx2 backend (same header,
-// same lane count); it exists so the wide engine's lane bookkeeping is
-// exercised on every machine — including CI runners and CPUs without AVX2.
+// The portable engine kernels: fault/engine_wide.h at 1 lane (one 64-bit
+// word, for pattern sets that fit one block) and 4 lanes, compiled without
+// SIMD codegen flags, so they run on every CPU.
 #include "fault/engine_wide.h"
 
 namespace gpustl::fault::internal {
 
-FaultSimResult RunStuckAtWide(const StuckAtRun& run) {
-  return RunStuckAtWideT<4>(run);
-}
-
-FaultSimResult RunTransitionWide(const TransitionRun& run) {
-  return RunTransitionWideT<4>(run);
+LaneKernels PortableKernels(int lanes) {
+  GPUSTL_ASSERT(lanes == 1 || lanes == 4, "portable kernels run 1 or 4 lanes");
+  return lanes == 1 ? KernelsOf<1>() : KernelsOf<4>();
 }
 
 }  // namespace gpustl::fault::internal

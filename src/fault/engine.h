@@ -1,22 +1,24 @@
-// Internal engine-backend interface of the PPSFP fault simulators.
+// Internal engine interface of the PPSFP fault simulators.
 //
-// RunFaultSim / RunTransitionFaultSim own everything backend-independent:
-// argument validation, backend resolution, collapse-plan and SimPlan
-// construction, FFR class grouping, the good pass (one block-parallel
-// good-machine simulation that fills the run's GoodTable at the backend's
-// width and folds the early-exit tables) and the final cancellation check.
-// The per-backend entry points below receive that prepared state and run
-// the (possibly sharded) pattern-block loop at their own word width. Every
-// backend must produce the FaultSimResult of the independent reference
-// simulator (tests/reference_sim.h) — the contract tests/test_backend.cpp
-// enforces (see fault/engine_wide.h for the one cross-width seam, the
-// transition launch carry).
+// RunFaultSim / RunTransitionFaultSim own everything width-independent:
+// argument validation, the lane count (PickLanes), collapse-plan and
+// SimPlan construction, FFR class grouping, the good pass (one
+// block-parallel good-machine simulation that fills the run's GoodTable at
+// the engine's width and folds the early-exit tables), sharding and the
+// final cancellation check. The shard kernels below receive that prepared
+// state and run the pattern-block loop of fault/engine_wide.h at their own
+// lane count. Every width must produce the FaultSimResult of the
+// independent reference simulator (tests/reference_sim.h) — the contract
+// tests/test_backend.cpp enforces at every lane count in SupportedLanes()
+// (see fault/engine_wide.h for the one cross-width seam, the transition
+// launch carry).
 //
-// Internal header — include from src/fault/*.cpp (and the good-pass suite,
-// tests/test_good_pass.cpp) only.
+// Internal header — include from src/fault/*.cpp and the engine test
+// suites only.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,8 +59,7 @@ struct GoodPass {
   LastActivation last_act;
 };
 
-/// The good pass of one run at `lanes` lanes per net (1 for the scalar
-/// engines, the backend's lane count for the wide ones). The wide blocks
+/// The good pass of one run at `lanes` lanes per net. The wide blocks
 /// are split into ResolveNumThreads(options.num_threads, blocks) contiguous
 /// ranges; each worker simulates its range on its own BitSimulator, writes
 /// it into the table and folds it into private last-0/last-1 (stuck-at) or
@@ -77,7 +78,7 @@ GoodPass TransitionGoodPass(const netlist::Netlist& nl,
                             const FaultSimOptions& options);
 
 /// Removes the entries of `live` (class or fault indices) whose last
-/// activating block precedes scalar block `block`, adding the retired
+/// activating block precedes 64-pattern block `block`, adding the retired
 /// fault count (`weight(index)`) to the early-exit counter.
 template <typename Weight>
 void EarlyExit(const LastActivation& last_act, std::size_t block,
@@ -99,7 +100,7 @@ void EarlyExit(const LastActivation& last_act, std::size_t block,
   }
 }
 
-/// Prepared state of one stuck-at run, shared by every backend.
+/// Prepared state of one stuck-at run, shared by every shard.
 struct StuckAtRun {
   const netlist::Netlist& nl;
   const netlist::PatternSet& patterns;
@@ -112,31 +113,56 @@ struct StuckAtRun {
 };
 
 /// Prepared state of one transition run (no collapsing: the launch
-/// condition is per-fault history). `live` is the skip-filtered fault list.
+/// condition is per-fault history). The work list is the skip-filtered
+/// fault list.
 struct TransitionRun {
   const netlist::Netlist& nl;
   const netlist::PatternSet& patterns;
   const std::vector<TransitionFault>& faults;
-  const std::vector<std::uint32_t>& live;
   const GoodTable& good;
   const FaultSimOptions& options;
   const LastActivation& last_act;  // per fault
 };
 
-/// Wide-backend entry points. Each translation unit instantiates the
-/// templated engine of fault/engine_wide.h at one lane count under its own
-/// codegen flags; which ones exist in a given binary is reported by
-/// fault::BackendCompiled. All of them shard/merge through fault/parallel.h
-/// exactly like the scalar engines.
-FaultSimResult RunStuckAtWide(const StuckAtRun& run);          // 4 lanes
-FaultSimResult RunTransitionWide(const TransitionRun& run);    // portable
-#if defined(GPUSTL_HAVE_AVX2)
-FaultSimResult RunStuckAtAvx2(const StuckAtRun& run);          // 4 lanes
-FaultSimResult RunTransitionAvx2(const TransitionRun& run);    // -mavx2
-#endif
+/// The engine's shard kernels at one lane count: each runs the
+/// pattern-block loop of fault/engine_wide.h over one shard of the work
+/// list (FFR-group indices, or transition fault indices, ascending) and
+/// accumulates into `result` (pre-sized by InitFaultSimResult). Each
+/// translation unit instantiates the engine under its own codegen flags.
+struct LaneKernels {
+  void (*stuck_at)(const StuckAtRun& run, std::vector<std::uint32_t> groups,
+                   FaultSimResult& result);
+  void (*transition)(const TransitionRun& run,
+                     std::vector<std::uint32_t> live, FaultSimResult& result);
+};
+LaneKernels PortableKernels(int lanes);  // 1 or 4 lanes: backend_wide.cpp
 #if defined(GPUSTL_HAVE_AVX512)
-FaultSimResult RunStuckAtAvx512(const StuckAtRun& run);        // 8 lanes
-FaultSimResult RunTransitionAvx512(const TransitionRun& run);  // -mavx512f
+LaneKernels Avx512Kernels();  // 8 lanes, -mavx512f: backend_avx512.cpp
 #endif
+
+/// The kernels at `lanes`; throws SimError for a width this machine
+/// cannot run.
+LaneKernels KernelsAt(int lanes);
+
+/// The lane count of a run over `patterns` patterns: 1 when they fit one
+/// 64-pattern block (wider bundles would be mostly empty), else 8 when the
+/// AVX-512 kernels are compiled in and the CPU runs them, else 4.
+int PickLanes(std::size_t patterns);
+
+/// Every lane count this machine runs: {1, 4}, plus 8 with AVX-512.
+std::vector<int> SupportedLanes();
+
+/// RunFaultSim / RunTransitionFaultSim at a given lane count (one of
+/// SupportedLanes()). The public entry points are these at
+/// PickLanes(patterns.size()); the test suites call them at every width.
+FaultSimResult RunFaultSimAtLanes(int lanes, const netlist::Netlist& nl,
+                                  const netlist::PatternSet& patterns,
+                                  const std::vector<Fault>& faults,
+                                  const BitVec* skip,
+                                  const FaultSimOptions& options);
+FaultSimResult RunTransitionFaultSimAtLanes(
+    int lanes, const netlist::Netlist& nl, const netlist::PatternSet& patterns,
+    const std::vector<TransitionFault>& faults, const BitVec* skip,
+    const FaultSimOptions& options);
 
 }  // namespace gpustl::fault::internal

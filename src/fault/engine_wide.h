@@ -1,25 +1,24 @@
-// The width-parameterized PPSFP engine: the scalar loops of faultsim.cpp /
-// transition.cpp re-expressed over Wide<L> bundles (64*L patterns per
-// propagation block). One templated implementation serves every SIMD
-// backend; each backend translation unit (backend_wide.cpp,
-// backend_avx2.cpp, backend_avx512.cpp) instantiates it under its own
-// codegen flags.
+// The PPSFP engine, parameterized by width: every loop runs over Wide<L>
+// bundles (64*L patterns per propagation block). It is the only
+// propagation engine; the lane count is picked per run (PickLanes in
+// fault/engine.h), and each translation unit that instantiates it
+// (backend_wide.cpp: L = 1 and 4, portable; backend_avx512.cpp: L = 8
+// under -mavx512f) does so under its own codegen flags.
 //
 // Everything here lives in an ANONYMOUS namespace on purpose: implicit
 // template instantiations have vague linkage, so without it the linker
-// would merge the portable and the AVX-compiled instantiations of the same
-// Wide<4> engine into one — either throwing the SIMD codegen away or, far
-// worse, handing AVX2 code to the portable backend on a CPU without AVX2.
-// Internal linkage pins each instantiation to the translation unit whose
-// flags compiled it.
+// could merge a portable and an AVX-512-compiled instantiation of the same
+// template into one — handing AVX-512 code to a CPU without it. Internal
+// linkage pins each instantiation to the translation unit whose flags
+// compiled it.
 //
 // Bit-identity across widths is THE invariant. Detection words are
 // per-pattern functions and a report holds only detections, so widening
 // blocks cannot change it: a class's first detection is the lowest set bit
 // of its diff at any width, and it drops right there. The one cross-width
 // seam is the transition engine's launch-history carry: Wide::
-// ShiftLeftOneCarry chains the carry through lane boundaries exactly like
-// the scalar engine chains it across blocks.
+// ShiftLeftOneCarry chains the carry through lane boundaries, and the
+// per-fault history bit chains it across blocks.
 //
 // Good values come straight from the run's GoodTable (fault/parallel.h),
 // which the good pass lays out at L lanes per net: a net's good bundle is
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -60,12 +58,16 @@ struct GoodBundles {
   const std::uint64_t* words;
 };
 
-/// fault/scratch.h's PropagationScratch over Wide<L> values: copy-on-write
-/// faulty bundles with epoch stamps and the level-bucket event queue. Same
-/// algorithm, wider words.
+/// Single-fault propagation scratch. Faulty bundles are stored
+/// copy-on-write with epoch stamps, so per-fault cleanup is O(1). The event
+/// queue is an array of buckets indexed by the netlist's precomputed
+/// levels: combinational events only ever fan out to strictly higher
+/// levels, so one ascending sweep over the buckets replays the events in
+/// topological order with O(1) push/pop. Gates on the same level never
+/// feed each other, so within-level order cannot change any value.
 template <int L>
-struct WidePropagationScratch {
-  explicit WidePropagationScratch(const netlist::Netlist& nl)
+struct PropagationScratch {
+  explicit PropagationScratch(const netlist::Netlist& nl)
       : levels(nl.levels().data()),
         fval(nl.gate_count(), Wide<L>::Zeros()),
         touched_epoch(nl.gate_count(), 0),
@@ -78,8 +80,8 @@ struct WidePropagationScratch {
   std::vector<std::uint32_t> queued_epoch;
   std::uint32_t epoch = 0;
   std::vector<std::vector<netlist::NetId>> buckets;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
+  std::uint32_t lo = 0;  // lowest level holding a pending event
+  std::uint32_t hi = 0;  // highest level that ever held one this fault
 
   void NewFault() {
     ++epoch;
@@ -105,6 +107,10 @@ struct WidePropagationScratch {
     if (lvl > hi) hi = lvl;
   }
 
+  /// Drains the pending events in level order, calling `evaluate(net)` once
+  /// per event. `evaluate` may Enqueue further events, but only at strictly
+  /// higher levels (combinational fanout), so the sweep never revisits a
+  /// bucket. All buckets are empty afterwards.
   template <typename Fn>
   void Drain(Fn&& evaluate) {
     if (lo == UINT32_MAX) return;
@@ -120,7 +126,7 @@ struct WidePropagationScratch {
 /// small integer weights) into bit-plane vertical counters, so the no-drop
 /// detection histogram costs O(log n) bundle ops per contribution instead
 /// of one counter increment per SET BIT. The per-bit expansion happens once
-/// per plane per block. The sums are exactly the scalar engine's sums; only the
+/// per plane per block. The sums are exactly the per-bit sums; only the
 /// association order changes, and integer addition is associative.
 template <int L>
 struct WideCounterPlanes {
@@ -155,13 +161,44 @@ struct WideCounterPlanes {
   }
 };
 
-/// The FFR-clustered loop of faultsim.cpp::SimulateFfrShard at L lanes.
-/// Same steps; early-exit compares against the wide block's first scalar
-/// sub-block.
+/// The stuck-at loop over one shard of FFR-group indices (ascending; a
+/// group = every live class whose sites sit in one fanout-free region, see
+/// GroupClassesByFfr). With every group in one shard this IS the serial
+/// engine; a sharded run calls it once per shard with private scratch —
+/// only the good values are shared, read-only, through the GoodTable. Each
+/// class is simulated from its leader: the faulty function is the same for
+/// every member by construction of the classes, so detections expand to
+/// the whole class and a class drops wholesale. Each region runs per wide
+/// block:
+///
+///  0. early-exit: classes past their last activating block leave the
+///     live list for good (compared against the wide block's first
+///     64-pattern block);
+///  1. leader activation per class (good value differs from the stuck
+///     value) — detection is contained in it pointwise;
+///  2. one backward critical-path trace over the region's good bundles:
+///     for every member net, the patterns on which a value change there
+///     reaches the region's stem. Exact, because an FFR has no
+///     reconvergence — each internal net feeds exactly one pin, so the
+///     chain of pattern-wise pin sensitizations to the stem is unique;
+///  3. ONE event-driven stem propagation (faulty stem = ~good), confined to
+///     the stem's output cone, whose output diff is the stem's
+///     observability — pattern-independent cell evaluation makes the
+///     all-patterns flip valid for every subset of patterns, so it is
+///     shared by every class of the region;
+///  4. per-class detection = leader activation & site-to-stem observability
+///     & stem observability: the faulty machine differs from the good one
+///     beyond the stem exactly on the patterns where the effect reaches the
+///     stem, and there it looks like the good machine with the stem
+///     complemented.
+///
+/// Steps 2–4 are skipped outright when no live class activates, and step 3
+/// when every activated effect dies inside the region.
 template <int L>
-void SimulateFfrShardWide(const StuckAtRun& run,
-                          const std::vector<std::uint32_t>& shard_groups,
-                          FaultSimResult& result) {
+void StuckAtShard(const StuckAtRun& run,
+                  std::vector<std::uint32_t> shard_groups,
+                  FaultSimResult& result) {
+  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
   using W = Wide<L>;
   using netlist::Gate;
   using netlist::NetId;
@@ -174,18 +211,23 @@ void SimulateFfrShardWide(const StuckAtRun& run,
     return plan.offsets[ci + 1] - plan.offsets[ci];
   };
 
-  WidePropagationScratch<L> prop(nl);
+  PropagationScratch<L> prop(nl);
   const auto& outputs = nl.outputs();
   const std::size_t cone_words = nl.cone_words();
 
+  // Per net, the patterns on which a value change there reaches its
+  // region's stem. Only the members of the region being traced are valid
+  // at any moment; every member is rewritten before it is read.
   std::vector<W> obs(nl.gate_count(), W::Zeros());
-  std::vector<W> leader_act;
-  std::vector<W> stem_local;
+  std::vector<W> leader_act;  // per live class of one region
+  std::vector<W> stem_local;  // leader activation & site-to-stem obs
   WideCounterPlanes<L> det_counts;
 
+  // Live state: per owned region, the class indices still needing
+  // simulation. Regions compact away once every class has dropped.
   struct FfrWork {
     NetId stem;
-    std::uint32_t ffr;
+    std::uint32_t ffr;  // netlist region index (for the member list)
     std::vector<std::uint32_t> classes;
   };
   std::vector<FfrWork> work;
@@ -198,6 +240,9 @@ void SimulateFfrShardWide(const StuckAtRun& run,
 
   for (std::size_t base = 0; base < run.patterns.size(); base += 64 * L) {
     if (work.empty()) break;
+    // Cooperative cancellation: one relaxed poll per block. An expired
+    // token abandons this shard's remaining work; RunSharded discards the
+    // partial result by throwing after the join.
     if (run.options.cancel != nullptr && run.options.cancel->Expired()) return;
     const std::size_t wbi = base / (64 * L);
     const W valid = W::ValidMask(run.good.count(wbi));
@@ -219,9 +264,11 @@ void SimulateFfrShardWide(const StuckAtRun& run,
         leader_act[k] = (good[site_net] ^ stuck) & valid;
         any_act |= leader_act[k];
       }
-      if (any_act.IsZero()) return;
+      if (any_act.IsZero()) return;  // nothing can reach the stem this block
 
-      // 2. Backward critical-path trace over the region's good bundles.
+      // 2. Backward critical-path trace. Members are visited in descending
+      // id order; an internal net's unique consumer has a larger id in the
+      // same region, so obs[member] is final before it is read.
       const std::span<const NetId> members = nl.ffr_members(fw.ffr);
       obs[fw.stem] = W::Ones();
       for (std::size_t r = members.size(); r-- > 0;) {
@@ -235,6 +282,7 @@ void SimulateFfrShardWide(const StuckAtRun& run,
         for (int p = 0; p < fc; ++p) {
           const NetId src = g.fanin[p];
           if (src == fw.stem || nl.stem_of(src) != fw.stem) continue;
+          // Pattern-wise Boolean difference of the cell wrt pin p.
           const W saved = in[p];
           in[p] = ~saved;
           const W sens = EvalCellWide(g.type, in) ^ good[m];
@@ -243,7 +291,8 @@ void SimulateFfrShardWide(const StuckAtRun& run,
         }
       }
 
-      // Site-to-stem bundles per class, from the leader.
+      // Site-to-stem bundles per class, from the leader (one faulty
+      // function per class, so one bundle serves every member).
       stem_local.assign(cls.size(), W::Zeros());
       W any_local = W::Zeros();
       for (std::size_t k = 0; k < cls.size(); ++k) {
@@ -253,6 +302,8 @@ void SimulateFfrShardWide(const StuckAtRun& run,
         if (f.pin == Fault::kOutputPin) {
           site_obs = obs[f.gate];
         } else {
+          // Pin fault: the effect enters at the gate output on the
+          // patterns where the forced pin flips it.
           const Gate& g = nl.gate(f.gate);
           W in[netlist::kMaxFanin];
           for (int i = 0; i < g.fanin_count(); ++i) in[i] = good[g.fanin[i]];
@@ -262,10 +313,12 @@ void SimulateFfrShardWide(const StuckAtRun& run,
         stem_local[k] = leader_act[k] & site_obs;
         any_local |= stem_local[k];
       }
-      if (any_local.IsZero()) return;
+      if (any_local.IsZero()) return;  // every effect died inside the region
 
-      // 3. One stem propagation for the whole region, confined to the
-      // stem's output cone.
+      // 3. One stem propagation for the whole region. Events that leave
+      // the stem's output cone are not enqueued: every frontier net is
+      // reachable from the stem, so "reaches some output" is equivalent to
+      // "reaches an output of this cone".
       prop.NewFault();
       prop.SetFaulty(fw.stem, ~good[fw.stem]);
       for (NetId fo : nl.fanout(fw.stem)) {
@@ -333,7 +386,7 @@ void SimulateFfrShardWide(const StuckAtRun& run,
     std::size_t gw = 0;  // compaction write index over `work`
     for (std::size_t gr = 0; gr < work.size(); ++gr) {
       process(work[gr]);
-      if (work[gr].classes.empty()) continue;
+      if (work[gr].classes.empty()) continue;  // region fully dropped
       if (gw != gr) work[gw] = std::move(work[gr]);
       ++gw;
     }
@@ -342,15 +395,19 @@ void SimulateFfrShardWide(const StuckAtRun& run,
   }
 }
 
-/// The transition loop of transition.cpp::SimulateShard at L lanes. The
-/// launch bundle chains the per-fault history carry through lane
-/// boundaries (ShiftLeftOneCarry), and the history bit advances to the
-/// last VALID pattern of the wide block — exactly the scalar sequence of
-/// per-sub-block carries composed.
+/// The transition loop over one shard of fault indices (see StuckAtShard
+/// for the sharding contract). No fault collapsing here: the launch
+/// condition is a property of the fault site's value history, so two
+/// transition faults with identical faulty functions still activate on
+/// different patterns. The launch bundle chains the per-fault history
+/// carry through lane boundaries (ShiftLeftOneCarry), and the history bit
+/// advances to the last VALID pattern of the block. The history is per
+/// fault, so it shards with the fault list; each shard keeps its own copy
+/// indexed by global fault id.
 template <int L>
-void SimulateTransitionShardWide(const TransitionRun& run,
-                                 std::vector<std::uint32_t> live,
-                                 FaultSimResult& result) {
+void TransitionShard(const TransitionRun& run, std::vector<std::uint32_t> live,
+                     FaultSimResult& result) {
+  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
   using W = Wide<L>;
   using netlist::Gate;
   using netlist::NetId;
@@ -358,12 +415,15 @@ void SimulateTransitionShardWide(const TransitionRun& run,
   const netlist::Netlist& nl = run.nl;
   const std::vector<TransitionFault>& faults = run.faults;
 
+  // Launch-side history: the site value of the last pattern of the previous
+  // block, per fault. Initialized to the FINAL value so pattern 0 (which
+  // has no launch vector) can never activate.
   std::vector<std::uint8_t> prev_site_bit(faults.size());
   for (std::uint32_t i = 0; i < faults.size(); ++i) {
     prev_site_bit[i] = faults[i].sa1 ? 0 : 1;  // != init value
   }
 
-  WidePropagationScratch<L> scratch(nl);
+  PropagationScratch<L> scratch(nl);
   const auto& outputs = nl.outputs();
   const std::size_t cone_words = nl.cone_words();
   WideCounterPlanes<L> det_counts;
@@ -388,20 +448,24 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       const std::uint32_t fi = live[r];
       const TransitionFault& f = faults[fi];
       const Gate& g = nl.gate(f.gate);
-      const W stuck = f.sa1 ? W::Ones() : W::Zeros();
+      const W stuck = f.sa1 ? W::Ones() : W::Zeros();  // value during capture
 
       const NetId site_net =
           f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
       const W site = good[site_net];
+      // Launch values: site at pattern j-1 (carry from the previous block).
       const W launch = site.ShiftLeftOneCarry(prev_site_bit[fi] != 0);
       prev_site_bit[fi] = site.Bit(count - 1) ? 1 : 0;
 
+      // Activation: launch == init (== stuck value) and capture toggles.
       const W act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
       if (act.IsZero()) {
         live[w++] = fi;
         continue;
       }
 
+      // Propagate the late value (a stuck-at of the initial value) on the
+      // capture vectors, confined to the site's output cone.
       scratch.NewFault();
       if (f.pin == Fault::kOutputPin) {
         scratch.SetFaulty(f.gate, stuck);
@@ -473,55 +537,11 @@ void SimulateTransitionShardWide(const TransitionRun& run,
   }
 }
 
-/// Run orchestration: the same shard/merge scaffolding as the scalar
-/// engines (fault/parallel.h), instantiated at L lanes.
+/// The kernels at L lanes, for the LaneKernels entry point of the
+/// instantiating translation unit.
 template <int L>
-FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
-  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
-  FaultSimResult result =
-      InitFaultSimResult(run.faults.size(), run.patterns.size());
-  std::vector<std::uint32_t> live(run.groups.num_groups());
-  std::iota(live.begin(), live.end(), 0u);
-  const int threads = ResolveNumThreads(run.options.num_threads, live.size());
-  if (threads <= 1) {
-    SimulateFfrShardWide<L>(run, live, result);
-    AbortIfCancelled(run.options);
-    return result;
-  }
-  const std::vector<std::vector<std::uint32_t>> shards =
-      StrideShards(live, threads);
-  std::vector<FaultSimResult> partial(
-      threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-  RunOnShards(threads, [&](int t) {
-    SimulateFfrShardWide<L>(run, shards[t], partial[t]);
-  });
-  AbortIfCancelled(run.options);
-  MergeShardResults(partial, result);
-  return result;
-}
-
-template <int L>
-FaultSimResult RunTransitionWideT(const TransitionRun& run) {
-  GPUSTL_ASSERT(run.good.lanes() == L, "good table width != engine width");
-  FaultSimResult result =
-      InitFaultSimResult(run.faults.size(), run.patterns.size());
-  const int threads =
-      ResolveNumThreads(run.options.num_threads, run.live.size());
-  if (threads <= 1) {
-    SimulateTransitionShardWide<L>(run, run.live, result);
-    AbortIfCancelled(run.options);
-    return result;
-  }
-  std::vector<std::vector<std::uint32_t>> shards =
-      StrideShards(run.live, threads);
-  std::vector<FaultSimResult> partial(
-      threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-  RunOnShards(threads, [&](int t) {
-    SimulateTransitionShardWide<L>(run, std::move(shards[t]), partial[t]);
-  });
-  AbortIfCancelled(run.options);
-  MergeShardResults(partial, result);
-  return result;
+LaneKernels KernelsOf() {
+  return LaneKernels{&StuckAtShard<L>, &TransitionShard<L>};
 }
 
 }  // namespace

@@ -20,8 +20,8 @@
 //
 // There is one engine configuration: fault collapsing, output-cone
 // limiting, FFR critical-path tracing and per-fault early-exit are always
-// on. Only the backend (word width) and the thread count vary, and neither
-// changes a report.
+// on. Only the thread count is an option; the engine picks its own width
+// per run (fault/engine.h, PickLanes), and neither changes a report.
 #pragma once
 
 #include <atomic>
@@ -30,7 +30,6 @@
 
 #include "common/bitops.h"
 #include "common/status.h"
-#include "fault/backend.h"
 #include "fault/fault.h"
 #include "netlist/logicsim.h"
 #include "netlist/patterns.h"
@@ -50,15 +49,6 @@ struct FaultSimOptions {
   /// bit-identical for every value (see fault/parallel.h).
   int num_threads = 1;
 
-  /// Engine backend: how many patterns one propagation word carries and
-  /// how it is evaluated (see fault/backend.h). kAuto = runtime CPU
-  /// dispatch, honouring $GPUSTL_BACKEND. Every backend's report is
-  /// bit-identical — like num_threads, this is a pure cost knob, excluded
-  /// from result-store fingerprints. An explicitly requested backend the
-  /// binary/CPU cannot honour throws SimError (input error), never falls
-  /// back silently.
-  Backend backend = Backend::kAuto;
-
   /// Optional precomputed collapse plan for this exact fault list (e.g.
   /// cached across PTP runs by the campaign driver). When null the plan is
   /// built per run. Stuck-at only: the transition engine does not collapse.
@@ -74,7 +64,7 @@ struct FaultSimOptions {
   /// Observability counter (not owned; null = not counted): faults retired
   /// by early-exit, i.e. dropped from the live list once no later pattern
   /// block can activate them. Relaxed atomic — shards bump it
-  /// concurrently; the total is exact but depends on the backend's block
+  /// concurrently; the total is exact but depends on the engine's block
   /// width, so it is not part of any deterministic result.
   std::atomic<std::uint64_t>* faults_early_exited = nullptr;
 };

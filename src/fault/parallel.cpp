@@ -5,6 +5,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/chaos.h"
 #include "common/error.h"
@@ -170,6 +171,27 @@ void MergeShardResults(const std::vector<FaultSimResult>& shards,
       out.detects_per_pattern[p] += shard.detects_per_pattern[p];
     }
   }
+}
+
+FaultSimResult RunSharded(const FaultSimOptions& options,
+                          std::size_t num_faults, std::size_t num_patterns,
+                          std::vector<std::uint32_t> work,
+                          const ShardKernel& kernel) {
+  FaultSimResult result = InitFaultSimResult(num_faults, num_patterns);
+  const int threads = ResolveNumThreads(options.num_threads, work.size());
+  if (threads <= 1) {
+    kernel(std::move(work), result);
+    AbortIfCancelled(options);
+    return result;
+  }
+  std::vector<std::vector<std::uint32_t>> shards = StrideShards(work, threads);
+  std::vector<FaultSimResult> partial(
+      threads, InitFaultSimResult(num_faults, num_patterns));
+  RunOnShards(threads,
+              [&](int t) { kernel(std::move(shards[t]), partial[t]); });
+  AbortIfCancelled(options);
+  MergeShardResults(partial, result);
+  return result;
 }
 
 }  // namespace gpustl::fault

@@ -46,7 +46,7 @@ namespace gpustl::fault {
 /// pre-sized allocation indexed (wide block, net, lane). Wide block `wb`
 /// holds patterns [64*L*wb, 64*L*wb + count(wb)); lane k of a net is the
 /// good word of 64-pattern block L*wb + k, so a net's L lanes form one
-/// aligned Wide<L> bundle (fault/wide.h) and the scalar engines read L = 1.
+/// aligned Wide<L> bundle (fault/wide.h).
 /// Filled once by the good pass — each 64-pattern block by exactly one
 /// worker — and read-only afterwards. Lanes past the last 64-pattern block
 /// are zero.
@@ -145,5 +145,19 @@ FaultSimResult InitFaultSimResult(std::size_t num_faults,
 /// per-pattern histogram sums.
 void MergeShardResults(const std::vector<FaultSimResult>& shards,
                        FaultSimResult& out);
+
+/// One shard kernel call: simulates the work items `shard` (ascending ids)
+/// and accumulates into `result`, pre-sized by InitFaultSimResult.
+using ShardKernel = std::function<void(std::vector<std::uint32_t> shard,
+                                       FaultSimResult& result)>;
+
+/// The propagation phase of one run over `work` (ascending work-item ids):
+/// at one resolved thread the kernel runs inline on the whole list;
+/// otherwise StrideShards -> RunOnShards -> MergeShardResults. Throws
+/// DeadlineError after the kernels return when `options.cancel` expired.
+FaultSimResult RunSharded(const FaultSimOptions& options,
+                          std::size_t num_faults, std::size_t num_patterns,
+                          std::vector<std::uint32_t> work,
+                          const ShardKernel& kernel);
 
 }  // namespace gpustl::fault

@@ -31,7 +31,7 @@
 // Precondition (checked): `full` is a dropped run (skip = null) over the
 // same fault list. tests/test_distrib.cpp holds the filter to bit-identity
 // against the live skip-masked engine for random masks across modules,
-// models, thread counts and backends.
+// models, thread counts and engine widths.
 #pragma once
 
 #include <atomic>
@@ -52,7 +52,7 @@ ReplayCounters& GlobalReplayCounters();
 /// Derives the result of `RunFaultSim(nl, patterns, faults, &skip,
 /// {drop_detected = true, ...})` (or its transition counterpart) from
 /// `full`, the result of the same run with skip = null. Bit-identical to
-/// the live engine for every thread count and backend — those are already
+/// the live engine for every thread count and width — those are already
 /// bit-identical to each other. O(faults + patterns). Throws Error when
 /// `skip` does not match `full`'s fault count or `full` is not a dropped
 /// run (a misuse, never a data-dependent state).

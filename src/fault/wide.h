@@ -5,18 +5,17 @@
 // earliest pattern. The bundle is an aligned structure-of-lanes with only
 // lane-wise bitwise operators — exactly the operations cell evaluation,
 // activation, observability and detection masks need — so a translation
-// unit compiled with -mavx2 (or -mavx512f) lowers every operator to one
-// vector instruction, while the same header compiled without SIMD flags
-// stays portable scalar code with identical semantics.
+// unit compiled with -mavx512f lowers every operator to one vector
+// instruction, while the same header compiled without SIMD flags stays
+// portable code with identical semantics. Wide<1> is one 64-bit word.
 //
 // Internal header — include from src/fault/*.cpp / engine_wide.h only.
 //
-// Everything is in an anonymous namespace: each backend translation unit
+// Everything is in an anonymous namespace: each engine translation unit
 // must own a private instantiation of these templates under its own codegen
-// flags. With ordinary (vague) linkage the linker would keep a single copy
-// of Wide<4>'s operators across backend_wide.cpp and backend_avx2.cpp —
-// discarding the SIMD codegen, or worse, handing AVX2 code to the portable
-// backend on a CPU without AVX2.
+// flags. With ordinary (vague) linkage the linker could keep a single copy
+// of an operator shared by backend_wide.cpp and backend_avx512.cpp —
+// handing AVX-512 code to the portable kernels on a CPU without it.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +106,7 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
 
   /// Shift every bit one pattern later, feeding `carry_in` into pattern 0;
   /// the carry crosses lane boundaries (lane k bit 0 <- lane k-1 bit 63),
-  /// mirroring the scalar engine's cross-block launch-history carry.
+  /// as the per-fault history bit carries it across blocks.
   Wide ShiftLeftOneCarry(bool carry_in) const {
     Wide w;
     std::uint64_t carry = carry_in ? 1 : 0;

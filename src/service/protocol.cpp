@@ -39,7 +39,6 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
     return false;
   }
   req.threads = static_cast<int>(threads);
-  req.backend = request.GetString("backend");
   req.checkpoint_dir = request.GetString("checkpoint_dir");
   req.manifest = request.GetString("manifest");
 

@@ -34,7 +34,6 @@ struct SubmitRequest {
   std::string manifest;                  // manifest path, or:
   std::vector<SubmitEntry> entries;      // inline entries
   int threads = -1;  // fault-sim workers; -1 = default, 0 = all cores
-  std::string backend;                   // "" = service default
   std::string checkpoint_dir;            // "" = no checkpointing
 };
 

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "compact/report.h"
 #include "distrib/coordinator.h"
-#include "fault/backend.h"
 #include "isa/assembler.h"
 #include "isa/binary.h"
 
@@ -82,11 +81,6 @@ JobSpec MakeJobSpec(const SubmitRequest& request) {
   spec.deadline_seconds = request.deadline_seconds;
   spec.stage_deadline_seconds = request.stage_deadline_seconds;
   spec.threads = request.threads;
-  if (!request.backend.empty()) {
-    const auto b = fault::ParseBackend(request.backend);
-    if (!b) throw Error("bad backend " + request.backend);
-    spec.backend = *b;
-  }
   spec.checkpoint_dir = request.checkpoint_dir;
   spec.plan = BuildPlan(request);
   return spec;
@@ -197,7 +191,6 @@ void CampaignService::RunJob(Job& job, int worker_index) {
   try {
     compact::CompactorOptions opt = options_.base;
     if (spec.threads >= 0) opt.num_threads = spec.threads;
-    if (spec.backend) opt.backend = *spec.backend;
     opt.stage_deadline_seconds = spec.stage_deadline_seconds >= 0
                                      ? spec.stage_deadline_seconds
                                      : options_.stage_deadline_seconds;

@@ -69,8 +69,7 @@ struct ServiceOptions {
   std::string distrib_dir;
   /// Claim staleness horizon for the distrib dir.
   double distrib_stale_seconds = 30.0;
-  /// Baseline compactor knobs (threads, backend) that per-job overrides
-  /// start from.
+  /// Baseline compactor knobs (threads) that per-job overrides start from.
   compact::CompactorOptions base;
 };
 
@@ -91,7 +90,6 @@ struct JobSpec {
   double stage_deadline_seconds = -1.0;
   std::vector<compact::PlanEntry> plan;
   int threads = -1;
-  std::optional<fault::Backend> backend;
   std::string checkpoint_dir;
 };
 

@@ -1,7 +1,8 @@
 // Random inputs and the reference comparison shared by the
 // fault-simulation conformance suites (test_backend, test_ffr,
-// test_collapse, test_trim): every registered backend, at 1 and 4 threads,
-// must reproduce the independent reference simulator (reference_sim.h).
+// test_collapse, test_trim, test_good_pass): the engine at every lane count
+// this machine runs (internal::SupportedLanes), at 1 and 4 threads, must
+// reproduce the independent reference simulator (reference_sim.h).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 
 #include "common/bitops.h"
 #include "common/rng.h"
-#include "fault/backend.h"
+#include "fault/engine.h"
 #include "fault/faultsim.h"
 #include "fault/transition.h"
 #include "netlist/cell.h"
@@ -70,7 +71,7 @@ inline netlist::PatternSet RandomPatterns(Rng& rng, int width, int count) {
   return pats;
 }
 
-/// Pattern counts that end on and just past every backend's word width.
+/// Pattern counts that end on and just past every engine width.
 inline constexpr int kBlockEdges[] = {1,   63,  64,  65,  127, 128, 129,
                                       255, 256, 257, 511, 512, 513};
 
@@ -90,22 +91,24 @@ inline void ExpectIdentical(const FaultSimResult& want,
   EXPECT_TRUE(want.detected_mask == got.detected_mask) << what;
 }
 
-/// The engine entry point of `model`.
-inline FaultSimResult RunEngine(reference::Model model,
+/// The engine entry point of `model` at `lanes` lanes.
+inline FaultSimResult RunEngine(reference::Model model, int lanes,
                                 const netlist::Netlist& nl,
                                 const netlist::PatternSet& patterns,
                                 const std::vector<Fault>& faults,
                                 const BitVec* skip,
                                 const FaultSimOptions& options) {
   return model == reference::Model::kTransition
-             ? RunTransitionFaultSim(nl, patterns, faults, skip, options)
-             : RunFaultSim(nl, patterns, faults, skip, options);
+             ? internal::RunTransitionFaultSimAtLanes(lanes, nl, patterns,
+                                                      faults, skip, options)
+             : internal::RunFaultSimAtLanes(lanes, nl, patterns, faults, skip,
+                                            options);
 }
 
-/// Runs the reference once, then every registered backend at each thread
-/// count of `threads`, and expects every report to equal the reference's.
-/// `base` supplies the remaining options (drop_detected, collapse_plan,
-/// counters); its backend and thread count are overridden.
+/// Runs the reference once, then the engine at every supported lane count
+/// and each thread count of `threads`, and expects every report to equal
+/// the reference's. `base` supplies the remaining options (drop_detected,
+/// collapse_plan, counters); its thread count is overridden.
 inline void ExpectEnginesMatchReference(
     reference::Model model, const netlist::Netlist& nl,
     const netlist::PatternSet& patterns, const std::vector<Fault>& faults,
@@ -113,16 +116,15 @@ inline void ExpectEnginesMatchReference(
     std::initializer_list<int> threads = {1, 4}) {
   const FaultSimResult want = reference::Simulate(
       model, nl, patterns, faults, skip, base.drop_detected);
-  for (const Backend b : RegisteredBackends()) {
+  for (const int lanes : internal::SupportedLanes()) {
     for (const int t : threads) {
       FaultSimOptions options = base;
-      options.backend = b;
       options.num_threads = t;
-      ExpectIdentical(want,
-                      RunEngine(model, nl, patterns, faults, skip, options),
-                      what + " backend=" + std::string(BackendName(b)) +
-                          " threads=" + std::to_string(t) +
-                          " drop=" + std::to_string(base.drop_detected));
+      ExpectIdentical(
+          want, RunEngine(model, lanes, nl, patterns, faults, skip, options),
+          what + " lanes=" + std::to_string(lanes) +
+              " threads=" + std::to_string(t) +
+              " drop=" + std::to_string(base.drop_detected));
     }
   }
 }

@@ -1,7 +1,7 @@
 // Independent reference fault simulator for the conformance suites.
 //
 // The optimized engines (src/fault/) share most of their machinery across
-// backends and thread counts: the collapse plan, SimPlan, GoodBlockCache,
+// engine widths and thread counts: the collapse plan, SimPlan, the GoodTable,
 // FFR grouping and critical-path tracing, the early-exit prepass,
 // event-driven propagation and the shard merge. Comparing one engine
 // configuration with another cannot see a bug in any of those. This

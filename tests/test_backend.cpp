@@ -1,7 +1,7 @@
-// Backend conformance: every registered engine backend (scalar, portable
-// wide, AVX2, AVX-512 where the CPU has them), at 1 and 4 threads, must
-// produce the FaultSimResult of the independent reference simulator
-// (reference_sim.h) — first_detect, the per-pattern histogram,
+// Engine conformance: the engine at every lane count this machine runs
+// (1 and 4 portable lanes, 8 under AVX-512 where the CPU has it), at 1 and
+// 4 threads, must produce the FaultSimResult of the independent reference
+// simulator (reference_sim.h) — first_detect, the per-pattern histogram,
 // num_detected, detected_mask — on randomized netlists and on the bundled
 // DU/SP/SFU modules, for stuck-at and transition models, with and without
 // dropping and under random skip masks. The width seams are covered
@@ -10,12 +10,12 @@
 // seeded differential fuzzer closes the gaps the enumerated matrix misses;
 // failures print the seed to reproduce.
 //
-// This suite carries the ctest label `tsan` (wide backends shard over the
-// worker pool and share good-machine bundles read-only).
+// It also pins the width rule (PickLanes). This suite carries the ctest
+// label `tsan` (the engine shards over the worker pool and shares
+// good-machine bundles read-only).
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,6 +25,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "fault/backend.h"
+#include "fault/engine.h"
 #include "fault/fault.h"
 #include "fault/faultsim.h"
 #include "fault/transition.h"
@@ -48,74 +49,46 @@ using netlist::Netlist;
 using netlist::PatternSet;
 using reference::Model;
 
-// --- Registry and dispatch semantics ---
+// --- Width selection ---
 
-TEST(BackendRegistry, NamesRoundTripAndRegistryIsSane) {
-  for (const Backend b : {Backend::kAuto, Backend::kScalar, Backend::kWide,
-                          Backend::kAvx2, Backend::kAvx512}) {
-    const auto parsed = ParseBackend(BackendName(b));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, b);
+TEST(EngineWidth, PickLanesFollowsPatternCountAndCpu) {
+  // One 64-pattern block runs on one word; wider bundles would be mostly
+  // empty.
+  for (const std::size_t n : {0, 1, 63, 64}) {
+    EXPECT_EQ(internal::PickLanes(n), 1) << n << " patterns";
   }
-  EXPECT_FALSE(ParseBackend("sse9").has_value());
-  EXPECT_FALSE(ParseBackend("").has_value());
+  // More than one block: 8 lanes where the CPU runs AVX-512F (and the
+  // binary has the 8-lane unit), else 4 portable lanes.
+  const bool avx512 = ResolveBackend() == Backend::kAvx512;
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(__i386__))
+  if (!__builtin_cpu_supports("avx512f")) {
+    EXPECT_FALSE(avx512);
+  }
+#endif
+  for (const std::size_t n : {65, 256, 177600}) {
+    EXPECT_EQ(internal::PickLanes(n), avx512 ? 8 : 4) << n << " patterns";
+  }
+  EXPECT_EQ(BackendName(ResolveBackend()), avx512 ? "avx512" : "wide");
 
-  const std::vector<Backend> regs = RegisteredBackends();
-  ASSERT_GE(regs.size(), 2u);  // scalar + portable wide, always
-  EXPECT_EQ(regs.front(), Backend::kScalar);  // the portable fallback
-  for (const Backend b : regs) {
-    EXPECT_TRUE(BackendSupported(b)) << BackendName(b);
-    EXPECT_EQ(ResolveBackend(b), b) << BackendName(b);
-    EXPECT_GE(BackendWordBits(b), 64) << BackendName(b);
-  }
-  EXPECT_EQ(BackendWordBits(Backend::kScalar), 64);
-  EXPECT_EQ(BackendWordBits(Backend::kWide), 256);
+  const std::vector<int> want =
+      avx512 ? std::vector<int>{1, 4, 8} : std::vector<int>{1, 4};
+  EXPECT_EQ(internal::SupportedLanes(), want);
 }
 
-TEST(BackendRegistry, AutoResolvesConcreteAndHonoursEnv) {
-  // Isolate from an inherited GPUSTL_BACKEND (the CI scalar-forced leg
-  // exports one for the whole suite).
-  const char* inherited = std::getenv("GPUSTL_BACKEND");
-  const std::string saved = inherited == nullptr ? "" : inherited;
-
-  ::unsetenv("GPUSTL_BACKEND");
-  const Backend resolved = ResolveBackend(Backend::kAuto);
-  EXPECT_NE(resolved, Backend::kAuto);
-  EXPECT_TRUE(BackendSupported(resolved));
-  EXPECT_NE(resolved, Backend::kAvx512);  // explicit opt-in only
-
-  ::setenv("GPUSTL_BACKEND", "scalar", 1);
-  EXPECT_EQ(ResolveBackend(Backend::kAuto), Backend::kScalar);
-  // An explicit concrete request bypasses the env var.
-  EXPECT_EQ(ResolveBackend(Backend::kWide), Backend::kWide);
-
-  ::setenv("GPUSTL_BACKEND", "quantum", 1);
-  EXPECT_THROW(ResolveBackend(Backend::kAuto), SimError);
-
-  if (inherited == nullptr) {
-    ::unsetenv("GPUSTL_BACKEND");
-  } else {
-    ::setenv("GPUSTL_BACKEND", saved.c_str(), 1);
-  }
-}
-
-TEST(BackendRegistry, UnsupportedExplicitRequestFailsLoudly) {
-  for (const Backend b : {Backend::kAvx2, Backend::kAvx512}) {
-    if (BackendSupported(b)) continue;
-    EXPECT_THROW(ResolveBackend(b), SimError) << BackendName(b);
-    // And through the engine itself, not just the resolver.
-    Netlist nl("tiny");
-    const NetId a = nl.AddInput("a");
-    const NetId g = nl.AddGate(CellType::kInv, {a});
-    nl.MarkOutput(g, "o");
-    nl.Freeze();
-    PatternSet pats(1);
-    pats.Add64(0, 1);
-    const auto faults = EnumerateFaults(nl);
-    EXPECT_THROW(RunFaultSim(nl, pats, faults, nullptr, {.backend = b}),
-                 SimError)
-        << BackendName(b);
-  }
+TEST(EngineWidth, UnsupportedWidthThrows) {
+  Netlist nl("tiny");
+  const NetId a = nl.AddInput("a");
+  nl.MarkOutput(nl.AddGate(CellType::kInv, {a}), "o");
+  nl.Freeze();
+  PatternSet pats(1);
+  pats.Add64(0, 1);
+  const auto faults = EnumerateFaults(nl);
+  EXPECT_THROW(internal::RunFaultSimAtLanes(2, nl, pats, faults, nullptr, {}),
+               SimError);
+  EXPECT_THROW(
+      internal::RunTransitionFaultSimAtLanes(16, nl, pats, faults, nullptr, {}),
+      SimError);
 }
 
 // --- Reference conformance ---
@@ -159,10 +132,11 @@ TEST(BackendConformance, StuckAtSkipMasks) {
   }
 }
 
-TEST(BackendConformance, TransitionMatchesReference) {
-  // The transition engine's cross-block launch carry is the trickiest
-  // width seam: pattern counts land carries on every lane boundary
-  // (64/128/192/256...) and on ragged tails.
+TEST(BackendConformance, BlockEdgesMatchReference) {
+  // Pattern counts on and just past every block width. For transition
+  // faults this is the trickiest seam, the launch carry: it crosses every
+  // lane boundary (64/128/192/256...) and ragged tails, and at one lane it
+  // crosses 64-bit blocks.
   Rng rng(0xBEC3);
   for (const int count : kBlockEdges) {
     const int inputs = 5 + static_cast<int>(rng.below(8));
@@ -171,10 +145,12 @@ TEST(BackendConformance, TransitionMatchesReference) {
     const auto faults = TransitionFaultList(nl);
     const PatternSet pats = RandomPatterns(rng, inputs, count);
     const BitVec skip = RandomSkip(rng, faults.size(), 0.2);
-    for (const bool drop : {true, false}) {
-      ExpectEnginesMatchReference(Model::kTransition, nl, pats, faults, &skip,
-                                  {.drop_detected = drop},
-                                  "count " + std::to_string(count));
+    for (const Model model : {Model::kTransition, Model::kStuckAt}) {
+      for (const bool drop : {true, false}) {
+        ExpectEnginesMatchReference(model, nl, pats, faults, &skip,
+                                    {.drop_detected = drop},
+                                    "count " + std::to_string(count));
+      }
     }
   }
 }
@@ -205,7 +181,7 @@ TEST(BackendConformance, BundledModulesMatchReference) {
 
 TEST(BackendFuzz, RandomTriplesMatchReference) {
   // Random (netlist, pattern window, fault list, skip mask) quadruples;
-  // every registered backend must agree with the reference. The seed is in
+  // every supported width must agree with the reference. The seed is in
   // the failure trace — plug it into kFuzzBase below to reproduce a single
   // case deterministically.
   constexpr std::uint64_t kFuzzBase = 0xF122ED00;

@@ -3,7 +3,7 @@
 // representative per equivalence class) must reproduce the independent
 // reference simulator (reference_sim.h) — first_detect, detected_mask and
 // the per-pattern histogram — across drop/no-drop, skip masks that split
-// classes, every backend, thread counts 1 and 4 and both fault-list
+// classes, every engine width, thread counts 1 and 4 and both fault-list
 // flavours. Plus structural checks on the class partition, the
 // primary-output stem exclusion the legacy list-level collapser misses,
 // and a known-answer AND-gate class/dominance count.

@@ -1,6 +1,6 @@
 // Distributed-campaign subsystem tests: skip-mask replay (the first-detect
 // filter) bit-identity against the live engine for both fault models, every
-// backend and thread count, the Compactor's derived stage-3/validation
+// engine width and thread count, the Compactor's derived stage-3/validation
 // results and its fault-simulation cost, the work-unit codec (round trip +
 // corruption fallback), the advisory claim protocol (exclusive claim,
 // heartbeat, stale steal, done markers), and the coordinator's two-phase
@@ -26,7 +26,7 @@
 #include "distrib/claims.h"
 #include "distrib/coordinator.h"
 #include "distrib/units.h"
-#include "fault/backend.h"
+#include "fault/engine.h"
 #include "fault/faultsim.h"
 #include "fault/replay.h"
 #include "fault/transition.h"
@@ -162,6 +162,20 @@ fault::FaultSimResult Simulate(compact::FaultModel model,
              : fault::RunFaultSim(nl, patterns, faults, skip, options);
 }
 
+/// Simulate at a given engine lane count.
+fault::FaultSimResult SimulateAtLanes(compact::FaultModel model, int lanes,
+                                      const netlist::Netlist& nl,
+                                      const netlist::PatternSet& patterns,
+                                      const std::vector<fault::Fault>& faults,
+                                      const BitVec* skip,
+                                      const fault::FaultSimOptions& options) {
+  return model == compact::FaultModel::kTransition
+             ? fault::internal::RunTransitionFaultSimAtLanes(
+                   lanes, nl, patterns, faults, skip, options)
+             : fault::internal::RunFaultSimAtLanes(lanes, nl, patterns, faults,
+                                                   skip, options);
+}
+
 constexpr compact::FaultModel kModels[] = {compact::FaultModel::kStuckAt,
                                            compact::FaultModel::kTransition};
 
@@ -183,23 +197,22 @@ TEST(ReplayTest, FilterIsBitIdenticalToLiveEngine) {
     const netlist::PatternSet patterns =
         TiledRandomPatterns(rng, m.nl.num_inputs());
     for (const compact::FaultModel model : kModels) {
-      for (const fault::Backend backend : fault::RegisteredBackends()) {
+      for (const int lanes : fault::internal::SupportedLanes()) {
         for (const int threads : {1, 4}) {
           SCOPED_TRACE(std::string(m.name) + " " + ModelName(model) + " " +
-                       std::string(fault::BackendName(backend)) + " x" +
+                       std::to_string(lanes) + " lanes x" +
                        std::to_string(threads));
           fault::FaultSimOptions options;
-          options.backend = backend;
           options.num_threads = threads;
-          const fault::FaultSimResult full =
-              Simulate(model, m.nl, patterns, faults, nullptr, options);
+          const fault::FaultSimResult full = SimulateAtLanes(
+              model, lanes, m.nl, patterns, faults, nullptr, options);
           ASSERT_GT(full.num_detected, 0u);
           for (const BitVec& skip : SkipMasks(rng, full)) {
             const std::uint64_t replays_before =
                 fault::GlobalReplayCounters().replays.load();
-            ExpectSameResult(
-                Simulate(model, m.nl, patterns, faults, &skip, options),
-                fault::ReplaySkipFromFull(full, skip));
+            ExpectSameResult(SimulateAtLanes(model, lanes, m.nl, patterns,
+                                             faults, &skip, options),
+                             fault::ReplaySkipFromFull(full, skip));
             EXPECT_EQ(fault::GlobalReplayCounters().replays.load(),
                       replays_before + 1);
           }

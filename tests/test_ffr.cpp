@@ -5,7 +5,7 @@
 // whose regions are deep single-fanout chains — and on the bundled
 // DU/SP/SFU modules, first_detect, detected_mask and the per-pattern
 // histogram must match across drop/no-drop, skip masks, both fault-list
-// flavours, every backend and thread counts 1 and 4.
+// flavours, every engine width and thread counts 1 and 4.
 //
 // This suite carries the ctest label `tsan` (the FFR engine shards whole
 // regions over the worker pool and shares good-machine blocks read-only).
@@ -209,7 +209,9 @@ TEST(FfrClassGroups, GroupingIsValidAndRegionConsistent) {
     ASSERT_EQ(groups.group_offsets.size(), groups.num_groups() + 1);
     for (std::size_t g = 0; g < groups.num_groups(); ++g) {
       EXPECT_EQ(nl.ffr_stem(groups.ffrs[g]), groups.stems[g]);
-      if (g > 0) EXPECT_LT(groups.stems[g - 1], groups.stems[g]);
+      if (g > 0) {
+        EXPECT_LT(groups.stems[g - 1], groups.stems[g]);
+      }
       const auto cls = groups.group_classes(g);
       ASSERT_FALSE(cls.empty());
       EXPECT_TRUE(std::is_sorted(cls.begin(), cls.end()));

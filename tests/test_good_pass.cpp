@@ -2,7 +2,7 @@
 // thread count: the GoodTable word for word against a plain serial
 // BitSimulator pass, and both early-exit tables (stuck-at per class,
 // transition per fault) against a serial per-pattern fold, at 1, 2, 3, 4
-// and 7 threads and every registered backend's lane count. Pattern counts
+// and 7 threads and every lane count the engine runs here. Pattern counts
 // sit on and around the 64-pattern block and the wide block, and one
 // netlist puts its only launch exactly on a worker range boundary. The
 // engines built on the pass are then held to the reference simulator at
@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "fault/backend.h"
 #include "fault/collapse.h"
 #include "fault/engine.h"
 #include "fault/fault.h"
@@ -123,8 +122,8 @@ void ExpectTableMatches(const GoodTable& table,
   }
 }
 
-/// Runs both passes at every thread count of kThreads and every registered
-/// backend's lane count and checks them against the serial pass and fold.
+/// Runs both passes at every thread count of kThreads and every supported
+/// lane count and checks them against the serial pass and fold.
 void ExpectGoodPassMatchesSerial(const Netlist& nl, const PatternSet& pats,
                                  const std::string& what) {
   const std::vector<Fault> faults = CollapsedFaultList(nl);
@@ -144,8 +143,7 @@ void ExpectGoodPassMatchesSerial(const Netlist& nl, const PatternSet& pats,
     want_tr[fi] = LastTransitionBlock(nl, good, pats.size(), faults[fi]);
   }
 
-  for (const Backend b : RegisteredBackends()) {
-    const int lanes = BackendWordBits(b) / 64;
+  for (const int lanes : internal::SupportedLanes()) {
     for (const int t : kThreads) {
       const std::string tag = what + " patterns=" +
                               std::to_string(pats.size()) +
@@ -191,8 +189,8 @@ PatternSet EdgePatterns(std::size_t count, std::size_t edge) {
 TEST(GoodPass, MatchesSerialPassAtEveryThreadCountAndWidth) {
   Rng rng(0x600d);
   const Netlist nl = RandomNetlist(rng, 12, 90);
-  for (const Backend b : RegisteredBackends()) {
-    const int bits = BackendWordBits(b);
+  for (const int lanes : internal::SupportedLanes()) {
+    const int bits = 64 * lanes;
     for (const int count : {1, 63, 64, 65, bits - 1, bits + 1, 5 * bits + 17}) {
       ExpectGoodPassMatchesSerial(nl, RandomPatterns(rng, 12, count),
                                   "random width " + std::to_string(bits));
@@ -205,8 +203,8 @@ TEST(GoodPass, LaunchOnAWorkerRangeBoundary) {
   // the edge netlist's only rise and fall are that range's first pattern,
   // launched from the previous range's last pattern.
   const Netlist nl = EdgeNetlist();
-  for (const Backend b : RegisteredBackends()) {
-    const std::size_t bits = BackendWordBits(b);
+  for (const int lanes : internal::SupportedLanes()) {
+    const std::size_t bits = 64 * static_cast<std::size_t>(lanes);
     const PatternSet pats = EdgePatterns(4 * bits, 2 * bits);
     ExpectGoodPassMatchesSerial(nl, pats, "edge");
 

@@ -654,6 +654,46 @@ TEST(CampaignServiceTest, ManifestPlanMatchesInlinePlan) {
   EXPECT_THROW(BuildPlan(missing), Error);
 }
 
+TEST(CampaignServiceTest, RetiredBackendKeyIsIgnored) {
+  // The engine picks its own width, so a submit that still names a backend
+  // ("avx2" no longer exists) must run exactly like one that does not.
+  const std::string dir = ScratchDir("backend_key");
+  {
+    std::ofstream asm_file(fs::path(dir) / "tiny.asm");
+    asm_file << kTinyAsm;
+    std::ofstream manifest(fs::path(dir) / "stl.txt");
+    manifest << "tiny.asm DU compact\n"
+             << "tiny.asm SP carry\n";
+  }
+  const std::string manifest = (fs::path(dir) / "stl.txt").string();
+
+  ServiceOptions options;
+  options.workers = 1;
+  CampaignService service(options);
+  std::string reports[2];
+  const std::string extra[] = {"", ",\"backend\":\"avx2\""};
+  for (int i = 0; i < 2; ++i) {
+    const auto j = Json::Parse("{\"op\":\"submit\",\"manifest\":\"" +
+                               manifest + "\"" + extra[i] + "}");
+    ASSERT_TRUE(j.has_value());
+    SubmitRequest req;
+    std::string error;
+    ASSERT_TRUE(ParseSubmitRequest(*j, &req, &error)) << error;
+    EventLog log;
+    ASSERT_TRUE(service.Submit(MakeJobSpec(req), log.Sink()).admitted);
+    log.Wait();
+    const Json terminal = log.Terminal();
+    EXPECT_EQ(terminal.GetString("status"), "complete") << extra[i];
+    reports[i] = terminal.GetString("report");
+    if (i == 0) {
+      EXPECT_EQ(reports[0], DirectReport(BuildPlan(req)));
+    }
+  }
+  EXPECT_FALSE(reports[0].empty());
+  EXPECT_EQ(reports[0], reports[1]);
+  service.Drain(false);
+}
+
 // --- SocketServer ------------------------------------------------------------
 
 /// Connects a raw client to `path`. Returns the fd (caller closes).

@@ -391,31 +391,6 @@ TEST(SimulateWithStoreTest, WarmRunIsBitIdenticalAndCounted) {
   EXPECT_EQ(store.stats().hits, 2u);
 }
 
-TEST(SimulateWithStoreTest, BackendToggleSharesTheCacheEntry) {
-  // Every engine backend is bit-identical by the conformance contract
-  // (tests/test_backend.cpp), so the backend must not enter the store key:
-  // a result computed by the scalar backend serves wide-backend runs (and
-  // vice versa) from the cache, exactly like the thread count.
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-
-  ResultStore store(ScratchDir("backend_key"));
-  fault::FaultSimOptions scalar;
-  scalar.backend = fault::Backend::kScalar;
-  const FaultSimResult cold = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, scalar, SimModel::kStuckAt);
-  EXPECT_EQ(store.stats().misses, 1u);
-
-  fault::FaultSimOptions wide;
-  wide.backend = fault::Backend::kWide;
-  const FaultSimResult warm = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, wide, SimModel::kStuckAt);
-  ExpectSameResult(cold, warm);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-}
-
 TEST(SimulateWithStoreTest, CorruptedEntryFallsBackToRecompute) {
   const Netlist nl = SmallNetlist();
   const PatternSet ps = SmallPatterns();

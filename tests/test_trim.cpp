@@ -4,7 +4,7 @@
 // for transition, it never again sees a launch-capture pair. Retiring must
 // be invisible in the results. Pattern sets here end in constant ("dead")
 // tails so most faults do retire early, with ragged block ends; every
-// backend at 1 and 4 threads must still reproduce the independent
+// engine width at 1 and 4 threads must still reproduce the independent
 // reference simulator (reference_sim.h) for stuck-at and transition
 // faults, with and without dropping and under skip masks, on randomized
 // netlists and the bundled DU/SP/SFU modules. The early-exit counter is
@@ -22,7 +22,7 @@
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
 #include "common/rng.h"
-#include "fault/backend.h"
+#include "fault/engine.h"
 #include "fault/fault.h"
 #include "fault/faultsim.h"
 #include "fault/transition.h"
@@ -139,15 +139,15 @@ void ExpectEarlyExits(Model model, std::uint64_t seed) {
 
   const FaultSimResult want =
       reference::Simulate(model, nl, pats, faults, nullptr, true);
-  for (const Backend b : RegisteredBackends()) {
+  for (const int lanes : internal::SupportedLanes()) {
     std::atomic<std::uint64_t> exited{0};
     FaultSimOptions opt;
-    opt.backend = b;
     opt.faults_early_exited = &exited;
-    ExpectIdentical(want, RunEngine(model, nl, pats, faults, nullptr, opt),
-                    "early-exit " + std::string(BackendName(b)));
+    ExpectIdentical(want,
+                    RunEngine(model, lanes, nl, pats, faults, nullptr, opt),
+                    "early-exit lanes=" + std::to_string(lanes));
     EXPECT_GT(exited.load(), 0u)
-        << BackendName(b) << ": early-exit never retired a fault";
+        << lanes << " lanes: early-exit never retired a fault";
   }
 }
 

@@ -69,7 +69,6 @@ int Usage() {
       "  --deadline S           whole-job wall-clock budget in seconds\n"
       "  --stage-deadline S     per-stage budget in seconds\n"
       "  --threads N            fault-sim workers for this job\n"
-      "  --backend B            fault-sim backend for this job\n"
       "  --checkpoint <dir>     checkpoint after every PTP; resume from a\n"
       "                         matching checkpoint in <dir>\n"
       "  --report <file>        write the campaign report text\n"
@@ -141,7 +140,6 @@ struct SubmitArgs {
   std::string manifest;
   std::string tenant;
   std::string priority;
-  std::string backend;
   std::string checkpoint_dir;
   std::string report_path;
   double deadline = -1.0;
@@ -162,7 +160,6 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
   if (args.deadline >= 0) req.Set("deadline", args.deadline);
   if (args.stage_deadline >= 0) req.Set("stage_deadline", args.stage_deadline);
   if (args.threads >= 0) req.Set("threads", args.threads);
-  if (!args.backend.empty()) req.Set("backend", args.backend);
   if (!args.checkpoint_dir.empty()) {
     req.Set("checkpoint_dir",
             std::filesystem::absolute(args.checkpoint_dir).string());
@@ -340,7 +337,6 @@ int Main(int argc, char** argv) {
       if (!v || *v < 0) Die("--threads must be >= 0");
       submit.threads = static_cast<int>(*v);
     }
-    else if (arg == "--backend") submit.backend = next();
     else if (arg == "--checkpoint") submit.checkpoint_dir = next();
     else if (arg == "--report") submit.report_path = next();
     else if (arg == "--json") submit.raw_json = true;

@@ -104,12 +104,11 @@ int Usage() {
       "with N workers (0 = all cores, default 1 = serial). Reports are\n"
       "bit-identical for every N.\n"
       "\n"
-      "faultsim/compact/campaign accept --backend B (or GPUSTL_BACKEND):\n"
-      "selects the fault-simulation engine backend. B is one of auto\n"
-      "(default: runtime CPU dispatch), scalar (64-pattern words),\n"
-      "wide (portable 256-bit bundles), avx2 or avx512. An explicit\n"
-      "backend the CPU or binary lacks is an input error — never a\n"
-      "silent fallback. Reports are bit-identical for every backend.\n"
+      "The fault simulator picks its own word width: one 64-pattern word\n"
+      "when the patterns fit one block, else 512-pattern bundles on CPUs\n"
+      "with AVX-512F and 256-pattern bundles otherwise. Reports are\n"
+      "bit-identical for every width; summaries name the multi-block width\n"
+      "as 'backend: avx512' or 'backend: wide'.\n"
       "\n"
       "caching: --cache-dir <dir> (or GPUSTL_CACHE_DIR) enables the\n"
       "content-addressed result store: fault simulations whose inputs are\n"
@@ -203,9 +202,6 @@ struct Args {
   int threads = 1;
   bool reverse = false;
   bool no_drop = false;
-  // kAuto defers to ResolveBackend, which honours $GPUSTL_BACKEND — the
-  // flag takes precedence by selecting a concrete backend here.
-  fault::Backend backend = fault::Backend::kAuto;
   bool no_cache = false;
   bool vcd = false;
   std::uint32_t dump_addr = 0;
@@ -226,11 +222,6 @@ struct Args {
       else if (arg == "--fault-model") fault_model = next();
       else if (arg == "--state") state = next();
       else if (arg == "--no-drop") no_drop = true;
-      else if (arg == "--backend") {
-        const auto b = fault::ParseBackend(next());
-        if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
-        backend = *b;
-      }
       else if (arg == "--cache-dir") cache_dir = next();
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--resume") resume = next();
@@ -418,7 +409,6 @@ int CmdFaultsim(const Args& args) {
   const fault::FaultSimOptions sim_options{
       .drop_detected = !args.no_drop,
       .num_threads = args.threads,
-      .backend = args.backend,
       .cancel = args.deadline > 0 ? &deadline_token : nullptr};
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
   const store::SimModel model = args.fault_model == "transition"
@@ -443,7 +433,7 @@ int CmdFaultsim(const Args& args) {
   for (const auto d : report.detects_per_pattern) detecting += d > 0 ? 1 : 0;
   std::printf("  %zu patterns contribute detections\n", detecting);
   std::printf("  backend: %s\n",
-              fault::BackendName(fault::ResolveBackend(args.backend)).data());
+              fault::BackendName(fault::ResolveBackend()).data());
   if (cache) PrintCacheStats(cache->stats());
   return 0;
 }
@@ -458,7 +448,6 @@ int CmdCompact(const Args& args) {
   options.reverse_patterns = args.reverse;
   options.drop_within_ptp = !args.no_drop;
   options.num_threads = args.threads;
-  options.backend = args.backend;
   options.stage_deadline_seconds = args.deadline;
   if (args.fault_model == "transition") {
     options.fault_model = compact::FaultModel::kTransition;
@@ -518,7 +507,6 @@ int CmdCampaign(const Args& args) {
   const netlist::Netlist fp32 = circuits::BuildFp32();
   compact::CompactorOptions base;
   base.num_threads = args.threads;
-  base.backend = args.backend;
   base.stage_deadline_seconds = args.deadline;
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
   base.result_store = cache.get();

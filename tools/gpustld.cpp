@@ -22,7 +22,6 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
-#include "fault/backend.h"
 #include "net/broker.h"
 #include "net/net.h"
 #include "net/tcp_server.h"
@@ -67,8 +66,6 @@ int Usage() {
       "  --distrib-stale S      claim staleness horizon in seconds\n"
       "                         (default 30)\n"
       "  --threads N            fault-sim workers per job (default 1)\n"
-      "  --backend B            fault-sim backend (auto, scalar, wide,\n"
-      "                         avx2, avx512)\n"
       "  --drain-cancel         on drain, cancel in-flight jobs instead of\n"
       "                         letting them finish\n"
       "  --chaos <spec>         deterministic failure injection (gpustlc\n"
@@ -142,11 +139,6 @@ struct Args {
       }
       else if (arg == "--threads")
         service.base.num_threads = static_cast<int>(next_int(0));
-      else if (arg == "--backend") {
-        const auto b = fault::ParseBackend(next());
-        if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
-        service.base.backend = *b;
-      }
       else if (arg == "--drain-cancel") drain_cancel = true;
       else if (arg == "--chaos") chaos = next();
       else if (arg == "--chaos-seed")
