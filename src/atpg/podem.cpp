@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "fault/collapse.h"
 
 namespace gpustl::atpg {
 
@@ -94,19 +95,60 @@ bool IsInverting(CellType type) {
   }
 }
 
+/// PODEM over one netlist with event-driven 3-valued implication.
+///
+/// Invariant: at every search node `good_` and `faulty_` hold exactly what
+/// a full 3-valued re-simulation of the current PI assignment would give
+/// (faulty with the fault forced at its site). A decision only re-evaluates
+/// the gates it reaches: a changed PI pushes its fanout into level buckets,
+/// the buckets drain in ascending level, and a gate pushes its own fanout
+/// only when its good or faulty value changed. Because every gate is
+/// evaluated after all of its fanins (levels strictly increase along an
+/// edge), the drained state is the unique fixpoint the full pass computes.
+///
+/// One engine serves a whole run: the all-X start state does not depend on
+/// the fault, so it is computed once in the constructor (the only full
+/// pass) and every fault starts from a copy of it. All buffers are sized to
+/// the netlist up front and reused across faults.
 class PodemEngine {
  public:
-  PodemEngine(const Netlist& nl, const Fault& f, const AtpgOptions& options)
-      : nl_(nl), fault_(f), options_(options) {
-    good_.assign(nl.gate_count(), kVX);
-    faulty_.assign(nl.gate_count(), kVX);
-    assign_.assign(nl.gate_count(), kVX);  // indexed by PI net id
+  explicit PodemEngine(const Netlist& nl) : nl_(nl) {
+    GPUSTL_ASSERT(nl.frozen(), "ATPG requires a frozen netlist");
+    GPUSTL_ASSERT(nl.dffs().empty(),
+                  "ATPG supports combinational modules only");
+    const std::size_t n = nl.gate_count();
+    baseline_.assign(n, kVX);
+    std::uint8_t in[kMaxFanin];
+    for (NetId id : nl.topo_order()) {
+      const Gate& g = nl.gate(id);
+      const int k = g.fanin_count();
+      for (int i = 0; i < k; ++i) in[i] = baseline_[g.fanin[i]];
+      baseline_[id] = Eval3(g.type, in, k);
+    }
+    good_.resize(n);
+    faulty_.resize(n);
+    assign_.assign(n, kVX);  // indexed by PI net id
+    queued_.assign(n, 0);
+    in_cone_.assign(n, 0);
+    cone_.reserve(n);
+
+    // One bucket per level, each as large as the level: a gate is queued
+    // at most once per drain, so no bucket can overflow.
+    const std::uint32_t levels = nl.max_level() + 1;
+    bucket_offset_.assign(levels + 1, 0);
+    for (NetId id = 0; id < n; ++id) ++bucket_offset_[nl.levels()[id] + 1];
+    for (std::uint32_t l = 0; l < levels; ++l) {
+      bucket_offset_[l + 1] += bucket_offset_[l];
+    }
+    bucket_fill_.assign(levels, 0);
+    bucket_slots_.resize(n);
+    lo_level_ = levels;
   }
 
-  AtpgResult Run() {
-    AtpgResult result;
-    Simulate();
+  AtpgResult Generate(const Fault& f, const AtpgOptions& options) {
+    Reset(f, options.backtrack_limit);
     const bool found = Search();
+    AtpgResult result;
     result.assignment.assign(nl_.num_inputs(), kVX);
     for (std::size_t i = 0; i < nl_.num_inputs(); ++i) {
       result.assignment[i] = assign_[nl_.inputs()[i]];
@@ -120,33 +162,107 @@ class PodemEngine {
   }
 
  private:
-  /// Full 3-valued good/faulty resimulation from the current PI assignment.
-  void Simulate() {
-    for (NetId pi : nl_.inputs()) {
-      good_[pi] = assign_[pi];
-      faulty_[pi] = assign_[pi];
+  /// Restores the all-X state for fault `f`: copies the baseline, forces
+  /// the fault site and implies it, and builds the fault's cone.
+  void Reset(const Fault& f, int backtrack_limit) {
+    fault_ = f;
+    backtrack_limit_ = backtrack_limit;
+    forced_ = f.sa1 ? kV1 : kV0;
+    backtracks_ = 0;
+    aborted_ = false;
+    std::copy(baseline_.begin(), baseline_.end(), good_.begin());
+    std::copy(baseline_.begin(), baseline_.end(), faulty_.begin());
+    for (NetId pi : nl_.inputs()) assign_[pi] = kVX;
+    BuildCone();
+    if (nl_.gate(f.gate).type == CellType::kInput) {
+      faulty_[f.gate] = forced_;  // its good value is X
+      PushFanout(f.gate);
+    } else {
+      Push(f.gate);
     }
-    if (fault_.pin == Fault::kOutputPin &&
-        nl_.gate(fault_.gate).type == CellType::kInput) {
-      faulty_[fault_.gate] = fault_.sa1 ? kV1 : kV0;
-    }
-    std::uint8_t in[kMaxFanin];
-    for (NetId id : nl_.topo_order()) {
-      const Gate& g = nl_.gate(id);
-      const int n = g.fanin_count();
-      for (int i = 0; i < n; ++i) in[i] = good_[g.fanin[i]];
-      good_[id] = Eval3(g.type, in, n);
+    Drain();
+  }
 
-      for (int i = 0; i < n; ++i) {
-        in[i] = (id == fault_.gate && i == fault_.pin)
-                    ? (fault_.sa1 ? kV1 : kV0)
-                    : faulty_[g.fanin[i]];
-      }
-      faulty_[id] = Eval3(g.type, in, n);
-      if (id == fault_.gate && fault_.pin == Fault::kOutputPin) {
-        faulty_[id] = fault_.sa1 ? kV1 : kV0;
+  /// The faulted gate's transitive fanout, ascending by id (the topological
+  /// order): the only gates whose faulty value can differ from the good one.
+  void BuildCone() {
+    for (NetId id : cone_) in_cone_[id] = 0;
+    cone_.clear();
+    cone_.push_back(fault_.gate);
+    in_cone_[fault_.gate] = 1;
+    for (std::size_t i = 0; i < cone_.size(); ++i) {
+      for (NetId fo : nl_.fanout(cone_[i])) {
+        if (in_cone_[fo]) continue;
+        in_cone_[fo] = 1;
+        cone_.push_back(fo);
       }
     }
+    std::sort(cone_.begin(), cone_.end());
+  }
+
+  void Push(NetId id) {
+    if (queued_[id]) return;
+    queued_[id] = 1;
+    const std::uint32_t level = nl_.levels()[id];
+    bucket_slots_[bucket_offset_[level] + bucket_fill_[level]++] = id;
+    lo_level_ = std::min(lo_level_, level);
+    hi_level_ = std::max(hi_level_, level);
+  }
+
+  void PushFanout(NetId id) {
+    for (NetId fo : nl_.fanout(id)) Push(fo);
+  }
+
+  /// Evaluates queued gates in ascending level until no value changes.
+  void Drain() {
+    for (std::uint32_t level = lo_level_; level <= hi_level_; ++level) {
+      const std::uint32_t base = bucket_offset_[level];
+      for (std::uint32_t i = 0; i < bucket_fill_[level]; ++i) {
+        const NetId id = bucket_slots_[base + i];
+        queued_[id] = 0;
+        Evaluate(id);
+      }
+      bucket_fill_[level] = 0;
+    }
+    lo_level_ = static_cast<std::uint32_t>(bucket_fill_.size());
+    hi_level_ = 0;
+  }
+
+  /// Re-evaluates one gate's good and faulty value (the fault forced
+  /// exactly as a full pass forces it) and queues its fanout on a change.
+  void Evaluate(NetId id) {
+    const Gate& g = nl_.gate(id);
+    const int n = g.fanin_count();
+    std::uint8_t in[kMaxFanin];
+    for (int i = 0; i < n; ++i) in[i] = good_[g.fanin[i]];
+    const std::uint8_t good = Eval3(g.type, in, n);
+    std::uint8_t faulty = good;  // outside the cone the machines agree
+    if (in_cone_[id]) {
+      for (int i = 0; i < n; ++i) {
+        in[i] = (id == fault_.gate && i == fault_.pin) ? forced_
+                                                       : faulty_[g.fanin[i]];
+      }
+      faulty = Eval3(g.type, in, n);
+      if (id == fault_.gate && fault_.pin == Fault::kOutputPin) {
+        faulty = forced_;
+      }
+    }
+    if (good == good_[id] && faulty == faulty_[id]) return;
+    good_[id] = good;
+    faulty_[id] = faulty;
+    PushFanout(id);
+  }
+
+  /// Assigns (or, with kVX, unassigns) a primary input and implies it.
+  void SetInput(NetId pi, std::uint8_t value) {
+    assign_[pi] = value;
+    const std::uint8_t faulty =
+        pi == fault_.gate && fault_.pin == Fault::kOutputPin ? forced_ : value;
+    if (value == good_[pi] && faulty == faulty_[pi]) return;
+    good_[pi] = value;
+    faulty_[pi] = faulty;
+    PushFanout(pi);
+    Drain();
   }
 
   bool Detected() const {
@@ -163,11 +279,6 @@ class PodemEngine {
     return fault_.pin == Fault::kOutputPin
                ? fault_.gate
                : nl_.gate(fault_.gate).fanin[fault_.pin];
-  }
-
-  bool Activated() const {
-    const std::uint8_t want = fault_.sa1 ? kV0 : kV1;
-    return good_[SiteNet()] == want;
   }
 
   /// Finds the next objective (net, value). Returns false if the search
@@ -204,7 +315,9 @@ class PodemEngine {
     }
 
     // D-frontier: a gate with a D on some input and an undefined output.
-    for (NetId id : nl_.topo_order()) {
+    // A D exists only inside the fault's cone, so scanning the cone in
+    // topological order finds the same first gate as scanning the netlist.
+    for (NetId id : cone_) {
       if (good_[id] != kVX && faulty_[id] != kVX) continue;
       const Gate& g = nl_.gate(id);
       bool has_d = false;
@@ -283,24 +396,36 @@ class PodemEngine {
     if (!Backtrace(obj_net, obj_value, &pi, &pi_value)) return false;
 
     for (int attempt = 0; attempt < 2; ++attempt) {
-      assign_[pi] = attempt == 0 ? pi_value : (pi_value == kV1 ? kV0 : kV1);
-      Simulate();
+      SetInput(pi, attempt == 0 ? pi_value : (pi_value == kV1 ? kV0 : kV1));
       if (Search()) return true;
       if (aborted_) break;
-      if (++backtracks_ > options_.backtrack_limit) {
+      if (++backtracks_ > backtrack_limit_) {
         aborted_ = true;
         break;
       }
     }
-    assign_[pi] = kVX;
-    Simulate();
+    SetInput(pi, kVX);
     return false;
   }
 
   const Netlist& nl_;
-  const Fault fault_;
-  const AtpgOptions& options_;
+  std::vector<std::uint8_t> baseline_;  // good == faulty, every PI at X
   std::vector<std::uint8_t> good_, faulty_, assign_;
+
+  // Level buckets: bucket l is bucket_slots_[bucket_offset_[l] ..
+  // + bucket_fill_[l]); lo/hi bound the levels holding queued gates.
+  std::vector<std::uint32_t> bucket_offset_, bucket_fill_;
+  std::vector<NetId> bucket_slots_;
+  std::vector<std::uint8_t> queued_;
+  std::uint32_t lo_level_ = 0, hi_level_ = 0;
+
+  std::vector<NetId> cone_;           // the fault's cone, ascending
+  std::vector<std::uint8_t> in_cone_;
+
+  // The fault being searched.
+  Fault fault_;
+  std::uint8_t forced_ = kV0;
+  int backtrack_limit_ = 0;
   int backtracks_ = 0;
   bool aborted_ = false;
 };
@@ -309,10 +434,7 @@ class PodemEngine {
 
 AtpgResult GeneratePattern(const Netlist& nl, const Fault& f,
                            const AtpgOptions& options) {
-  GPUSTL_ASSERT(nl.frozen(), "ATPG requires a frozen netlist");
-  GPUSTL_ASSERT(nl.dffs().empty(), "ATPG supports combinational modules only");
-  PodemEngine engine(nl, f, options);
-  return engine.Run();
+  return PodemEngine(nl).Generate(f, options);
 }
 
 AtpgRunResult GeneratePatternSet(const Netlist& nl,
@@ -323,6 +445,7 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
   run.patterns = netlist::PatternSet(width);
 
   BitVec covered(faults.size(), false);
+  BitVec gave_up(faults.size(), false);  // aborted or over budget
   const std::size_t wpp = run.patterns.words_per_pattern();
   std::vector<std::uint64_t> row(wpp);
 
@@ -330,6 +453,11 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
     if (options.pattern_fixup) options.pattern_fixup(r);
     if (width % 64 != 0) r[wpp - 1] &= (1ull << (width % 64)) - 1;
   };
+
+  // Every batch simulates the same fault list: collapse it once.
+  const fault::FaultCollapse collapse = fault::BuildFaultCollapse(nl, faults);
+  const fault::FaultSimOptions sim_options{.drop_detected = true,
+                                           .collapse_plan = &collapse};
 
   // Phase 1 (standard ATPG tool flow): random patterns with fault
   // dropping; only patterns that contribute first detections are kept.
@@ -342,8 +470,8 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
       fixup(row.data());
       batch.Add(static_cast<std::uint64_t>(p), row.data());
     }
-    const auto sim = fault::RunFaultSim(nl, batch, faults, &covered,
-                                        {.drop_detected = true});
+    const auto sim =
+        fault::RunFaultSim(nl, batch, faults, &covered, sim_options);
     covered |= sim.detected_mask;
     for (std::size_t p = 0; p < batch.size(); ++p) {
       if (sim.detects_per_pattern[p] > 0) {
@@ -359,8 +487,8 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
   netlist::PatternSet batch(width);
   auto flush_batch = [&] {
     if (batch.empty()) return;
-    const auto sim = fault::RunFaultSim(nl, batch, faults, &covered,
-                                        {.drop_detected = true});
+    const auto sim =
+        fault::RunFaultSim(nl, batch, faults, &covered, sim_options);
     covered |= sim.detected_mask;
     for (std::size_t p = 0; p < batch.size(); ++p) {
       run.patterns.Add(run.patterns.size(), batch.Row(p));
@@ -369,22 +497,23 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
     batch = netlist::PatternSet(width);
   };
 
+  PodemEngine engine(nl);
   std::size_t attempts = 0;
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (covered.Get(fi)) continue;
     if (options.deterministic_fault_budget != 0 &&
         attempts >= options.deterministic_fault_budget) {
-      ++run.aborted;  // out of budget: left to collateral detection
+      gave_up.Set(fi, true);  // out of budget: left to collateral detection
       continue;
     }
     ++attempts;
-    const AtpgResult res = GeneratePattern(nl, faults[fi], options);
+    const AtpgResult res = engine.Generate(faults[fi], options);
     switch (res.status) {
       case AtpgStatus::kUntestable:
         ++run.untestable;
         continue;
       case AtpgStatus::kAborted:
-        ++run.aborted;
+        gave_up.Set(fi, true);
         continue;
       case AtpgStatus::kDetected:
         break;
@@ -402,6 +531,11 @@ AtpgRunResult GeneratePatternSet(const Netlist& nl,
   flush_batch();
 
   run.detected = covered.Count();
+  // A fault PODEM gave up on may still fall to a later batch: only the
+  // ones left uncovered count as aborted.
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (gave_up.Get(fi) && !covered.Get(fi)) ++run.aborted;
+  }
   return run;
 }
 

@@ -3,10 +3,10 @@
 // The paper's TPGEN and SFU_IMM PTPs are built from ATPG tool patterns that
 // a parser converts into GPU instructions. This module is that ATPG tool:
 // a classic PODEM (path-oriented decision making) over the gate-level
-// modules, with 3-valued good/faulty simulation, D-frontier objectives,
-// backtrace to primary inputs, bounded backtracking, random fill of
-// unassigned inputs, and inter-pattern fault dropping via the PPSFP fault
-// simulator.
+// modules, with event-driven 3-valued good/faulty implication, D-frontier
+// objectives searched in the fault's cone, backtrace to primary inputs,
+// bounded backtracking, random fill of unassigned inputs, and inter-pattern
+// fault dropping via the PPSFP fault simulator.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,8 @@ struct AtpgOptions {
 
   /// Upper bound on deterministic-phase PODEM attempts (0 = unlimited).
   /// Faults beyond the budget are left to collateral detection and counted
-  /// as aborted. Caps the run time on redundancy-heavy modules.
+  /// as aborted if none follows. Caps the run time on redundancy-heavy
+  /// modules.
   std::size_t deterministic_fault_budget = 0;
 
   /// Canonicalizes each pattern after don't-care fill and BEFORE fault
@@ -65,7 +66,10 @@ struct AtpgRunResult {
   netlist::PatternSet patterns;  // cc stamps are pattern ordinals
   std::size_t detected = 0;      // faults covered (incl. collateral drops)
   std::size_t untestable = 0;
-  std::size_t aborted = 0;       // PODEM backtrack-limit hits
+  /// Faults PODEM aborted (backtrack limit) or skipped (fault budget) that
+  /// no pattern of the set detects, so detected + untestable + aborted
+  /// never exceeds the fault count.
+  std::size_t aborted = 0;
   std::size_t random_patterns = 0;        // kept from the random phase
   std::size_t deterministic_patterns = 0; // emitted by PODEM
 };

@@ -127,6 +127,105 @@ TEST(Podem, RunIsDeterministicForSeed) {
   EXPECT_EQ(r1.detected, r2.detected);
 }
 
+TEST(Podem, RunCountsEachFaultOnce) {
+  // With no random phase and a budget of one PODEM attempt, every other
+  // fault is left to collateral detection. A skipped fault that a later
+  // batch detects is detected, not aborted.
+  const Netlist nl = SmallCircuit();
+  const auto faults = fault::CollapsedFaultList(nl);
+  AtpgOptions options;
+  options.random_phase_patterns = 0;
+  options.deterministic_fault_budget = 1;
+  const AtpgRunResult run = GeneratePatternSet(nl, faults, Rng(3), options);
+  EXPECT_LE(run.detected + run.untestable + run.aborted, faults.size());
+  const auto res = fault::RunFaultSim(nl, run.patterns, faults);
+  EXPECT_EQ(res.num_detected, run.detected);
+}
+
+/// FNV-1a over a byte stream: pins generated patterns without storing them.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void Add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Status counts and a digest of every status and assignment PODEM gives
+/// for every `stride`-th collapsed fault of `nl`.
+struct SampleSummary {
+  std::size_t detected = 0, untestable = 0, aborted = 0;
+  std::uint64_t digest = 0;
+};
+
+SampleSummary PodemOverSample(const Netlist& nl, std::size_t stride) {
+  const auto faults = fault::CollapsedFaultList(nl);
+  SampleSummary s;
+  Digest d;
+  for (std::size_t i = 0; i < faults.size(); i += stride) {
+    const AtpgResult res = GeneratePattern(nl, faults[i]);
+    d.Add(static_cast<std::uint64_t>(res.status));
+    for (const std::uint8_t v : res.assignment) d.Add(v);
+    switch (res.status) {
+      case AtpgStatus::kDetected: ++s.detected; break;
+      case AtpgStatus::kUntestable: ++s.untestable; break;
+      case AtpgStatus::kAborted: ++s.aborted; break;
+    }
+  }
+  s.digest = d.h;
+  return s;
+}
+
+// The figures below were produced by the full-resimulation PODEM that the
+// event-driven implication replaced. Any change to a search node's values
+// changes some decision, so these pin every decision of the search.
+TEST(Podem, SpSampleMatchesPinnedSearch) {
+  const SampleSummary s = PodemOverSample(circuits::BuildSpCore(), 97);
+  EXPECT_EQ(s.detected, 221u);
+  EXPECT_EQ(s.untestable, 34u);
+  EXPECT_EQ(s.aborted, 6u);
+  EXPECT_EQ(s.digest, 8102529786777170983u);
+}
+
+TEST(Podem, SfuSampleMatchesPinnedSearch) {
+  const SampleSummary s = PodemOverSample(circuits::BuildSfu(), 149);
+  EXPECT_EQ(s.detected, 184u);
+  EXPECT_EQ(s.untestable, 69u);
+  EXPECT_EQ(s.aborted, 24u);
+  EXPECT_EQ(s.digest, 1157771563794339236u);
+}
+
+TEST(Podem, SpRunMatchesPinnedPatterns) {
+  // The whole run: random phase, PODEM, don't-care fill and batch
+  // dropping over a fixed sample of SP faults.
+  const Netlist sp = circuits::BuildSpCore();
+  const auto all = fault::CollapsedFaultList(sp);
+  std::vector<Fault> sample;
+  for (std::size_t i = 0; i < all.size(); i += 16) sample.push_back(all[i]);
+  AtpgOptions options;
+  options.random_phase_patterns = 256;
+  options.backtrack_limit = 50;
+  const AtpgRunResult run = GeneratePatternSet(sp, sample, Rng(0x7B6E), options);
+
+  Digest d;
+  for (std::size_t p = 0; p < run.patterns.size(); ++p) {
+    const std::uint64_t* row = run.patterns.Row(p);
+    for (std::size_t w = 0; w < run.patterns.words_per_pattern(); ++w) {
+      d.Add(row[w]);
+    }
+  }
+  EXPECT_EQ(run.patterns.size(), 308u);
+  EXPECT_EQ(run.random_patterns, 76u);
+  EXPECT_EQ(run.detected, 1202u);
+  EXPECT_EQ(run.untestable, 340u);
+  // 39, not 43: four faults PODEM aborted fall to a later batch and count
+  // as detected only.
+  EXPECT_EQ(run.aborted, 39u);
+  EXPECT_EQ(d.h, 5500107770244377086u);
+}
+
 TEST(Podem, WorksOnSfuModule) {
   // Spot-check PODEM scales to the real SFU datapath.
   const Netlist sfu = circuits::BuildSfu();

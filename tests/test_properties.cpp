@@ -4,7 +4,8 @@
 //    simulator the conformance suites use as their oracle
 //    (reference_sim.h), are checked fault-by-fault, pattern-by-pattern
 //    against a brute-force faulty-circuit evaluator;
-//  * PODEM patterns on random netlists are confirmed by the fault sim;
+//  * PODEM patterns on random netlists are confirmed by the fault sim,
+//    and PODEM's verdicts by an exhaustive reference simulation;
 //  * random programs: the GPU model's architectural results are invariant
 //    under the SP-core count (timing-only knob) and bit-identical across
 //    repeated runs;
@@ -235,6 +236,47 @@ TEST_P(RandomCircuits, PodemPatternsConfirmedByFaultSim) {
   }
   // Random netlists contain redundancy, but most faults must be testable.
   EXPECT_GT(detected, untestable / 2);
+}
+
+TEST_P(RandomCircuits, PodemAgreesWithExhaustiveReference) {
+  // PODEM against the reference simulator, which shares none of its code:
+  // an untestable fault is detected by none of the 256 input patterns, and
+  // a detected fault's cube detects it whatever fills the don't-cares.
+  Rng rng(GetParam() + 4000);
+  const Netlist nl = RandomNetlist(rng, 8, 40, 4);
+  const auto faults = fault::CollapsedFaultList(nl);
+
+  PatternSet exhaustive(8);
+  for (std::uint64_t bits = 0; bits < 256; ++bits) exhaustive.Add64(bits, bits);
+
+  std::vector<fault::Fault> untestable;
+  int detected = 0;
+  for (const auto& f : faults) {
+    const auto res = atpg::GeneratePattern(nl, f);
+    if (res.status == atpg::AtpgStatus::kUntestable) untestable.push_back(f);
+    if (res.status != atpg::AtpgStatus::kDetected) continue;
+    ++detected;
+    std::uint64_t ones = 0, care = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      if (res.assignment[i] != 2) care |= 1ull << i;
+      if (res.assignment[i] == 1) ones |= 1ull << i;
+    }
+    PatternSet fills(8);
+    fills.Add64(0, ones);                           // X -> 0
+    fills.Add64(1, ones | (~care & 0xFF));          // X -> 1
+    fills.Add64(2, ones | (rng() & ~care & 0xFF));  // X -> random
+    const auto sim = reference::Simulate(reference::Model::kStuckAt, nl, fills,
+                                         {f}, nullptr, false);
+    EXPECT_EQ(sim.detects_per_pattern, (std::vector<std::uint32_t>{1, 1, 1}))
+        << fault::FaultName(nl, f) << " seed " << GetParam();
+  }
+  const auto sim = reference::Simulate(reference::Model::kStuckAt, nl,
+                                       exhaustive, untestable, nullptr, true);
+  for (std::size_t fi = 0; fi < untestable.size(); ++fi) {
+    EXPECT_EQ(sim.first_detect[fi], fault::FaultSimResult::kNotDetected)
+        << fault::FaultName(nl, untestable[fi]) << " seed " << GetParam();
+  }
+  EXPECT_GT(detected, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuits,
