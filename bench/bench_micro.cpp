@@ -5,6 +5,8 @@
 // simulation" cost argument in engineering units (patterns/s, instr/s).
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "atpg/podem.h"
 #include "circuits/decoder_unit.h"
 #include "circuits/sfu.h"
@@ -14,6 +16,7 @@
 #include "fault/faultsim.h"
 #include "gpu/sm.h"
 #include "netlist/logicsim.h"
+#include "stl/atpg_convert.h"
 #include "stl/generators.h"
 #include "trace/trace.h"
 
@@ -37,6 +40,17 @@ netlist::PatternSet RandomDuPatterns(std::size_t count) {
   Rng rng(1);
   netlist::PatternSet pats(64);
   for (std::size_t i = 0; i < count; ++i) pats.Add64(i, rng());
+  return pats;
+}
+
+netlist::PatternSet RandomSfuPatterns(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  netlist::PatternSet pats(circuits::kSfuNumInputs);
+  for (std::size_t i = 0; i < count; ++i) {
+    pats.Add64(static_cast<std::uint64_t>(i),
+               circuits::EncodeSfuPattern(static_cast<int>(rng.below(6)),
+                                          static_cast<std::uint32_t>(rng())));
+  }
   return pats;
 }
 
@@ -69,13 +83,7 @@ void BM_FaultSimDu(benchmark::State& state) {
 BENCHMARK(BM_FaultSimDu)->Arg(1024)->Arg(4096);
 
 void BM_FaultSimSfuNoDropping(benchmark::State& state) {
-  Rng rng(2);
-  netlist::PatternSet pats(circuits::kSfuNumInputs);
-  for (int i = 0; i < 512; ++i) {
-    pats.Add64(static_cast<std::uint64_t>(i),
-               circuits::EncodeSfuPattern(static_cast<int>(rng.below(6)),
-                                          static_cast<std::uint32_t>(rng())));
-  }
+  const auto pats = RandomSfuPatterns(512, 2);
   const auto faults = fault::CollapsedFaultList(Sfu());
   for (auto _ : state) {
     const auto res = fault::RunFaultSim(Sfu(), pats, faults, nullptr,
@@ -98,19 +106,44 @@ void BM_GpuExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_GpuExecution)->Arg(50)->Arg(200);
 
+/// A traced run as the compactor makes it (Tracing Report + one module's
+/// pattern probe), on a PTP that drives that module: arg 0 = DU on IMM,
+/// 1 = SP on RAND, 2 = SFU on an SFU_IMM-style PTP. The per-lane capture
+/// cost shows only on modules fed by every active lane (SP, SFU).
 void BM_GpuExecutionWithMonitors(benchmark::State& state) {
-  const isa::Program ptp = stl::GenerateImm(100, 3);
+  trace::TargetModule module = trace::TargetModule::kDecoderUnit;
+  isa::Program ptp;
+  switch (state.range(0)) {
+    case 0:
+      ptp = stl::GenerateImm(100, 3);
+      break;
+    case 1:
+      module = trace::TargetModule::kSpCore;
+      ptp = stl::GenerateRand(100, 3);
+      break;
+    default:
+      module = trace::TargetModule::kSfu;
+      ptp = stl::ConvertSfuPatterns(RandomSfuPatterns(256, 3));
+      break;
+  }
+  std::size_t patterns = 0;
   for (auto _ : state) {
     trace::TraceRecorder recorder;
-    trace::PatternProbe probe(trace::TargetModule::kDecoderUnit);
+    trace::PatternProbe probe(module);
     gpu::Sm sm;
     sm.AddMonitor(&recorder);
     sm.AddMonitor(&probe);
     const auto res = sm.Run(ptp);
     benchmark::DoNotOptimize(res.total_cycles);
+    patterns = probe.patterns().size();
+    benchmark::DoNotOptimize(patterns);
   }
+  state.SetLabel(std::string(trace::TargetModuleName(module)));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(patterns));
+  state.counters["patterns"] = static_cast<double>(patterns);
 }
-BENCHMARK(BM_GpuExecutionWithMonitors);
+BENCHMARK(BM_GpuExecutionWithMonitors)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PodemPerFault(benchmark::State& state) {
   const auto faults = fault::CollapsedFaultList(Sp());

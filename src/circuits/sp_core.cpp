@@ -138,19 +138,13 @@ netlist::Netlist BuildSpCore() {
 
 void EncodeSpPattern(int uop, int cmp, std::uint32_t a, std::uint32_t b,
                      std::uint32_t c, std::uint64_t* words) {
-  words[0] = 0;
-  words[1] = 0;
-  auto put = [&](int lo, int width, std::uint64_t value) {
-    for (int i = 0; i < width; ++i) {
-      const int bit = lo + i;
-      if ((value >> i) & 1) words[bit / 64] |= 1ull << (bit % 64);
-    }
-  };
-  put(0, 6, static_cast<std::uint64_t>(uop));
-  put(6, 3, static_cast<std::uint64_t>(cmp));
-  put(9, 32, a);
-  put(41, 32, b);
-  put(73, 32, c);
+  // Fields at bits 0/6/9/41/73, widths 6/3/32/32/32; B straddles the words.
+  words[0] = (static_cast<std::uint64_t>(uop) & 0x3f) |
+             (static_cast<std::uint64_t>(cmp) & 0x7) << 6 |
+             static_cast<std::uint64_t>(a) << 9 |
+             static_cast<std::uint64_t>(b) << 41;
+  words[1] = static_cast<std::uint64_t>(b) >> 23 |
+             static_cast<std::uint64_t>(c) << 9;
 }
 
 }  // namespace gpustl::circuits

@@ -23,9 +23,9 @@ inline constexpr int kSpNumOutputs = 33;
 /// Builds and freezes the SP datapath netlist.
 netlist::Netlist BuildSpCore();
 
-/// Packs an SP input pattern (uop, cmp, a, b, c) into `words[0..2]`
-/// following the input order above. `words` must hold >= 2 entries
-/// ((105+63)/64 = 2).
+/// Packs an SP input pattern (uop, cmp, a, b, c) into `words[0..1]`
+/// following the input order above ((105+63)/64 = 2 words). uop and cmp
+/// are masked to their 6- and 3-bit fields; bits 105..127 are zero.
 void EncodeSpPattern(int uop, int cmp, std::uint32_t a, std::uint32_t b,
                      std::uint32_t c, std::uint64_t* words);
 

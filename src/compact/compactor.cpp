@@ -1,6 +1,7 @@
 #include "compact/compactor.h"
 
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -137,8 +138,8 @@ Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
   sm.AddMonitor(&recorder);
   sm.AddMonitor(&probe);
   out.run = sm.Run(ptp);
-  out.tracing = recorder.report();
-  out.patterns = probe.patterns();
+  out.tracing = recorder.TakeReport();
+  out.patterns = probe.TakePatterns();
   return out;
 }
 
@@ -178,7 +179,7 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     arc_fraction = cfg.ArcFraction();
     original_run = RunLogicTrace(ptp);
     patterns = options_.reverse_patterns ? original_run.patterns.Reversed()
-                                         : original_run.patterns;
+                                         : std::move(original_run.patterns);
   });
 
   // Stage 3: one optimized fault simulation of the original patterns
@@ -210,10 +211,10 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
   // full-list fault simulation of its patterns, filtered by the same
   // fault-list state, for the FC difference).
   guard.Run(kStageValidate, [&] {
-    const TraceRun compacted_run = RunLogicTrace(res.compacted);
+    TraceRun compacted_run = RunLogicTrace(res.compacted);
     const PatternSet compacted_patterns =
         options_.reverse_patterns ? compacted_run.patterns.Reversed()
-                                  : compacted_run.patterns;
+                                  : std::move(compacted_run.patterns);
     const FaultSimResult full_after =
         SimulateFaults(compacted_patterns, nullptr, true);
     res.validation_detections =
@@ -257,7 +258,7 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
   for (bool e : res.labels) essentials += e ? 1 : 0;
   res.essential_instructions = essentials;
 
-  res.tracing = original_run.tracing;
+  res.tracing = std::move(original_run.tracing);
 
   // Update the persistent fault-list report (inter-PTP dropping): the list
   // is updated after each stage-3 fault simulation, as in the paper.
@@ -286,10 +287,10 @@ PtpStats Compactor::MeasureStandalone(const Program& ptp) const {
 }
 
 double Compactor::AbsorbCoverage(const isa::Program& ptp) {
-  const TraceRun run = RunLogicTrace(ptp);
+  TraceRun run = RunLogicTrace(ptp);
   const PatternSet patterns = options_.reverse_patterns
                                   ? run.patterns.Reversed()
-                                  : run.patterns;
+                                  : std::move(run.patterns);
   // Skipping only hides faults already in detected_, so the full-list run
   // adds exactly the detections the skip-masked run would.
   detected_ |= SimulateFaults(patterns, nullptr, true).detected_mask;

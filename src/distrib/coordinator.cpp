@@ -161,7 +161,7 @@ void Coordinator::ProcessUnitInline(const std::string& name) {
   sm.Run(unit->ptp);
   const netlist::PatternSet patterns = unit->reverse_patterns
                                            ? probe.patterns().Reversed()
-                                           : probe.patterns();
+                                           : probe.TakePatterns();
   store::SimulateWithStore(base_.result_store, *ts.nl, patterns,
                            ts.prep->faults, /*skip=*/nullptr,
                            FullSimOptions(base_, *ts.prep),
@@ -301,7 +301,7 @@ PrefetchStats Coordinator::Prefetch(
       sm.Run(ptp);
       const netlist::PatternSet patterns =
           pe.entry.reverse_patterns ? probe.patterns().Reversed()
-                                    : probe.patterns();
+                                    : probe.TakePatterns();
 
       const fault::FaultSimResult full = store::SimulateWithStore(
           base_.result_store, *ts.nl, patterns, ts.prep->faults,

@@ -181,7 +181,7 @@ store::StoreKey UnitRunner::Run(const WorkUnit& unit) {
   sm.Run(unit.ptp);
   const netlist::PatternSet patterns = unit.reverse_patterns
                                            ? probe.patterns().Reversed()
-                                           : probe.patterns();
+                                           : probe.TakePatterns();
 
   const fault::FaultSimOptions sim{
       .drop_detected = true,

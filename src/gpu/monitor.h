@@ -4,6 +4,9 @@
 //
 // The SM invokes monitors on every instruction issue (decode event, once per
 // warp-instruction) and on every lane execution (once per active thread).
+// A warp-instruction's lane events follow its decode event with no other
+// event in between, so a monitor may decide per instruction at OnDecode
+// what it does per lane.
 // The trace module builds the Tracing Report and the per-module test-pattern
 // reports (VCDE) from these callbacks; monitors never mutate GPU state.
 #pragma once

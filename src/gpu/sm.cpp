@@ -148,6 +148,15 @@ RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
   const int num_warps = prog.config().warps_per_block();
   std::uint64_t cc = 0;
 
+  // The DU sees the same word on every issue of an instruction: encode each
+  // one once. Lane events are built only for an observer.
+  std::vector<std::uint64_t> encoded;
+  if (!monitors_.empty()) {
+    encoded.reserve(code.size());
+    for (const Instruction& inst : code) encoded.push_back(inst.Encode());
+  }
+  const bool observed = !monitors_.empty() || lane_override_ != nullptr;
+
   for (const int block : blocks) {
     GPUSTL_ASSERT(block >= 0 && block < prog.config().blocks,
                   "block index out of range");
@@ -242,7 +251,7 @@ RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
           ev.pc = pc;
           ev.active_mask = exec_mask;
           ev.inst = inst;
-          ev.encoded = inst.Encode();
+          ev.encoded = encoded[pc];
           for (ExecMonitor* m : monitors_) m->OnDecode(ev);
         }
         ++result.dynamic_instructions;
@@ -353,7 +362,16 @@ RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
           continue;
         }
 
-        // Data instructions: per-lane execution.
+        // Data instructions: per-lane execution. The lane event's
+        // instruction-wide fields are set once per warp-instruction.
+        LaneEvent ev;
+        if (observed) {
+          ev.cc = issue_cc;
+          ev.block = block;
+          ev.warp = w;
+          ev.pc = pc;
+          ev.inst = inst;
+        }
         for (int lane = 0; lane < 32; ++lane) {
           if (!((exec_mask >> lane) & 1)) continue;
           const int tid = w * 32 + lane;
@@ -428,26 +446,22 @@ RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
               break;  // handled above
           }
 
-          LaneEvent ev;
-          ev.cc = issue_cc;
-          ev.block = block;
-          ev.warp = w;
-          ev.lane = lane;
-          ev.tid = tid;
-          ev.pc = pc;
-          ev.inst = inst;
-          ev.a = a;
-          ev.b = b;
-          ev.c = c;
-          ev.result = value;
-          ev.pred_result = pred_result;
-
-          // Fault-injection hook: may substitute the lane result before it
-          // is architecturally committed.
-          if (lane_override_ &&
-              lane_override_(ev, &value, &pred_result)) {
+          if (observed) {
+            ev.lane = lane;
+            ev.tid = tid;
+            ev.a = a;
+            ev.b = b;
+            ev.c = c;
             ev.result = value;
             ev.pred_result = pred_result;
+
+            // Fault-injection hook: may substitute the lane result before
+            // it is architecturally committed.
+            if (lane_override_ &&
+                lane_override_(ev, &value, &pred_result)) {
+              ev.result = value;
+              ev.pred_result = pred_result;
+            }
           }
 
           // Write-back.

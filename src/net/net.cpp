@@ -41,6 +41,11 @@ bool ResolveHost(const std::string& host, in_addr* out, std::string* error) {
   return true;
 }
 
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 std::optional<Endpoint> ParseEndpoint(std::string_view text,
@@ -181,8 +186,13 @@ int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error) {
     }
   }
   ::fcntl(fd, F_SETFL, flags);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
+  return fd;
+}
+
+int AcceptTcp(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd >= 0) SetNoDelay(fd);
   return fd;
 }
 

@@ -58,4 +58,10 @@ int ListenTcp(const Endpoint& endpoint, std::string* error,
 /// diagnostic. The fd is left in blocking mode; Conn flips it.
 int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error);
 
+/// Accepts one connection on a ListenTcp fd. Returns the connected fd or
+/// -1 (errno set by accept). Both ends of a connection made by these
+/// helpers send small frames at once (TCP_NODELAY): an event must not wait
+/// behind the previous one's delayed ACK.
+int AcceptTcp(int listen_fd);
+
 }  // namespace gpustl::net

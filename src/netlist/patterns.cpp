@@ -13,13 +13,14 @@ PatternSet::PatternSet(int width) : width_(width) {
 }
 
 void PatternSet::Add(std::uint64_t cc, const std::uint64_t* words) {
+  GPUSTL_ASSERT(width_ > 0, "Add on a pattern set without a width");
   ccs_.push_back(cc);
-  const std::size_t wpp = words_per_pattern();
-  bits_.insert(bits_.end(), words, words + wpp);
+  const std::size_t last = words_per_pattern() - 1;
+  for (std::size_t w = 0; w < last; ++w) bits_.push_back(words[w]);
   // Mask padding bits of the last word so equality and hashing are exact.
-  if (width_ % 64 != 0) {
-    bits_.back() &= (1ull << (width_ % 64)) - 1;
-  }
+  const int tail = width_ % 64;
+  bits_.push_back(tail == 0 ? words[last]
+                            : words[last] & ((1ull << tail) - 1));
 }
 
 void PatternSet::Add64(std::uint64_t cc, std::uint64_t bits) {

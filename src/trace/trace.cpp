@@ -109,41 +109,70 @@ int PatternWidth(TargetModule module) {
 int SfuSelector(Opcode op) {
   return static_cast<int>(op) - static_cast<int>(Opcode::RCP);
 }
+
+/// FP32 micro-op of an FP instruction, or -1 for the ops the FP-lite
+/// datapath does not implement (FFMA, FMIN, FSETP, ...).
+int Fp32Selector(Opcode op) {
+  switch (op) {
+    case Opcode::FADD: return static_cast<int>(circuits::Fp32Uop::kAdd);
+    case Opcode::FMUL: return static_cast<int>(circuits::Fp32Uop::kMul);
+    case Opcode::FABS: return static_cast<int>(circuits::Fp32Uop::kAbs);
+    case Opcode::FNEG: return static_cast<int>(circuits::Fp32Uop::kNeg);
+    default: return -1;
+  }
+}
 }  // namespace
 
 PatternProbe::PatternProbe(TargetModule module)
     : module_(module), patterns_(PatternWidth(module)) {}
 
 void PatternProbe::OnDecode(const gpu::DecodeEvent& event) {
-  if (module_ == TargetModule::kDecoderUnit) {
-    patterns_.Add64(event.cc, event.encoded);
+  const Opcode op = event.inst.op;
+  lanes_feed_ = false;
+  switch (module_) {
+    case TargetModule::kDecoderUnit:
+      patterns_.Add64(event.cc, event.encoded);
+      break;
+    case TargetModule::kSpCore:
+      if (event.inst.info().unit == ExecUnit::kSpInt) {
+        lanes_feed_ = true;
+        selector_ = static_cast<int>(op);
+        cmp_ = static_cast<int>(event.inst.cmp);
+      }
+      break;
+    case TargetModule::kSfu:
+      if (event.inst.info().unit == ExecUnit::kSfu) {
+        lanes_feed_ = true;
+        selector_ = SfuSelector(op);
+      }
+      break;
+    case TargetModule::kFp32:
+      selector_ = Fp32Selector(op);
+      lanes_feed_ = selector_ >= 0;
+      break;
   }
 }
 
 void PatternProbe::OnLane(const gpu::LaneEvent& event) {
-  const ExecUnit unit = event.inst.info().unit;
-  if (module_ == TargetModule::kSpCore && unit == ExecUnit::kSpInt) {
-    std::uint64_t words[2];
-    circuits::EncodeSpPattern(static_cast<int>(event.inst.op),
-                              static_cast<int>(event.inst.cmp), event.a,
-                              event.b, event.c, words);
-    patterns_.Add(event.cc, words);
-  } else if (module_ == TargetModule::kSfu && unit == ExecUnit::kSfu) {
-    patterns_.Add64(event.cc,
-                    circuits::EncodeSfuPattern(SfuSelector(event.inst.op),
-                                               event.a));
-  } else if (module_ == TargetModule::kFp32 && unit == ExecUnit::kSpFp) {
-    circuits::Fp32Uop uop;
-    switch (event.inst.op) {
-      case Opcode::FADD: uop = circuits::Fp32Uop::kAdd; break;
-      case Opcode::FMUL: uop = circuits::Fp32Uop::kMul; break;
-      case Opcode::FABS: uop = circuits::Fp32Uop::kAbs; break;
-      case Opcode::FNEG: uop = circuits::Fp32Uop::kNeg; break;
-      default: return;  // no FP-lite equivalent (FFMA, FMIN, FSETP, ...)
-    }
-    std::uint64_t words[2];
-    circuits::EncodeFp32Pattern(uop, event.a, event.b, words);
-    patterns_.Add(event.cc, words);
+  if (!lanes_feed_) return;
+  std::uint64_t words[2];
+  switch (module_) {
+    case TargetModule::kSpCore:
+      circuits::EncodeSpPattern(selector_, cmp_, event.a, event.b, event.c,
+                                words);
+      patterns_.Add(event.cc, words);
+      break;
+    case TargetModule::kSfu:
+      patterns_.Add64(event.cc,
+                      circuits::EncodeSfuPattern(selector_, event.a));
+      break;
+    case TargetModule::kFp32:
+      circuits::EncodeFp32Pattern(static_cast<circuits::Fp32Uop>(selector_),
+                                  event.a, event.b, words);
+      patterns_.Add(event.cc, words);
+      break;
+    case TargetModule::kDecoderUnit:
+      break;  // one pattern per decode event, none per lane
   }
 }
 

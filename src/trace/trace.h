@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/monitor.h"
@@ -64,6 +65,8 @@ class TraceRecorder : public gpu::ExecMonitor {
   void OnLane(const gpu::LaneEvent& event) override {(void)event;}
 
   const TracingReport& report() const { return report_; }
+  /// Moves the report out; the recorder is left empty.
+  TracingReport TakeReport() { return std::move(report_); }
 
  private:
   TracingReport report_;
@@ -89,11 +92,19 @@ class PatternProbe : public gpu::ExecMonitor {
   void OnLane(const gpu::LaneEvent& event) override;
 
   const netlist::PatternSet& patterns() const { return patterns_; }
+  /// Moves the captured patterns out; the probe keeps none.
+  netlist::PatternSet TakePatterns() { return std::move(patterns_); }
   TargetModule module() const { return module_; }
 
  private:
   TargetModule module_;
   netlist::PatternSet patterns_;
+  // Set at OnDecode for the issuing instruction: whether its lanes apply a
+  // pattern to module_, and the module's selector field (SP uop and cmp,
+  // SFU function, FP32 uop) that every lane of it shares.
+  bool lanes_feed_ = false;
+  int selector_ = 0;
+  int cmp_ = 0;
 };
 
 }  // namespace gpustl::trace

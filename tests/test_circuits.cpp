@@ -2,7 +2,11 @@
 // with its software reference over directed and random sweeps.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+
 #include "circuits/decoder_unit.h"
+#include "circuits/fp32.h"
 #include "circuits/reference.h"
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
@@ -213,6 +217,100 @@ TEST_F(SpTest, DirectedCornerCases) {
 TEST_F(SpTest, UnknownUopYieldsZero) {
   // FADD is not part of the SP integer datapath: no source is selected.
   EXPECT_EQ(Execute(Opcode::FADD, CmpOp::kEQ, 5, 6, 7).value, 0u);
+}
+
+// --- Pattern layouts ---
+
+/// One input field of a module pattern: the low `width` bits of `value`
+/// at input bit `lo`.
+struct Field {
+  int lo;
+  int width;
+  std::uint64_t value;
+};
+
+/// Per-bit reference packer, sharing no code with the encoders.
+std::array<std::uint64_t, 2> PackPerBit(std::initializer_list<Field> fields) {
+  std::array<std::uint64_t, 2> words{};
+  for (const Field& f : fields) {
+    for (int i = 0; i < f.width; ++i) {
+      const int bit = f.lo + i;
+      if ((f.value >> i) & 1) words[bit / 64] |= 1ull << (bit % 64);
+    }
+  }
+  return words;
+}
+
+std::array<std::uint64_t, 2> EncodeSp(std::uint64_t uop, std::uint64_t cmp,
+                                      std::uint32_t a, std::uint32_t b,
+                                      std::uint32_t c) {
+  std::array<std::uint64_t, 2> words = {~0ull, ~0ull};  // no stale bits
+  EncodeSpPattern(static_cast<int>(uop), static_cast<int>(cmp), a, b, c,
+                  words.data());
+  return words;
+}
+
+std::array<std::uint64_t, 2> ReferenceSp(std::uint64_t uop, std::uint64_t cmp,
+                                         std::uint32_t a, std::uint32_t b,
+                                         std::uint32_t c) {
+  return PackPerBit(
+      {{0, 6, uop}, {6, 3, cmp}, {9, 32, a}, {41, 32, b}, {73, 32, c}});
+}
+
+TEST(PatternLayoutTest, SpEncoderMatchesPerBitReference) {
+  Rng rng(0x5E1);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t uop = rng.below(256);  // >= 64 must be masked
+    const std::uint64_t cmp = rng.below(16);   // >= 8 must be masked
+    const auto a = static_cast<std::uint32_t>(rng());
+    const auto b = static_cast<std::uint32_t>(rng());
+    const auto c = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(EncodeSp(uop, cmp, a, b, c), ReferenceSp(uop, cmp, a, b, c))
+        << "uop=" << uop << " cmp=" << cmp << " a=" << a << " b=" << b
+        << " c=" << c;
+  }
+}
+
+TEST(PatternLayoutTest, SpEncoderFieldEdges) {
+  const std::uint32_t ones = 0xFFFFFFFFu;
+  EXPECT_EQ(EncodeSp(0x3f, 7, ones, ones, ones),
+            ReferenceSp(0x3f, 7, ones, ones, ones));
+  // Every input bit set, and nothing beyond input 104.
+  EXPECT_EQ(EncodeSp(0x3f, 7, ones, ones, ones)[0], ~0ull);
+  EXPECT_EQ(EncodeSp(0x3f, 7, ones, ones, ones)[1], (1ull << 41) - 1);
+  // Out-of-field selector bits are dropped, not spilled into neighbours.
+  EXPECT_EQ(EncodeSp(64 + 5, 8 + 2, 0, 0, 0), EncodeSp(5, 2, 0, 0, 0));
+  EXPECT_EQ(EncodeSp(~0ull, ~0ull, 0, 0, 0), ReferenceSp(0x3f, 7, 0, 0, 0));
+  // Each operand alone lands in its own field.
+  EXPECT_EQ(EncodeSp(0, 0, ones, 0, 0), ReferenceSp(0, 0, ones, 0, 0));
+  EXPECT_EQ(EncodeSp(0, 0, 0, ones, 0), ReferenceSp(0, 0, 0, ones, 0));
+  EXPECT_EQ(EncodeSp(0, 0, 0, 0, ones), ReferenceSp(0, 0, 0, 0, ones));
+  EXPECT_EQ(EncodeSp(0, 0, 0, 0, ones)[1] >> 41, 0u);  // bits 105..127
+}
+
+TEST(PatternLayoutTest, Fp32EncoderMatchesPerBitReference) {
+  auto encode = [](int uop, std::uint32_t a, std::uint32_t b) {
+    std::array<std::uint64_t, 2> words = {~0ull, ~0ull};
+    EncodeFp32Pattern(static_cast<Fp32Uop>(uop), a, b, words.data());
+    return words;
+  };
+  auto reference = [](int uop, std::uint32_t a, std::uint32_t b) {
+    return PackPerBit(
+        {{0, 2, static_cast<std::uint64_t>(uop)}, {2, 32, a}, {34, 32, b}});
+  };
+  Rng rng(0xF32);
+  for (int i = 0; i < 20000; ++i) {
+    const int uop = static_cast<int>(rng.below(4));
+    const auto a = static_cast<std::uint32_t>(rng());
+    const auto b = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(encode(uop, a, b), reference(uop, a, b))
+        << "uop=" << uop << " a=" << a << " b=" << b;
+  }
+  const std::uint32_t ones = 0xFFFFFFFFu;
+  EXPECT_EQ(encode(3, ones, ones), reference(3, ones, ones));
+  EXPECT_EQ(encode(3, ones, ones)[0], ~0ull);
+  EXPECT_EQ(encode(3, ones, ones)[1], 0x3u);  // bits 66..127 are zero
+  EXPECT_EQ(encode(0, 0, ones), reference(0, 0, ones));
 }
 
 // --- SFU ---

@@ -7,6 +7,8 @@
 // chaos, with no duplicated and no lost events.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -104,6 +106,28 @@ TEST(NetTest, BackoffDelayStaysWithinEnvelope) {
     EXPECT_EQ(BackoffDelayMs(policy, attempt, rng), expected[attempt])
         << "attempt " << attempt;
   }
+}
+
+TEST(NetTest, AcceptedAndConnectedEndsBothDisableNagle) {
+  Endpoint endpoint{"127.0.0.1", 0};
+  std::string error;
+  std::uint16_t port = 0;
+  const int listen_fd = ListenTcp(endpoint, &error, &port);
+  ASSERT_GE(listen_fd, 0) << error;
+  endpoint.port = port;
+  const int client = ConnectTcp(endpoint, 2000, &error);
+  ASSERT_GE(client, 0) << error;
+  const int server = AcceptTcp(listen_fd);
+  ASSERT_GE(server, 0);
+  for (const int fd : {client, server}) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    EXPECT_EQ(value, 1) << (fd == client ? "client" : "server") << " end";
+  }
+  ::close(server);
+  ::close(client);
+  ::close(listen_fd);
 }
 
 // --- Frame codec -------------------------------------------------------------

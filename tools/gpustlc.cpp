@@ -403,7 +403,7 @@ int CmdFaultsim(const Args& args) {
 
   const auto faults = fault::CollapsedFaultList(nl);
   const auto patterns =
-      args.reverse ? probe.patterns().Reversed() : probe.patterns();
+      args.reverse ? probe.patterns().Reversed() : probe.TakePatterns();
   CancelToken deadline_token;
   if (args.deadline > 0) deadline_token.ArmDeadline(args.deadline);
   const fault::FaultSimOptions sim_options{
