@@ -1,17 +1,17 @@
 // Internal engine interface of the PPSFP fault simulators.
 //
 // RunFaultSim / RunTransitionFaultSim own everything width-independent:
-// argument validation, the lane count (PickLanes), collapse-plan and
-// SimPlan construction, FFR class grouping, the good pass (one
-// block-parallel good-machine simulation that fills the run's GoodTable at
-// the engine's width and folds the early-exit tables), sharding and the
-// final cancellation check. The shard kernels below receive that prepared
-// state and run the pattern-block loop of fault/engine_wide.h at their own
-// lane count. Every width must produce the FaultSimResult of the
-// independent reference simulator (tests/reference_sim.h) — the contract
-// tests/test_backend.cpp enforces at every lane count in SupportedLanes()
-// (see fault/engine_wide.h for the one cross-width seam, the transition
-// launch carry).
+// row deduplication (stuck-at only), argument validation, the lane count
+// (PickLanes), collapse-plan and SimPlan construction, FFR class grouping,
+// the good pass (one block-parallel good-machine simulation that fills the
+// run's GoodTable at the engine's width and folds the early-exit tables),
+// sharding and the final cancellation check. The shard kernels below
+// receive that prepared state and run the pattern-block loop of
+// fault/engine_wide.h at their own lane count. Every width must produce
+// the FaultSimResult of the independent reference simulator
+// (tests/reference_sim.h) — the contract tests/test_backend.cpp enforces at
+// every lane count in SupportedLanes() (see fault/engine_wide.h for the one
+// cross-width seam, the transition launch carry).
 //
 // Internal header — include from src/fault/*.cpp and the engine test
 // suites only.
@@ -153,8 +153,12 @@ int PickLanes(std::size_t patterns);
 std::vector<int> SupportedLanes();
 
 /// RunFaultSim / RunTransitionFaultSim at a given lane count (one of
-/// SupportedLanes()). The public entry points are these at
-/// PickLanes(patterns.size()); the test suites call them at every width.
+/// SupportedLanes()); the test suites call them at every width. The
+/// stuck-at run simulates each distinct row once and maps the report back
+/// (netlist::FindDistinctRows), so `lanes` applies to the distinct rows;
+/// RunFaultSim picks PickLanes(distinct rows). The transition run
+/// simulates every row (its launch row is the previous pattern), and
+/// RunTransitionFaultSim picks PickLanes(patterns.size()).
 FaultSimResult RunFaultSimAtLanes(int lanes, const netlist::Netlist& nl,
                                   const netlist::PatternSet& patterns,
                                   const std::vector<Fault>& faults,

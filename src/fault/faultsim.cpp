@@ -1,6 +1,7 @@
 #include "fault/faultsim.h"
 
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -32,11 +33,14 @@ SimPlan BuildSimPlan(const FaultCollapse& collapse, const BitVec* skip) {
   return plan;
 }
 
-FaultSimResult RunFaultSimAtLanes(int lanes, const Netlist& nl,
-                                  const PatternSet& patterns,
-                                  const std::vector<Fault>& faults,
-                                  const BitVec* skip,
-                                  const FaultSimOptions& options) {
+namespace {
+
+/// The engine proper: one stuck-at run over `patterns` at `lanes` lanes.
+FaultSimResult SimulateRows(int lanes, const Netlist& nl,
+                            const PatternSet& patterns,
+                            const std::vector<Fault>& faults,
+                            const BitVec* skip,
+                            const FaultSimOptions& options) {
   GPUSTL_ASSERT(nl.frozen(), "fault sim requires a frozen netlist");
   GPUSTL_ASSERT(nl.dffs().empty(),
                 "fault sim supports combinational modules only");
@@ -74,13 +78,68 @@ FaultSimResult RunFaultSimAtLanes(int lanes, const Netlist& nl,
                     });
 }
 
+/// Carries the report of a run over the distinct rows onto every row.
+/// First-occurrence indices ascend with the distinct index, so a first
+/// detection lands on the first occurrence of its row. A repeat detects
+/// exactly what its first occurrence detects (the module is
+/// combinational): under dropping it detects nothing new, without
+/// dropping it counts the same faults again.
+FaultSimResult MapToAllRows(FaultSimResult result,
+                            const netlist::DistinctRows& rows, bool drop) {
+  for (std::uint32_t& p : result.first_detect) {
+    if (p != FaultSimResult::kNotDetected) p = rows.first[p];
+  }
+  std::vector<std::uint32_t> counts(rows.of.size(), 0);
+  if (drop) {
+    for (std::size_t d = 0; d < rows.first.size(); ++d) {
+      counts[rows.first[d]] = result.detects_per_pattern[d];
+    }
+  } else {
+    for (std::size_t p = 0; p < rows.of.size(); ++p) {
+      counts[p] = result.detects_per_pattern[rows.of[p]];
+    }
+  }
+  result.detects_per_pattern = std::move(counts);
+  return result;
+}
+
+/// Simulates each distinct row of `patterns` once, at `lanes` lanes or,
+/// when unset, at PickLanes(distinct rows), and maps the report back.
+FaultSimResult SimulateDistinctRows(std::optional<int> lanes,
+                                    const Netlist& nl,
+                                    const PatternSet& patterns,
+                                    const std::vector<Fault>& faults,
+                                    const BitVec* skip,
+                                    const FaultSimOptions& options) {
+  const netlist::DistinctRows rows = netlist::FindDistinctRows(patterns);
+  if (rows.all_distinct()) {
+    return SimulateRows(lanes.value_or(PickLanes(patterns.size())), nl,
+                        patterns, faults, skip, options);
+  }
+  const PatternSet distinct = patterns.Select(rows.first);
+  return MapToAllRows(
+      SimulateRows(lanes.value_or(PickLanes(distinct.size())), nl, distinct,
+                   faults, skip, options),
+      rows, options.drop_detected);
+}
+
+}  // namespace
+
+FaultSimResult RunFaultSimAtLanes(int lanes, const Netlist& nl,
+                                  const PatternSet& patterns,
+                                  const std::vector<Fault>& faults,
+                                  const BitVec* skip,
+                                  const FaultSimOptions& options) {
+  return SimulateDistinctRows(lanes, nl, patterns, faults, skip, options);
+}
+
 }  // namespace internal
 
 FaultSimResult RunFaultSim(const Netlist& nl, const PatternSet& patterns,
                            const std::vector<Fault>& faults, const BitVec* skip,
                            const FaultSimOptions& options) {
-  return internal::RunFaultSimAtLanes(internal::PickLanes(patterns.size()), nl,
-                                      patterns, faults, skip, options);
+  return internal::SimulateDistinctRows(std::nullopt, nl, patterns, faults,
+                                        skip, options);
 }
 
 double CoveragePercent(std::size_t detected, std::size_t total) {

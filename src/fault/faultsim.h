@@ -18,9 +18,19 @@
 // reports are merged deterministically, producing a report bit-identical
 // to the serial loop (see fault/parallel.h).
 //
-// There is one engine configuration: fault collapsing, output-cone
-// limiting, FFR critical-path tracing and per-fault early-exit are always
-// on. Only the thread count is an option; the engine picks its own width
+// Each distinct pattern row is simulated once. A GPU's loops and parallel
+// warps apply the same module inputs over and over (97.6% of the rows the
+// TPGEN PTP applies to the SP core repeat an earlier one), and a module is
+// combinational, so a repeated row detects exactly the faults its first
+// occurrence detects and is never a fault's first detection. The engine
+// runs on the first occurrences and maps the report back: first_detect
+// through the first-occurrence index; detects_per_pattern onto first
+// occurrences under dropping, onto every row of the same content without
+// it. The report is that of a run over every row.
+//
+// There is one engine configuration: row deduplication, fault collapsing,
+// output-cone limiting, FFR critical-path tracing and per-fault early-exit
+// are always on. Only the thread count is an option; the engine picks its own width
 // per run (fault/engine.h, PickLanes), and neither changes a report.
 #pragma once
 

@@ -1,5 +1,7 @@
 #include "netlist/patterns.h"
 
+#include <algorithm>
+#include <bit>
 #include <istream>
 #include <ostream>
 
@@ -47,6 +49,67 @@ PatternSet PatternSet::Reversed() const {
   out.bits_.clear();
   for (std::size_t p = size(); p-- > 0;) {
     out.Add(ccs_[p], Row(p));
+  }
+  return out;
+}
+
+PatternSet PatternSet::Select(const std::vector<std::uint32_t>& rows) const {
+  PatternSet out;
+  out.width_ = width_;
+  out.ccs_.reserve(rows.size());
+  out.bits_.reserve(rows.size() * words_per_pattern());
+  for (const std::uint32_t p : rows) {
+    const std::uint64_t* row = Row(p);
+    out.ccs_.push_back(ccs_[p]);
+    out.bits_.insert(out.bits_.end(), row, row + words_per_pattern());
+  }
+  return out;
+}
+
+namespace {
+
+/// A row's slot hash: every word folded in, then the MurmurHash3
+/// finalizer, so the low bits that index the table depend on all of them.
+std::uint64_t HashRow(const std::uint64_t* row, std::size_t words) {
+  std::uint64_t h = words;
+  for (std::size_t w = 0; w < words; ++w) {
+    h = (h ^ row[w]) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
+DistinctRows FindDistinctRows(const PatternSet& patterns) {
+  constexpr std::uint32_t kEmpty = UINT32_MAX;
+  const std::size_t n = patterns.size();
+  GPUSTL_ASSERT(n < kEmpty, "too many patterns to index");
+  const std::size_t words = patterns.words_per_pattern();
+  DistinctRows out;
+  out.of.resize(n);
+  // Slots hold distinct indices; the load factor stays at or below 1/2.
+  const std::size_t mask = std::bit_ceil(std::max<std::size_t>(2 * n, 2)) - 1;
+  std::vector<std::uint32_t> table(mask + 1, kEmpty);
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::uint64_t* row = patterns.Row(p);
+    for (std::size_t slot = HashRow(row, words) & mask;;
+         slot = (slot + 1) & mask) {
+      std::uint32_t& d = table[slot];
+      if (d == kEmpty) {
+        d = static_cast<std::uint32_t>(out.first.size());
+        out.first.push_back(static_cast<std::uint32_t>(p));
+      } else if (!std::equal(row, row + words, patterns.Row(out.first[d]))) {
+        continue;
+      }
+      out.of[p] = d;
+      break;
+    }
   }
   return out;
 }

@@ -49,6 +49,10 @@ class PatternSet {
   /// SFU_IMM patterns in reverse during fault simulation).
   PatternSet Reversed() const;
 
+  /// Returns a copy holding patterns `rows` (indices, in the given order)
+  /// with their cc stamps.
+  PatternSet Select(const std::vector<std::uint32_t>& rows) const;
+
   bool operator==(const PatternSet&) const = default;
 
  private:
@@ -56,6 +60,25 @@ class PatternSet {
   std::vector<std::uint64_t> ccs_;
   std::vector<std::uint64_t> bits_;  // size() * words_per_pattern()
 };
+
+/// The rows of a pattern set with repeats removed. A GPU's loops and
+/// parallel warps apply the same module inputs over and over, so most
+/// captured rows repeat an earlier one.
+struct DistinctRows {
+  /// Per distinct row, in order of first occurrence: the index of that
+  /// first occurrence (ascending).
+  std::vector<std::uint32_t> first;
+
+  /// Per pattern: the index into `first` of the row it equals.
+  std::vector<std::uint32_t> of;
+
+  bool all_distinct() const { return first.size() == of.size(); }
+};
+
+/// Finds the distinct rows of `patterns`: whole rows (every word; Add
+/// masks the padding) are hashed into a flat open-addressing table of
+/// distinct indices, at least twice the row count, probed linearly.
+DistinctRows FindDistinctRows(const PatternSet& patterns);
 
 /// Writes the VCDE-style text report:
 ///   $vcde <module> width <W> patterns <N>

@@ -6,9 +6,12 @@
 // DU/SP/SFU modules, for stuck-at and transition models, with and without
 // dropping and under random skip masks. The width seams are covered
 // deliberately: pattern counts on and just past every word width (ragged
-// tails) and the transition launch carry across every lane boundary. A
-// seeded differential fuzzer closes the gaps the enumerated matrix misses;
-// failures print the seed to reproduce.
+// tails) and the transition launch carry across every lane boundary.
+// Duplicate-heavy pattern sets hold the stuck-at row deduplication (each
+// distinct row simulated once, the report mapped back) to the
+// undeduplicated reference at every width. A seeded differential fuzzer
+// closes the gaps the enumerated matrix misses; failures print the seed to
+// reproduce.
 //
 // It also pins the width rule (PickLanes). This suite carries the ctest
 // label `tsan` (the engine shards over the worker pool and shares
@@ -174,6 +177,108 @@ TEST(BackendConformance, BundledModulesMatchReference) {
                                 nl.name());
     ExpectEnginesMatchReference(Model::kTransition, nl, pats, faults, &skip,
                                 {}, nl.name() + " transition");
+  }
+}
+
+// --- Repeated rows ---
+
+/// `count` rows of `width` bits, each drawn uniformly from `pool` random
+/// rows, so rows repeat once `count` nears `pool`.
+PatternSet RowsFromPool(Rng& rng, int width, int count, int pool) {
+  const PatternSet rows = RandomPatterns(rng, width, pool);
+  PatternSet pats(width);
+  for (int p = 0; p < count; ++p) {
+    pats.Add(static_cast<std::uint64_t>(p), rows.Row(rng.below(pool)));
+  }
+  return pats;
+}
+
+struct RepeatCase {
+  std::string name;
+  PatternSet pats;
+};
+
+/// Duplicate-heavy pattern sets. The stuck-at engine simulates each
+/// distinct row once and maps the report back; the reference simulates
+/// every row.
+std::vector<RepeatCase> RepeatCases(Rng& rng) {
+  std::vector<RepeatCase> cases;
+  cases.push_back({"identical", RowsFromPool(rng, 9, 600, 1)});
+  // 40-bit rows: 700 random draws repeat none.
+  cases.push_back({"distinct", RandomPatterns(rng, 40, 700)});
+  // About 540 distinct of 1,400 rows: repeats land on both sides of every
+  // 64-pattern and wide-block edge, and the distinct rows span several
+  // wide blocks themselves. Each edge row also repeats its predecessor.
+  PatternSet straddle = RowsFromPool(rng, 10, 1400, 600);
+  {
+    PatternSet forced(10);
+    for (std::size_t p = 0; p < straddle.size(); ++p) {
+      const bool edge = p % 64 == 0 && p > 0;
+      forced.Add(p, straddle.Row(edge ? p - 1 : p));
+    }
+    straddle = forced;
+  }
+  cases.push_back({"block edges", straddle});
+  // Widths that are not a multiple of 64, over two and three words.
+  cases.push_back({"width 70", RowsFromPool(rng, 70, 500, 90)});
+  cases.push_back({"width 130", RowsFromPool(rng, 130, 300, 70)});
+  // Two-word rows that share their first word and differ only in the last.
+  {
+    PatternSet last_word(72);
+    const std::uint64_t head = rng();
+    std::uint64_t tails[12];
+    for (std::uint64_t& t : tails) t = rng() & 0xFF;
+    for (int p = 0; p < 400; ++p) {
+      const std::uint64_t row[2] = {head, tails[rng.below(std::size(tails))]};
+      last_word.Add(static_cast<std::uint64_t>(p), row);
+    }
+    cases.push_back({"last word", last_word});
+  }
+  for (const int count : {0, 1, 65}) {
+    cases.push_back({std::to_string(count) + " rows",
+                     RowsFromPool(rng, 8, count, 20)});
+  }
+  return cases;
+}
+
+TEST(BackendConformance, RepeatedRowsMatchReference) {
+  // Both models: the transition engine simulates every row and is pinned
+  // unchanged on the same sets.
+  Rng rng(0xBEC5);
+  for (const RepeatCase& c : RepeatCases(rng)) {
+    const Netlist nl = RandomNetlist(rng, c.pats.width(),
+                                     40 + static_cast<int>(rng.below(80)));
+    for (const Model model : {Model::kStuckAt, Model::kTransition}) {
+      const auto faults = model == Model::kTransition
+                              ? TransitionFaultList(nl)
+                              : EnumerateFaults(nl);
+      const BitVec skip = RandomSkip(rng, faults.size(), 0.3);
+      for (const BitVec* mask : {static_cast<const BitVec*>(nullptr), &skip}) {
+        for (const bool drop : {true, false}) {
+          ExpectEnginesMatchReference(
+              model, nl, c.pats, faults, mask, {.drop_detected = drop},
+              c.name + (model == Model::kTransition ? " transition" : "") +
+                  (mask != nullptr ? " skip" : ""),
+              {1, 3, 4});
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendConformance, RepeatedRowsPickTheirWidthFromDistinctRows) {
+  // 640 rows over 20 distinct ones: the public entry simulates one
+  // 64-pattern block, and its report is still the reference's.
+  Rng rng(0xBEC6);
+  const Netlist nl = RandomNetlist(rng, 12, 90);
+  const PatternSet pats = RowsFromPool(rng, 12, 640, 20);
+  const auto faults = EnumerateFaults(nl);
+  for (const bool drop : {true, false}) {
+    conformance::ExpectIdentical(
+        reference::Simulate(Model::kStuckAt, nl, pats, faults, nullptr, drop),
+        RunFaultSim(nl, pats, faults, nullptr,
+                    {.drop_detected = drop, .num_threads = 3}),
+        "drop=" + std::to_string(drop));
   }
 }
 

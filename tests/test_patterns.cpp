@@ -1,7 +1,9 @@
 // PatternSet container semantics and VCDE report round trips.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -52,6 +54,75 @@ TEST(PatternSetTest, ReversedFlipsOrderKeepsStamps) {
   EXPECT_EQ(r.cc(2), 10u);
   // Double reversal is the identity.
   EXPECT_EQ(r.Reversed(), p);
+}
+
+TEST(PatternSetTest, SelectKeepsRowsAndStamps) {
+  PatternSet p(70);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const std::uint64_t row[2] = {i, i + 10};
+    p.Add(100 + i, row);
+  }
+  const PatternSet s = p.Select({3, 1});
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.width(), 70);
+  EXPECT_EQ(s.cc(0), 103u);
+  EXPECT_EQ(s.Row(0)[1], 13u);
+  EXPECT_EQ(s.cc(1), 101u);
+  EXPECT_EQ(s.Row(1)[0], 1u);
+  EXPECT_TRUE(p.Select({}).empty());
+}
+
+TEST(DistinctRowsTest, FirstOccurrencesInOrder) {
+  PatternSet p(8);
+  for (const std::uint64_t v : {5, 7, 5, 5, 9, 7}) p.Add64(0, v);
+  const DistinctRows rows = FindDistinctRows(p);
+  EXPECT_EQ(rows.first, (std::vector<std::uint32_t>{0, 1, 4}));
+  EXPECT_EQ(rows.of, (std::vector<std::uint32_t>{0, 1, 0, 0, 2, 1}));
+  EXPECT_FALSE(rows.all_distinct());
+}
+
+TEST(DistinctRowsTest, EmptyAndAllDistinct) {
+  EXPECT_TRUE(FindDistinctRows(PatternSet(3)).all_distinct());
+  PatternSet p(16);
+  for (std::uint64_t v = 0; v < 300; ++v) p.Add64(v, v);
+  const DistinctRows rows = FindDistinctRows(p);
+  EXPECT_TRUE(rows.all_distinct());
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(rows.first[i], i);
+    EXPECT_EQ(rows.of[i], i);
+  }
+}
+
+TEST(DistinctRowsTest, ComparesEveryWord) {
+  // Rows that differ only in their last word are distinct; rows equal in
+  // every word are not, whatever their cc stamps.
+  PatternSet p(130);
+  const std::uint64_t a[3] = {1, 2, 3};
+  const std::uint64_t b[3] = {1, 2, 2};
+  p.Add(0, a);
+  p.Add(1, b);
+  p.Add(2, a);
+  p.Add(3, b);
+  const DistinctRows rows = FindDistinctRows(p);
+  EXPECT_EQ(rows.first, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(rows.of, (std::vector<std::uint32_t>{0, 1, 0, 1}));
+}
+
+TEST(DistinctRowsTest, RandomRowsMatchAnOrderedMap) {
+  Rng rng(0xD157);
+  PatternSet p(20);
+  for (int i = 0; i < 5000; ++i) p.Add64(0, rng.below(1500));
+  const DistinctRows rows = FindDistinctRows(p);
+  std::map<std::uint64_t, std::uint32_t> seen;
+  for (std::uint32_t i = 0; i < p.size(); ++i) {
+    const auto [it, fresh] = seen.emplace(
+        p.Row(i)[0], static_cast<std::uint32_t>(seen.size()));
+    EXPECT_EQ(rows.of[i], it->second) << i;
+    if (fresh) {
+      EXPECT_EQ(rows.first[it->second], i);
+    }
+  }
+  EXPECT_EQ(rows.first.size(), seen.size());
 }
 
 TEST(VcdeTest, RoundTripNarrow) {
