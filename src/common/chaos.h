@@ -33,13 +33,13 @@
 //                        the start of a claimed unit (claim left behind)
 //   stale-claim          a worker abandons a just-made claim with a
 //                        backdated mtime, forcing the steal path
-//   conn-drop            a TCP frame read/write finds the connection torn
+//   conn-drop            a frame read/write finds the connection torn
 //                        down abruptly (src/net: peer reset mid-stream)
-//   partial-write        a TCP frame write sends a prefix of the frame and
+//   partial-write        a frame write sends a prefix of the frame and
 //                        then loses the connection (torn frame on the peer)
-//   slow-peer            a TCP frame write blows its write deadline as if
+//   slow-peer            a frame write blows its write deadline as if
 //                        the peer had stopped draining its receive buffer
-//   handshake-fail       the server aborts a TCP handshake after the
+//   handshake-fail       the server aborts a handshake after the
 //                        greeting (transient auth-layer failure; the peer
 //                        must treat it as retryable)
 //

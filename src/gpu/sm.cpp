@@ -122,14 +122,6 @@ void Sm::SetLaneOverride(LaneOverride override) {
 }
 
 RunResult Sm::Run(const Program& prog) {
-  std::vector<int> blocks(static_cast<std::size_t>(prog.config().blocks));
-  for (int b = 0; b < prog.config().blocks; ++b) {
-    blocks[static_cast<std::size_t>(b)] = b;
-  }
-  return Run(prog, blocks);
-}
-
-RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
   prog.Validate();
   const auto& code = prog.code();
   RunResult result;
@@ -157,9 +149,7 @@ RunResult Sm::Run(const Program& prog, const std::vector<int>& blocks) {
   }
   const bool observed = !monitors_.empty() || lane_override_ != nullptr;
 
-  for (const int block : blocks) {
-    GPUSTL_ASSERT(block >= 0 && block < prog.config().blocks,
-                  "block index out of range");
+  for (int block = 0; block < prog.config().blocks; ++block) {
     // Per-block state.
     std::vector<std::uint32_t> regs(
         static_cast<std::size_t>(tpb) * isa::kNumRegs, 0);

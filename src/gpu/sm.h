@@ -59,10 +59,6 @@ class Sm {
   /// malformed execution (bad memory access, runaway kernel, ...).
   RunResult Run(const isa::Program& prog);
 
-  /// Runs only the listed block indices (the multi-SM dispatcher's share);
-  /// CTAID still reports each block's true grid index.
-  RunResult Run(const isa::Program& prog, const std::vector<int>& blocks);
-
   const SmConfig& config() const { return config_; }
 
  private:

@@ -3,7 +3,7 @@
 // A local `gpustl-worker --dir` coordinates through the shared
 // filesystem (units/, claims/, done/ — src/distrib). A remote worker has
 // no shared filesystem, so the daemon brokers the same protocol over its
-// TCP connection:
+// connection (TCP, or the daemon's unix socket):
 //
 //   fetch    scan units, TryClaim one, ship the unit file bytes (hex)
 //   renew    Heartbeat the claim (touches mtime — the coordinator's

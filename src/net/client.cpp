@@ -23,8 +23,8 @@ bool NetChannel::EnsureConnected(std::string* error, bool* fatal) {
       std::this_thread::sleep_for(std::chrono::milliseconds(
           BackoffDelayMs(options_.retry, attempt - 1, rng_)));
     }
-    const int fd = ConnectTcp(options_.endpoint, options_.connect_timeout_ms,
-                              &last_error);
+    const int fd =
+        Connect(options_.endpoint, options_.connect_timeout_ms, &last_error);
     if (fd < 0) continue;
     auto conn = std::make_unique<Conn>(fd, options_.limits);
     const HandshakeResult hs =

@@ -64,8 +64,6 @@ class NetChannel {
   void Disconnect();
   bool connected() const { return conn_ != nullptr && !conn_->closed(); }
 
-  const ChannelOptions& options() const { return options_; }
-
  private:
   ChannelOptions options_;
   Rng rng_;

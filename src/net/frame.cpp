@@ -56,7 +56,10 @@ Conn::Conn(int fd, FrameLimits limits) : fd_(fd), limits_(limits) {
   }
 }
 
-Conn::~Conn() {
+Conn::~Conn() { Close(); }
+
+void Conn::Close() {
+  dead_.store(true, std::memory_order_release);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;

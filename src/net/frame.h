@@ -46,14 +46,14 @@ struct FrameLimits {
   std::size_t max_frame_bytes = 64ull << 20;
 };
 
-/// One framed stream connection. Owns the fd (released only on
-/// destruction) and a read buffer bounded by the frame limit. One thread
+/// One framed stream connection. Owns the fd (released by Close or the
+/// destructor) and a read buffer bounded by the frame limit. One thread
 /// may read while another writes (distinct socket directions); writers
 /// serialize externally (the server wraps writes in a per-connection
 /// mutex). A failure on either side shuts the socket down and marks the
-/// conn closed, but the descriptor number stays reserved until the
-/// destructor — a concurrently blocked reader wakes on the shutdown
-/// instead of ever touching a recycled fd.
+/// conn closed, but the descriptor number stays reserved until Close —
+/// a concurrently blocked reader wakes on the shutdown instead of ever
+/// touching a recycled fd.
 class Conn {
  public:
   /// Takes ownership of `fd` and switches it to non-blocking (deadlines
@@ -89,6 +89,10 @@ class Conn {
   /// Wakes a blocked reader/writer on another thread (returns kClosed
   /// there). Idempotent; does not release the fd.
   void Shutdown();
+
+  /// Marks the conn closed and releases the fd. The caller excludes
+  /// every other user of the fd (reader, writers, Shutdown) meanwhile.
+  void Close();
 
   bool closed() const { return dead_.load(std::memory_order_acquire); }
   int fd() const { return fd_; }

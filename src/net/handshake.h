@@ -1,8 +1,9 @@
 // Shared-secret connection handshake.
 //
-// The TCP listener is reachable from other machines, so unlike the
-// AF_UNIX socket it cannot lean on filesystem permissions. The first
-// exchange on every connection authenticates the peer:
+// The TCP listener is reachable from other machines, so it cannot lean
+// on filesystem permissions the way the AF_UNIX socket can. The first
+// exchange on every connection, on either endpoint, authenticates the
+// peer:
 //
 //   server -> {op:"hello", proto:1, nonce:"<32 hex>"}
 //   client -> {op:"auth", role:"client"|"worker", proof:"<32 hex>"}

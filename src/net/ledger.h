@@ -1,8 +1,8 @@
 // JobLedger: idempotent submits and resumable event streams.
 //
-// A TCP client cannot tell a lost request from a lost response: if the
+// A client cannot tell a lost request from a lost response: if the
 // connection dies right after `submit`, the job may or may not be
-// running. The ledger makes resubmission safe. Every remote submit
+// running. The ledger makes resubmission safe. Every submit
 // carries a client-generated `client_job` id; the first arrival creates
 // a ledger entry and actually starts the job, every later arrival with
 // the same id attaches to the existing entry instead of starting a

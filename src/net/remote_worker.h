@@ -1,5 +1,5 @@
-// RunRemoteWorker: the gpustl-worker loop over TCP instead of a shared
-// filesystem.
+// RunRemoteWorker: the gpustl-worker loop over a daemon connection (TCP
+// or unix) instead of a shared filesystem.
 //
 // Work units arrive as RPCs (net/broker.h): fetch a unit, renew its
 // lease every lease/3 seconds while the simulation runs (the server also

@@ -1,10 +1,11 @@
-#include "net/tcp_server.h"
+#include "net/server.h"
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <thread>
 
 #include "common/error.h"
 #include "net/handshake.h"
@@ -14,109 +15,141 @@ namespace gpustl::net {
 
 using service::Json;
 
-struct TcpServer::Connection {
-  explicit Connection(int fd, FrameLimits limits) : conn(fd, limits) {}
+struct Server::Connection {
+  Connection(int fd, FrameLimits limits, bool tcp)
+      : conn(fd, limits), tcp(tcp) {}
 
   Conn conn;
+  const bool tcp;  // arrived on a TCP endpoint: submits stay inline-only
+  std::thread thread;  // runs HandleConnection; joined by the server
+  std::atomic<bool> ended{false};  // HandleConnection returned
   std::mutex write_mu;
-  bool broken = false;  // a write failed; drop further sends (write_mu)
 
   // Ledger attachments made by this connection's reader thread (reader
   // thread only; detached when the connection ends).
   std::vector<std::pair<std::string, std::uint64_t>> attachments;
 
   /// Serialized, deadline-bounded frame write. Returns false once the
-  /// connection is broken; never detaches from the ledger here (the
-  /// reader thread owns that) — events simply stop being delivered and
-  /// keep accumulating in the ledger.
+  /// connection is closed (a failed write closes it); never detaches
+  /// from the ledger here (the reader thread owns that) — events simply
+  /// stop being delivered and keep accumulating in the ledger.
   bool WriteDoc(const Json& doc, int deadline_ms,
                 std::string_view chaos_tag) {
     std::lock_guard<std::mutex> lock(write_mu);
-    if (broken || conn.closed()) return false;
-    if (conn.WriteJson(doc, deadline_ms, chaos_tag) != IoStatus::kOk) {
-      broken = true;
-      return false;
-    }
-    return true;
+    if (conn.closed()) return false;  // skip serializing for a dead peer
+    return conn.WriteJson(doc, deadline_ms, chaos_tag) == IoStatus::kOk;
   }
 };
 
-TcpServer::TcpServer(service::CampaignService& service, WorkBroker broker,
-                     TcpServerOptions options)
+Server::Server(service::CampaignService& service, WorkBroker broker,
+               ServerOptions options)
     : service_(service),
       broker_(std::move(broker)),
       options_(std::move(options)) {}
 
-TcpServer::~TcpServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+Server::~Server() {
+  CloseListeners();
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
 }
 
-bool TcpServer::Start(std::string* error) {
+bool Server::Start(std::string* error) {
   if (::pipe(stop_pipe_) != 0) {
     if (error) *error = "pipe failed";
     return false;
   }
-  listen_fd_ = ListenTcp(options_.endpoint, error, &bound_port_);
-  return listen_fd_ >= 0;
+  for (Endpoint endpoint : options_.endpoints) {
+    const int fd = Listen(endpoint, error, &endpoint.port);
+    if (fd < 0) return false;
+    endpoints_.push_back(std::move(endpoint));
+    listen_fds_.push_back(fd);
+  }
+  return true;
 }
 
-void TcpServer::RequestStop() {
+void Server::CloseListeners() {
+  for (std::size_t i = 0; i < listen_fds_.size(); ++i) {
+    CloseListener(listen_fds_[i], endpoints_[i]);
+  }
+  listen_fds_.clear();
+}
+
+void Server::RequestStop() {
   const char byte = 's';
   [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
 }
 
-void TcpServer::Serve() {
+void Server::Serve() {
+  std::vector<pollfd> fds;
+  for (const int fd : listen_fds_) fds.push_back({fd, POLLIN, 0});
+  fds.push_back({stop_pipe_[0], POLLIN, 0});
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
+    const int ready = ::poll(fds.data(), fds.size(), -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (fds[1].revents != 0) {
+    if (fds.back().revents != 0) {
       stopping_.store(true, std::memory_order_relaxed);
       break;
     }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = AcceptTcp(listen_fd_);
-    if (fd < 0) continue;
-    auto conn = std::make_shared<Connection>(fd, options_.limits);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(
-        [this, conn] { HandleConnection(std::move(conn)); });
+    for (std::size_t i = 0; i + 1 < fds.size(); ++i) {
+      if ((fds[i].revents & POLLIN) == 0) continue;
+      const int fd = Accept(fds[i].fd);
+      if (fd < 0) continue;
+      auto conn = std::make_shared<Connection>(fd, options_.limits,
+                                               !endpoints_[i].is_unix());
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      ReapEndedConnections();
+      conns_.push_back(conn);
+      conn->thread = std::thread([this, conn] {
+        HandleConnection(conn);
+        conn->ended.store(true, std::memory_order_release);
+      });
+    }
   }
 }
 
-void TcpServer::JoinConnections() {
+void Server::ReapEndedConnections() {
+  std::erase_if(conns_, [](const std::shared_ptr<Connection>& conn) {
+    if (!conn->ended.load(std::memory_order_acquire)) return false;
+    conn->thread.join();
+    return true;
+  });
+}
+
+void Server::JoinConnections() {
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (const auto& conn : conns_) conn->conn.Shutdown();
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (const auto& conn : conns_) {
+    if (conn->thread.joinable()) conn->thread.join();
   }
+  conns_.clear();
+  CloseListeners();
 }
 
-void TcpServer::HandleConnection(std::shared_ptr<Connection> conn) {
+void Server::HandleConnection(const std::shared_ptr<Connection>& conn) {
   const HandshakeResult hs = ServerHandshake(
       conn->conn, options_.secret, options_.handshake_deadline_ms);
-  if (!hs.ok) return;
-  if (hs.role == "worker") {
+  if (hs.ok && hs.role == "worker") {
     ServeWorker(conn);
-  } else {
+  } else if (hs.ok) {
     ServeClient(conn);
   }
   for (const auto& [client_job, attach_id] : conn->attachments) {
     ledger_.Detach(client_job, attach_id);
   }
+  // Release the descriptor now, not when the server goes: write_mu keeps
+  // event writers off it, conns_mu_ keeps JoinConnections' Shutdown off
+  // the number once the kernel may hand it out again.
+  std::lock_guard<std::mutex> write_lock(conn->write_mu);
+  std::lock_guard<std::mutex> conns_lock(conns_mu_);
+  conn->conn.Close();
 }
 
-void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
+void Server::ServeClient(const std::shared_ptr<Connection>& conn) {
   while (!conn->conn.closed()) {
     Json request;
     // Infinite read: a client parked between requests waiting for job
@@ -124,7 +157,7 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
     const IoStatus status = conn->conn.ReadJson(&request, -1, "request");
     if (status != IoStatus::kOk) break;
 
-    const std::string op = service::RequestOp(request);
+    const std::string op = request.GetString("op");
     if (op == "ping") {
       conn->WriteDoc(service::EventPong(), options_.write_deadline_ms,
                      "reply");
@@ -135,7 +168,6 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
       Json ok = Json::Object();
       ok.Set("event", "ok");
       conn->WriteDoc(ok, options_.write_deadline_ms, "reply");
-      if (on_shutdown_) on_shutdown_();
       RequestStop();
       break;
     } else if (op == "submit") {
@@ -143,7 +175,7 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
       if (client_job.empty()) {
         conn->WriteDoc(
             service::EventRejected(0, "bad-request",
-                                   "submit over TCP requires client_job"),
+                                   "submit requires client_job"),
             options_.write_deadline_ms, "event");
         continue;
       }
@@ -165,6 +197,17 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
         info.record(service::EventRejected(0, "bad-request", error));
         continue;
       }
+      // Checked before MakeJobSpec opens anything: a TCP peer, possibly
+      // anyone when the secret is empty, must not steer the daemon's
+      // file reads or writes.
+      if (const std::string field = service::PathField(req);
+          conn->tcp && !field.empty()) {
+        info.record(service::EventRejected(
+            0, "bad-request",
+            field + " names a path on the daemon; a TCP submit carries "
+                    "its PTPs inline and no checkpoint_dir"));
+        continue;
+      }
       service::JobSpec spec;
       try {
         spec = service::MakeJobSpec(req);
@@ -180,7 +223,7 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void TcpServer::ServeWorker(const std::shared_ptr<Connection>& conn) {
+void Server::ServeWorker(const std::shared_ptr<Connection>& conn) {
   if (!broker_.enabled()) {
     Json deny;
     deny.Set("op", "error");
@@ -189,7 +232,7 @@ void TcpServer::ServeWorker(const std::shared_ptr<Connection>& conn) {
     return;
   }
   auto session = broker_.OpenSession(
-      "tcp-worker-" + std::to_string(conn->conn.fd()) + "-" +
+      "net-worker-" + std::to_string(conn->conn.fd()) + "-" +
       std::to_string(static_cast<unsigned long>(::getpid())));
   while (!conn->conn.closed() &&
          !stopping_.load(std::memory_order_relaxed)) {

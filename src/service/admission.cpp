@@ -4,18 +4,6 @@
 
 namespace gpustl::service {
 
-std::string_view PriorityName(Priority p) {
-  switch (p) {
-    case Priority::kHigh:
-      return "high";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kLow:
-      return "low";
-  }
-  return "normal";
-}
-
 std::optional<Priority> ParsePriority(std::string_view name) {
   if (name == "high") return Priority::kHigh;
   if (name == "normal" || name.empty()) return Priority::kNormal;

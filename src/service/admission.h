@@ -22,7 +22,6 @@ namespace gpustl::service {
 
 enum class Priority : int { kHigh = 0, kNormal = 1, kLow = 2 };
 
-std::string_view PriorityName(Priority p);
 std::optional<Priority> ParsePriority(std::string_view name);
 
 struct Ticket {

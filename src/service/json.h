@@ -1,7 +1,7 @@
 // Minimal JSON value + codec for the gpustld wire protocol.
 //
-// The protocol (docs/FORMATS.md) is newline-delimited JSON: one object per
-// line, no embedded newlines. This codec covers exactly what that needs —
+// The protocol (docs/FORMATS.md) carries one JSON object per frame, dumped
+// on one line. This codec covers exactly what that needs —
 // null/bool/number/string/array/object, strict parsing with a depth limit,
 // single-line dumping — with insertion-ordered objects so dumped events
 // are deterministic (field order is part of the documented protocol, and

@@ -4,13 +4,10 @@
 #include <string>
 #include <thread>
 
+#include "isa/disasm.h"
 #include "service/admission.h"
 
 namespace gpustl::service {
-
-std::string RequestOp(const Json& request) {
-  return request.GetString("op");
-}
 
 bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
                         std::string* error) {
@@ -80,6 +77,26 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
   }
   *out = std::move(req);
   return true;
+}
+
+Json EncodeEntry(const compact::PlanEntry& entry) {
+  Json e = Json::Object();
+  e.Set("asm", isa::DisassembleProgram(entry.entry.ptp));
+  e.Set("module", entry.target_token);
+  e.Set("mode", entry.entry.compactable ? "compact" : "carry");
+  if (entry.entry.reverse_patterns) e.Set("reverse", true);
+  return e;
+}
+
+std::string PathField(const SubmitRequest& request) {
+  if (!request.manifest.empty()) return "manifest";
+  for (std::size_t i = 0; i < request.entries.size(); ++i) {
+    if (!request.entries[i].path.empty()) {
+      return "entries[" + std::to_string(i) + "].path";
+    }
+  }
+  if (!request.checkpoint_dir.empty()) return "checkpoint_dir";
+  return "";
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // gpustld wire protocol: typed requests and event builders.
 //
-// Transport is newline-delimited JSON over a local stream socket (one
-// object per line; see docs/FORMATS.md for the documented schema). This
-// header is the single place the field names live — the daemon, the
+// Each request and event is one JSON object in one frame of the daemon's
+// framed transport (net/frame.h; docs/FORMATS.md documents the schema).
+// This header is the single place the field names live — the daemon, the
 // client and the tests all build/parse through it, so the documented
 // protocol and the implemented one cannot drift apart.
 #pragma once
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "compact/campaign_plan.h"
 #include "service/json.h"
 
 namespace gpustl::service {
@@ -37,16 +38,22 @@ struct SubmitRequest {
   std::string checkpoint_dir;            // "" = no checkpointing
 };
 
-/// Parses a request line's op ("submit", "ping", "status", "shutdown";
-/// empty string when absent).
-std::string RequestOp(const Json& request);
-
 /// Parses a submit request. Returns false (with a diagnostic in `error`)
 /// on schema violations — unknown priority, a `threads` value outside
 /// -1 .. hardware_concurrency, entry without a source, both manifest and
 /// entries, ...
 bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
                         std::string* error);
+
+/// The inverse of ParseSubmitRequest for one entry: a planned PTP as an
+/// inline `entries` element — its disassembly (which assembles back to
+/// the same program) with the entry's module, mode and order.
+Json EncodeEntry(const compact::PlanEntry& entry);
+
+/// The first field of `request` that names a daemon-side file —
+/// "manifest", "entries[i].path" or "checkpoint_dir" — or "" when the
+/// request carries everything inline.
+std::string PathField(const SubmitRequest& request);
 
 // --- Event builders (daemon -> client) ---------------------------------
 //
@@ -75,6 +82,6 @@ Json EventFailed(std::uint64_t job_id, const std::string& error_class,
                  const std::string& message);
 
 Json EventPong();
-Json EventError(const std::string& message);  // malformed request line
+Json EventError(const std::string& message);  // unknown op
 
 }  // namespace gpustl::service

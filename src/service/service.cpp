@@ -43,20 +43,21 @@ isa::Program LoadPtpFile(const std::string& path) {
 
 }  // namespace
 
+std::vector<compact::PlanEntry> LoadManifestPlan(const std::string& path) {
+  const std::string manifest = ReadFileOrThrow(path);
+  // PTP paths in a manifest are relative to the manifest, not to the
+  // reader's working directory — the same manifest `gpustlc campaign`
+  // runs from the manifest's own directory.
+  const std::filesystem::path base = std::filesystem::path(path).parent_path();
+  return compact::ParseManifestPlan(manifest, [&](const std::string& p) {
+    const std::filesystem::path ptp(p);
+    return LoadPtpFile(ptp.is_absolute() ? ptp.string()
+                                         : (base / ptp).string());
+  });
+}
+
 std::vector<compact::PlanEntry> BuildPlan(const SubmitRequest& request) {
-  if (!request.manifest.empty()) {
-    const std::string manifest = ReadFileOrThrow(request.manifest);
-    // PTP paths in a manifest are relative to the manifest, not to the
-    // daemon's working directory — a client submits the same manifest it
-    // would hand to `gpustlc campaign` from the manifest's own directory.
-    const std::filesystem::path base =
-        std::filesystem::path(request.manifest).parent_path();
-    return compact::ParseManifestPlan(manifest, [&](const std::string& p) {
-      const std::filesystem::path ptp(p);
-      return LoadPtpFile(
-          ptp.is_absolute() ? ptp.string() : (base / ptp).string());
-    });
-  }
+  if (!request.manifest.empty()) return LoadManifestPlan(request.manifest);
   std::vector<compact::PlanEntry> plan;
   for (const SubmitEntry& e : request.entries) {
     compact::PlanEntry pe;

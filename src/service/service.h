@@ -93,10 +93,14 @@ struct JobSpec {
   std::string checkpoint_dir;
 };
 
+/// Reads a manifest file into a campaign plan, resolving its PTP paths
+/// relative to the manifest's own directory. Throws Error on bad input.
+std::vector<compact::PlanEntry> LoadManifestPlan(const std::string& path);
+
 /// Builds the campaign plan for a submit request: reads the manifest
-/// (PTP paths resolved relative to the manifest's directory) or the
-/// inline entries. Throws Error on any bad input — callers turn that
-/// into a `rejected: bad-request` before admission.
+/// (LoadManifestPlan) or the inline entries. Throws Error on any bad
+/// input — callers turn that into a `rejected: bad-request` before
+/// admission.
 std::vector<compact::PlanEntry> BuildPlan(const SubmitRequest& request);
 
 /// Converts a parsed submit request into a JobSpec (BuildPlan included).

@@ -1,23 +1,29 @@
 #!/usr/bin/env bash
-# Off-box transport smoke test: gpustld --listen, gpustl-client
-# --connect and gpustl-worker --connect over real TCP sockets.
+# Transport smoke test: one gpustld server on --listen and --socket,
+# gpustl-client on --connect and --socket, gpustl-worker --connect, over
+# real TCP and AF_UNIX sockets.
 #
 #   net_smoke.sh <gpustld> <gpustl-client> <gpustl-worker> <gpustlc>
 #
 # Covers, in order:
-#   1. dual-serve startup (--socket + --listen), TCP ping/status;
-#   2. transport failures exit 5: connection refused, wrong secret;
-#   3. TCP submit: report byte-identical to `gpustlc campaign --report`;
-#   4. client-side connection chaos (conn-drop on an event read): the
-#      client reconnects, resumes its event stream with no duplicated and
-#      no lost seq, exits 0, and the report is still byte-identical;
+#   1. startup on both endpoints, ping/status on each;
+#   2. transport failures exit 5: connection refused, wrong secret (on
+#      both endpoints); --checkpoint with --connect is a usage error,
+#      and --connect refuses a unix: endpoint;
+#   3. submit on each endpoint: report byte-identical to `gpustlc
+#      campaign --report`;
+#   4. client-side connection chaos (conn-drop on an event read) on each
+#      endpoint: the client reconnects, resumes its event stream with no
+#      duplicated and no lost seq, exits 0, and the report is still
+#      byte-identical;
 #   5. remote workers: a gpustl-worker --connect serves a cold campaign
 #      through the daemon's work broker; a SIGKILLed worker must not harm
 #      the daemon, and a replacement worker picks up the next campaign;
 #   6. daemon-side chaos (handshake-fail + conn-drop on event writes):
 #      the client retries the handshake, resumes the stream, and the
 #      report is still byte-identical;
-#   7. shutdown op over TCP drains both listeners (exit 0).
+#   7. shutdown op over TCP stops the one server (exit 0) and removes
+#      the socket file.
 set -u
 
 GPUSTLD=$1
@@ -88,8 +94,9 @@ tiny3.asm DU compact
 tiny3.asm SFU compact
 EOF
 
-# --- 1. dual-serve startup ---------------------------------------------------
-"$GPUSTLD" --socket "$WORK/gpustld.sock" --listen 127.0.0.1:0 \
+# --- 1. startup on both endpoints --------------------------------------------
+SOCK=$WORK/gpustld.sock
+"$GPUSTLD" --socket "$SOCK" --listen 127.0.0.1:0 \
   --secret "$SECRET" --workers 2 --cache-dir "$WORK/cache" \
   --distrib-dir "$WORK/ddir" --distrib-stale 5 \
   > "$WORK/daemon.log" 2>&1 &
@@ -103,55 +110,75 @@ done
 PORT=$(tcp_port "$WORK/daemon.log")
 [ -n "$PORT" ] || fail "daemon never announced its TCP port"
 ADDR=127.0.0.1:$PORT
+endpoint() {  # endpoint TCP|UNIX — sets ep to that endpoint's client flags
+  if [ "$1" = TCP ]; then ep=(--connect "$ADDR"); else ep=(--socket "$SOCK"); fi
+}
 
-"$CLIENT" --connect "$ADDR" --secret "$SECRET" ping > /dev/null \
-  || fail "tcp ping"
-"$CLIENT" --connect "$ADDR" --secret "$SECRET" status \
-  | grep -q '"queue_depth"' || fail "tcp status missing queue depth"
-# The AF_UNIX side serves concurrently.
-"$CLIENT" --socket "$WORK/gpustld.sock" ping > /dev/null \
-  || fail "unix ping alongside tcp"
+for EP in TCP UNIX; do
+  endpoint "$EP"
+  "$CLIENT" "${ep[@]}" --secret "$SECRET" ping > /dev/null \
+    || fail "$EP ping"
+  "$CLIENT" "${ep[@]}" --secret "$SECRET" status \
+    | grep -q '"queue_depth"' || fail "$EP status missing queue depth"
+done
 
-# --- 2. transport failures exit 5 -------------------------------------------
+# --- 2. transport failures exit 5, a usage error 2 --------------------------
 "$CLIENT" --connect 127.0.0.1:1 --retries 2 ping > /dev/null 2>&1
 rc=$?
 [ "$rc" -eq 5 ] || fail "connection-refused ping exited $rc (want 5)"
 
-"$CLIENT" --connect "$ADDR" --secret wrong-secret \
-  submit --manifest "$WORK/manifest.txt" > /dev/null 2>&1
-rc=$?
-[ "$rc" -eq 5 ] || fail "wrong-secret submit exited $rc (want 5)"
+for EP in TCP UNIX; do
+  endpoint "$EP"
+  "$CLIENT" "${ep[@]}" --secret wrong-secret \
+    submit --manifest "$WORK/manifest.txt" > /dev/null 2>&1
+  rc=$?
+  [ "$rc" -eq 5 ] || fail "$EP wrong-secret submit exited $rc (want 5)"
+done
 
-# --- 3. TCP submit, report byte-identical -----------------------------------
 "$CLIENT" --connect "$ADDR" --secret "$SECRET" submit \
-  --manifest "$WORK/manifest.txt" --tenant smoke \
-  --report "$WORK/report_tcp.txt" > "$WORK/submit1.out" 2>&1
+  --manifest "$WORK/manifest.txt" --checkpoint "$WORK/ckpt" \
+  > /dev/null 2>&1
 rc=$?
-[ "$rc" -eq 0 ] || fail "tcp submit exited $rc: $(cat "$WORK/submit1.out")"
+[ "$rc" -eq 2 ] || fail "--checkpoint with --connect exited $rc (want 2)"
+[ -e "$WORK/ckpt" ] && fail "--checkpoint with --connect created its dir"
+# --socket is the one spelling of a unix socket on the client.
+"$CLIENT" --connect "unix:$SOCK" --secret "$SECRET" ping > /dev/null 2>&1 \
+  && fail "--connect unix:<path> was accepted (the client spells it --socket)"
 
 (cd "$WORK" && "$GPUSTLC" campaign manifest.txt --report report_direct.txt) \
   > /dev/null 2>&1 || fail "gpustlc campaign (direct)"
-cmp -s "$WORK/report_tcp.txt" "$WORK/report_direct.txt" \
-  || fail "tcp report differs from gpustlc report"
 
-# --- 4. client-side connection chaos ----------------------------------------
-# Drop the connection on the client's 2nd event read: the client must
-# reconnect, resubmit with after_seq, and see a gapless stream.
-"$CLIENT" --connect "$ADDR" --secret "$SECRET" \
-  --chaos 'conn-drop@event#2' --chaos-seed 7 submit \
-  --manifest "$WORK/manifest.txt" --tenant chaos --json \
-  --report "$WORK/report_chaos_client.txt" \
-  > "$WORK/events_chaos.ndjson" 2> "$WORK/chaos_client.err"
-rc=$?
-[ "$rc" -eq 0 ] || fail "chaos submit exited $rc: $(cat "$WORK/chaos_client.err")"
-grep -q "injecting conn-drop" "$WORK/chaos_client.err" \
-  || fail "client chaos never fired"
-seq_gapless "$WORK/events_chaos.ndjson" \
-  || fail "resumed event stream has seq gaps or duplicates"
-[ "$(grep -c '"event":"complete"' "$WORK/events_chaos.ndjson")" -eq 1 ] \
-  || fail "resumed stream must end in exactly one terminal event"
-cmp -s "$WORK/report_chaos_client.txt" "$WORK/report_direct.txt" \
-  || fail "chaos-resumed report differs from gpustlc report"
+for EP in TCP UNIX; do
+  endpoint "$EP"
+  # --- 3. submit, report byte-identical ------------------------------------
+  "$CLIENT" "${ep[@]}" --secret "$SECRET" submit \
+    --manifest "$WORK/manifest.txt" --tenant smoke \
+    --report "$WORK/report_$EP.txt" > "$WORK/submit_$EP.out" 2>&1
+  rc=$?
+  [ "$rc" -eq 0 ] || fail "$EP submit exited $rc: $(cat "$WORK/submit_$EP.out")"
+  cmp -s "$WORK/report_$EP.txt" "$WORK/report_direct.txt" \
+    || fail "$EP report differs from gpustlc report"
+
+  # --- 4. client-side connection chaos -------------------------------------
+  # Drop the connection on the client's 2nd event read: the client must
+  # reconnect, resubmit with after_seq, and see a gapless stream.
+  "$CLIENT" "${ep[@]}" --secret "$SECRET" \
+    --chaos 'conn-drop@event#2' --chaos-seed 7 submit \
+    --manifest "$WORK/manifest.txt" --tenant chaos --json \
+    --report "$WORK/report_chaos_$EP.txt" \
+    > "$WORK/events_chaos_$EP.ndjson" 2> "$WORK/chaos_$EP.err"
+  rc=$?
+  [ "$rc" -eq 0 ] \
+    || fail "$EP chaos submit exited $rc: $(cat "$WORK/chaos_$EP.err")"
+  grep -q "injecting conn-drop" "$WORK/chaos_$EP.err" \
+    || fail "$EP client chaos never fired"
+  seq_gapless "$WORK/events_chaos_$EP.ndjson" \
+    || fail "$EP resumed event stream has seq gaps or duplicates"
+  [ "$(grep -c '"event":"complete"' "$WORK/events_chaos_$EP.ndjson")" -eq 1 ] \
+    || fail "$EP resumed stream must end in exactly one terminal event"
+  cmp -s "$WORK/report_chaos_$EP.txt" "$WORK/report_direct.txt" \
+    || fail "$EP chaos-resumed report differs from gpustlc report"
+done
 
 # --- 5. remote workers over the broker --------------------------------------
 "$WORKER" --connect "$ADDR" --secret "$SECRET" --owner remote1 \
@@ -243,7 +270,7 @@ kill -TERM "$DAEMON2_PID"
 wait "$DAEMON2_PID" || fail "chaos daemon drain failed"
 DAEMON2_PID=
 
-# --- 7. shutdown over TCP drains both listeners ------------------------------
+# --- 7. shutdown over TCP stops the one server -------------------------------
 "$CLIENT" --connect "$ADDR" --secret "$SECRET" shutdown > /dev/null \
   || fail "tcp shutdown op"
 drain_rc=1
@@ -259,5 +286,6 @@ DAEMON_PID=
 [ "$drain_rc" -eq 0 ] || fail "daemon exited $drain_rc after tcp shutdown"
 grep -q "drained" "$WORK/daemon.log" \
   || fail "daemon never printed its drain summary"
+[ -e "$SOCK" ] && fail "daemon left its socket file behind"
 
 echo "net_smoke: PASS"

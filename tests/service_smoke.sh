@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Service smoke test: drives the gpustld daemon end to end over its
-# AF_UNIX socket.
+# AF_UNIX socket, and its TCP listener for the same answers. Both run the
+# same handshake, so every leg passes the daemon's --secret.
 #
 #   service_smoke.sh <gpustld> <gpustl-client> <gpustlc>
 #
@@ -13,8 +14,8 @@
 #   3. event-stream ordering (queued first, admitted second, complete
 #      last) over --json;
 #   4. warm second run against the shared cache;
-#   5. TCP leg: the same daemon serves --listen concurrently — ping and
-#      a warm submit over TCP render the byte-identical report;
+#   5. TCP leg: the same server answers on --listen too — ping and a
+#      warm submit over TCP render the byte-identical report;
 #   6. graceful SIGTERM drain (exit 0, `drained` summary on stdout).
 set -u
 
@@ -70,12 +71,13 @@ for _ in $(seq 1 100); do
 done
 grep -q "listening" "$WORK/daemon.log" || fail "daemon never announced socket"
 
-"$CLIENT" --socket "$SOCK" ping > /dev/null || fail "ping"
-"$CLIENT" --socket "$SOCK" status | grep -q '"queue_depth"' \
+"$CLIENT" --socket "$SOCK" --secret smoke ping > /dev/null || fail "ping"
+"$CLIENT" --socket "$SOCK" --secret smoke status | grep -q '"queue_depth"' \
   || fail "status missing queue depth"
 
 # --- 2. normal submit: report byte-identical to gpustlc ---------------------
-"$CLIENT" --socket "$SOCK" submit --manifest "$WORK/manifest.txt" \
+"$CLIENT" --socket "$SOCK" --secret smoke submit \
+  --manifest "$WORK/manifest.txt" \
   --tenant smoke --priority high --report "$WORK/report_daemon.txt" \
   > "$WORK/submit1.out" 2>&1
 rc=$?
@@ -88,7 +90,8 @@ cmp -s "$WORK/report_daemon.txt" "$WORK/report_direct.txt" \
   || fail "daemon report differs from gpustlc report"
 
 # --- degraded submit: same budget, same bytes, exit 3 -----------------------
-"$CLIENT" --socket "$SOCK" submit --manifest "$WORK/manifest.txt" \
+"$CLIENT" --socket "$SOCK" --secret smoke submit \
+  --manifest "$WORK/manifest.txt" \
   --tenant smoke --stage-deadline 0.000000001 \
   --report "$WORK/report_daemon_deg.txt" > "$WORK/submit_deg.out" 2>&1
 rc=$?
@@ -103,17 +106,18 @@ cmp -s "$WORK/report_daemon_deg.txt" "$WORK/report_direct_deg.txt" \
 
 # --- 3. event ordering + 4. warm cache --------------------------------------
 cache_misses() {
-  "$CLIENT" --socket "$SOCK" status \
+  "$CLIENT" --socket "$SOCK" --secret smoke status \
     | sed -n 's/.*"cache":{[^}]*"misses":\([0-9]*\).*/\1/p'
 }
 cache_hits() {
-  "$CLIENT" --socket "$SOCK" status \
+  "$CLIENT" --socket "$SOCK" --secret smoke status \
     | sed -n 's/.*"cache":{[^}]*"hits":\([0-9]*\).*/\1/p'
 }
 misses_before=$(cache_misses)
 hits_before=$(cache_hits)
 
-"$CLIENT" --socket "$SOCK" submit --manifest "$WORK/manifest.txt" \
+"$CLIENT" --socket "$SOCK" --secret smoke submit \
+  --manifest "$WORK/manifest.txt" \
   --tenant other --json > "$WORK/events.ndjson" 2>&1
 rc=$?
 [ "$rc" -eq 0 ] || fail "warm --json submit exited $rc"
@@ -148,7 +152,7 @@ PORT=$(sed -n 's/.*listening on tcp [^ :]*:\([0-9][0-9]*\).*/\1/p' \
 rc=$?
 [ "$rc" -eq 0 ] || fail "tcp submit exited $rc"
 cmp -s "$WORK/report_tcp.txt" "$WORK/report_direct.txt" \
-  || fail "tcp report differs from the unix-socket report"
+  || fail "tcp report differs from gpustlc report"
 
 # --- 6. graceful SIGTERM drain ----------------------------------------------
 kill -TERM "$DAEMON_PID"

@@ -1,18 +1,23 @@
-// Off-box transport: endpoint parsing, the length-framed NDJSON codec
-// and its failure taxonomy (torn / too-large / timeout), the
+// The daemon's transport: endpoint parsing, the length-framed NDJSON
+// codec and its failure taxonomy (torn / too-large / timeout), the
 // shared-secret handshake, the JobLedger's idempotent-submit and
 // event-resume semantics, the worker broker's publish validation, and
-// the TcpServer end to end — a TCP submit must render the byte-identical
-// report `gpustlc campaign --report` would, including under connection
-// chaos, with no duplicated and no lost events.
+// the Server end to end on unix and TCP endpoints — a submit must render
+// the byte-identical report `gpustlc campaign --report` would, including
+// under connection chaos, with no duplicated and no lost events; the unix
+// listener's socket-file rules; and the TCP endpoint's refusal of submits
+// that name daemon-side files.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/inotify.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -37,7 +42,7 @@
 #include "net/handshake.h"
 #include "net/ledger.h"
 #include "net/net.h"
-#include "net/tcp_server.h"
+#include "net/server.h"
 #include "service/protocol.h"
 #include "service/service.h"
 #include "store/result_store.h"
@@ -74,6 +79,16 @@ TEST(NetTest, ParseEndpointAcceptsHostPortRejectsJunk) {
   EXPECT_FALSE(ParseEndpoint("host:").has_value());     // empty port
   EXPECT_FALSE(ParseEndpoint("host:70000").has_value());
   EXPECT_FALSE(ParseEndpoint("host:-1").has_value());
+
+  const auto unix_ep = ParseEndpoint("unix:/run/d:1.sock");
+  ASSERT_TRUE(unix_ep.has_value());
+  EXPECT_TRUE(unix_ep->is_unix());
+  EXPECT_EQ(unix_ep->unix_path, "/run/d:1.sock");
+  EXPECT_EQ(unix_ep->ToString(), "unix:/run/d:1.sock");
+  EXPECT_FALSE(ParseEndpoint("unix:").has_value());  // empty path
+  EXPECT_FALSE(ParseEndpoint("unix:/" + std::string(200, 'x'), &error));
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
+  EXPECT_EQ(ep->ToString(), "127.0.0.1:8080");
 }
 
 TEST(NetTest, HexCodecRoundTripsAndRejectsMalformed) {
@@ -109,15 +124,15 @@ TEST(NetTest, BackoffDelayStaysWithinEnvelope) {
 }
 
 TEST(NetTest, AcceptedAndConnectedEndsBothDisableNagle) {
-  Endpoint endpoint{"127.0.0.1", 0};
+  Endpoint endpoint{"127.0.0.1", 0, ""};
   std::string error;
   std::uint16_t port = 0;
-  const int listen_fd = ListenTcp(endpoint, &error, &port);
+  const int listen_fd = Listen(endpoint, &error, &port);
   ASSERT_GE(listen_fd, 0) << error;
   endpoint.port = port;
-  const int client = ConnectTcp(endpoint, 2000, &error);
+  const int client = Connect(endpoint, 2000, &error);
   ASSERT_GE(client, 0) << error;
-  const int server = AcceptTcp(listen_fd);
+  const int server = Accept(listen_fd);
   ASSERT_GE(server, 0);
   for (const int fd : {client, server}) {
     int value = 0;
@@ -520,7 +535,7 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   EXPECT_EQ(session->Handle(bogus).GetString("op"), "error");
 }
 
-// --- TcpServer end to end ----------------------------------------------------
+// --- Server end to end ------------------------------------------------------
 
 constexpr const char* kTinyAsm = R"(.entry tiny
 .blocks 1
@@ -577,49 +592,71 @@ Json TinySubmitDoc() {
   return req;
 }
 
-/// A live TcpServer on an ephemeral port wrapping a 2-worker service.
-struct TcpFixture {
-  explicit TcpFixture(std::string secret = "sesame",
-                      BrokerOptions broker_options = {}) {
+/// A live Server on an ephemeral TCP port and a unix socket, wrapping a
+/// 2-worker service.
+struct ServerFixture {
+  explicit ServerFixture(std::string secret = "sesame",
+                         BrokerOptions broker_options = {}) {
     service::ServiceOptions sopts;
     sopts.workers = 2;
     svc = std::make_unique<service::CampaignService>(sopts);
-    TcpServerOptions topts;
-    topts.endpoint = {"127.0.0.1", 0};
-    topts.secret = secret;
-    topts.worker_slice_ms = 100;  // brisk lease sweeps for tests
-    server = std::make_unique<TcpServer>(*svc, WorkBroker(broker_options),
-                                         topts);
+    ServerOptions options;
+    socket_path = ScratchDir("server-fixture") + "/d.sock";
+    options.endpoints = {{"127.0.0.1", 0, ""}, {"", 0, socket_path}};
+    options.secret = secret;
+    options.worker_slice_ms = 100;  // brisk lease sweeps for tests
+    server = std::make_unique<Server>(*svc, WorkBroker(broker_options),
+                                      options);
     std::string error;
     started = server->Start(&error);
     EXPECT_TRUE(started) << error;
-    if (started) serve = std::thread([this] { server->Serve(); });
-  }
-
-  ~TcpFixture() {
     if (started) {
-      server->RequestStop();
-      serve.join();
-      svc->Drain(false);
-      server->JoinConnections();
+      serve = std::thread([this] {
+        server->Serve();
+        served = true;
+      });
     }
   }
 
-  ChannelOptions Channel(std::string secret = "sesame") {
+  ~ServerFixture() { Stop(); }
+
+  /// RequestStop (unless a `shutdown` op already stopped the loop), then
+  /// the daemon's drain order.
+  void Stop(bool request = true) {
+    if (!started) return;
+    started = false;
+    if (request) server->RequestStop();
+    serve.join();
+    svc->Drain(false);
+    server->JoinConnections();
+  }
+
+  /// A channel to the TCP endpoint, or to the unix one.
+  ChannelOptions Channel(std::string secret = "sesame", bool unix = false) {
     ChannelOptions copts;
-    copts.endpoint = {"127.0.0.1", server->bound_port()};
+    copts.endpoint = server->endpoints()[unix ? 1 : 0];
     copts.secret = std::move(secret);
     return copts;
   }
 
   std::unique_ptr<service::CampaignService> svc;
-  std::unique_ptr<TcpServer> server;
+  std::unique_ptr<Server> server;
+  std::string socket_path;
   std::thread serve;
+  std::atomic<bool> served{false};  // Serve returned
   bool started = false;
 };
 
-TEST(TcpServerTest, PingAndStatusRoundTrip) {
-  TcpFixture fx;
+/// Counts the terminal events (complete/failed/rejected) of a stream.
+long Terminals(const std::vector<Json>& events) {
+  return std::count_if(events.begin(), events.end(), [](const Json& e) {
+    const std::string kind = e.GetString("event");
+    return kind == "complete" || kind == "failed" || kind == "rejected";
+  });
+}
+
+TEST(ServerTest, PingAndStatusRoundTrip) {
+  ServerFixture fx;
   NetChannel channel(fx.Channel());
   std::string error;
   ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
@@ -637,8 +674,8 @@ TEST(TcpServerTest, PingAndStatusRoundTrip) {
   EXPECT_EQ(st->GetInt("workers"), 2);
 }
 
-TEST(TcpServerTest, WrongSecretFailsFastAndFatal) {
-  TcpFixture fx;
+TEST(ServerTest, WrongSecretFailsFastAndFatal) {
+  ServerFixture fx;
   ChannelOptions copts = fx.Channel("not-sesame");
   copts.retry.attempts = 4;
   NetChannel channel(copts);
@@ -648,8 +685,8 @@ TEST(TcpServerTest, WrongSecretFailsFastAndFatal) {
   EXPECT_TRUE(fatal) << "bad-secret must not burn the retry budget";
 }
 
-TEST(TcpServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
-  TcpFixture fx;
+TEST(ServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
+  ServerFixture fx;
   NetChannel channel(fx.Channel());
 
   std::vector<Json> events;
@@ -670,16 +707,11 @@ TEST(TcpServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
   }
   EXPECT_EQ(events.front().GetString("event"), "queued");
   EXPECT_EQ(events.back().GetString("event"), "complete");
-  const auto terminals = std::count_if(
-      events.begin(), events.end(), [](const Json& e) {
-        const std::string kind = e.GetString("event");
-        return kind == "complete" || kind == "failed" || kind == "rejected";
-      });
-  EXPECT_EQ(terminals, 1);
+  EXPECT_EQ(Terminals(events), 1);
 }
 
-TEST(TcpServerTest, SubmitWithoutClientJobIsRejected) {
-  TcpFixture fx;
+TEST(ServerTest, SubmitWithoutClientJobIsRejected) {
+  ServerFixture fx;
   NetChannel channel(fx.Channel());
   std::string error;
   ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
@@ -692,8 +724,8 @@ TEST(TcpServerTest, SubmitWithoutClientJobIsRejected) {
   EXPECT_NE(reply.GetString("detail").find("client_job"), std::string::npos);
 }
 
-TEST(TcpServerTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
-  TcpFixture fx;
+TEST(ServerTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
+  ServerFixture fx;
   const std::string client_job = GenerateClientJobId();
 
   NetChannel first(fx.Channel());
@@ -720,12 +752,12 @@ TEST(TcpServerTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
       << "one client_job must mean one ledger entry";
 }
 
-TEST(TcpServerTest, EventStreamResumesAcrossChaosConnDrops) {
+TEST(ServerTest, EventStreamResumesAcrossChaosConnDrops) {
   // Drop the server->client connection on the 2nd event write: the
   // client must reconnect, resume from its last seq, and still see a
   // gapless stream with one terminal event and the identical report.
   chaos::ScopedChaos scoped("conn-drop@event#2", 1);
-  TcpFixture fx;
+  ServerFixture fx;
   NetChannel channel(fx.Channel());
 
   std::vector<Json> events;
@@ -746,8 +778,8 @@ TEST(TcpServerTest, EventStreamResumesAcrossChaosConnDrops) {
   EXPECT_EQ(events.back().GetString("event"), "complete");
 }
 
-TEST(TcpServerTest, WorkerConnectionRefusedWithoutDistribDir) {
-  TcpFixture fx;  // no broker options: broker disabled
+TEST(ServerTest, WorkerConnectionRefusedWithoutDistribDir) {
+  ServerFixture fx;  // no broker options: broker disabled
   ChannelOptions copts = fx.Channel();
   copts.role = "worker";
   NetChannel channel(copts);
@@ -760,11 +792,11 @@ TEST(TcpServerTest, WorkerConnectionRefusedWithoutDistribDir) {
   EXPECT_NE(reply.GetString("error").find("distrib"), std::string::npos);
 }
 
-TEST(TcpServerTest, WorkerFetchSeesIdleOnEmptyPool) {
+TEST(ServerTest, WorkerFetchSeesIdleOnEmptyPool) {
   BrokerOptions broker;
   broker.distrib_dir = ScratchDir("tcp-worker-distrib");
   broker.cache_dir = ScratchDir("tcp-worker-cache");
-  TcpFixture fx("sesame", broker);
+  ServerFixture fx("sesame", broker);
   ChannelOptions copts = fx.Channel();
   copts.role = "worker";
   NetChannel channel(copts);
@@ -777,6 +809,227 @@ TEST(TcpServerTest, WorkerFetchSeesIdleOnEmptyPool) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->GetString("op"), "idle");
   EXPECT_FALSE(reply->GetBool("done"));
+}
+
+TEST(ServerTest, UnixSubmitSurvivesChaosConnDrops) {
+  // The unix endpoint runs the same ledger as TCP: a connection dropped
+  // on the 2nd event write resumes with no lost and no repeated seq.
+  chaos::ScopedChaos scoped("conn-drop@event#2", 1);
+  ServerFixture fx;
+  NetChannel channel(fx.Channel("sesame", /*unix=*/true));
+
+  std::vector<Json> events;
+  const SubmitOutcome outcome =
+      ResumableSubmit(channel, TinySubmitDoc(), GenerateClientJobId(),
+                      [&](const Json& e) { events.push_back(e); });
+  ASSERT_FALSE(outcome.transport_error) << outcome.transport_detail;
+  EXPECT_GE(chaos::Engine()->injected(), 1u) << "chaos must actually fire";
+  EXPECT_EQ(outcome.terminal.GetString("report"),
+            DirectReport(service::BuildPlan(TinyRequest())));
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].GetInt("seq"), static_cast<int>(i) + 1);
+  }
+  EXPECT_EQ(Terminals(events), 1);
+  EXPECT_EQ(events.back().GetString("event"), "complete");
+}
+
+TEST(ServerTest, ShutdownOnEitherEndpointStopsTheOneAcceptLoop) {
+  for (const bool unix : {false, true}) {
+    ServerFixture fx;
+    NetChannel channel(fx.Channel("sesame", unix));
+    Json shutdown;
+    shutdown.Set("op", "shutdown");
+    std::string error;
+    ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
+    const auto ok = channel.Call(shutdown, 5000);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->GetString("event"), "ok");
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!fx.served && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(fx.served) << (unix ? "unix" : "tcp")
+                           << " shutdown must end the accept loop";
+    fx.Stop(/*request=*/!fx.served);
+  }
+}
+
+TEST(ServerTest, SocketFileIsGoneAfterJoinConnections) {
+  ServerFixture fx;
+  EXPECT_TRUE(fs::exists(fx.socket_path));
+  fx.Stop();
+  EXPECT_FALSE(fs::exists(fx.socket_path));
+}
+
+/// Descriptors this process holds now.
+long OpenFdCount() {
+  return std::distance(fs::directory_iterator("/proc/self/fd"),
+                       fs::directory_iterator{});
+}
+
+TEST(ServerTest, EndedConnectionsReleaseTheirDescriptors) {
+  // A long-running daemon must not hold one fd per past client: each
+  // connection closes its descriptor as it ends, on either endpoint.
+  ServerFixture fx;
+  Json ping;
+  ping.Set("op", "ping");
+  const auto ping_and_hang_up = [&](bool unix) {
+    NetChannel channel(fx.Channel("sesame", unix));
+    std::string error;
+    ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
+    const auto pong = channel.Call(ping, 5000);
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(pong->GetString("event"), "pong");
+  };
+  const auto settles_at = [](long target) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (OpenFdCount() > target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return OpenFdCount();
+  };
+  const long baseline = OpenFdCount();
+  for (int i = 0; i < 40; ++i) {
+    ping_and_hang_up(/*unix=*/i % 2 == 0);
+  }
+  EXPECT_EQ(settles_at(baseline), baseline)
+      << "connections that ended still hold descriptors";
+}
+
+TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixOnesComplete) {
+  const std::string dir = ScratchDir("confined");
+  {
+    std::ofstream(dir + "/tiny.asm") << kTinyAsm;
+    std::ofstream(dir + "/manifest.txt") << "tiny.asm DU compact\n"
+                                         << "tiny.asm SP carry\n";
+  }
+  const std::string ckpt = dir + "/ckpt";
+  struct Case {
+    Json doc;
+    std::string field;
+  };
+  std::vector<Case> cases(3);
+  cases[0].doc.Set("op", "submit");
+  cases[0].doc.Set("manifest", dir + "/manifest.txt");
+  cases[0].field = "manifest";
+  cases[1].doc = TinySubmitDoc();
+  Json entries = Json::Array();
+  Json by_path = Json::Object();
+  by_path.Set("path", dir + "/tiny.asm");
+  by_path.Set("module", "DU");
+  entries.Append(std::move(by_path));
+  entries.Append(cases[1].doc.Find("entries")->items()[1]);
+  cases[1].doc.Set("entries", std::move(entries));
+  cases[1].field = "entries[0].path";
+  cases[2].doc = TinySubmitDoc();
+  cases[2].doc.Set("checkpoint_dir", ckpt);
+  cases[2].field = "checkpoint_dir";
+
+  // Every open or create inside `dir` from here on shows up here.
+  const int watch = ::inotify_init1(IN_NONBLOCK);
+  ASSERT_GE(watch, 0);
+  ASSERT_GE(::inotify_add_watch(watch, dir.c_str(), IN_OPEN | IN_CREATE), 0);
+  const auto touched = [watch] {
+    char buf[4096];
+    bool any = false;
+    while (::read(watch, buf, sizeof(buf)) > 0) any = true;
+    return any;
+  };
+
+  ServerFixture fx;
+  for (const Case& c : cases) {
+    NetChannel tcp(fx.Channel());
+    const std::string client_job = GenerateClientJobId();
+    // The second submit is a resubmit: the ledger replays the rejection.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      std::vector<Json> events;
+      const SubmitOutcome o =
+          ResumableSubmit(tcp, c.doc, client_job,
+                          [&](const Json& e) { events.push_back(e); });
+      ASSERT_FALSE(o.transport_error) << o.transport_detail;
+      ASSERT_EQ(events.size(), 1u) << c.field << ": rejected before queued";
+      EXPECT_EQ(events[0].GetString("event"), "rejected");
+      EXPECT_EQ(events[0].GetString("reason"), "bad-request");
+      EXPECT_EQ(events[0].GetString("detail").rfind(c.field + " ", 0), 0u)
+          << events[0].GetString("detail");
+      EXPECT_EQ(events[0].GetInt("seq"), 1);
+    }
+  }
+  EXPECT_FALSE(touched()) << "a TCP submit opened or created a file";
+  EXPECT_FALSE(fs::exists(ckpt));
+  EXPECT_EQ(fx.svc->counters().submitted, 0u);
+
+  const std::string direct = DirectReport(service::BuildPlan(TinyRequest()));
+  for (const Case& c : cases) {
+    NetChannel local(fx.Channel("sesame", /*unix=*/true));
+    const SubmitOutcome o = ResumableSubmit(local, c.doc, GenerateClientJobId(),
+                                            [](const Json&) {});
+    ASSERT_FALSE(o.transport_error) << o.transport_detail;
+    EXPECT_EQ(o.terminal.GetString("status"), "complete") << c.field;
+    EXPECT_EQ(o.terminal.GetString("report"), direct) << c.field;
+  }
+  EXPECT_TRUE(touched()) << "the unix submits must have read their files";
+  EXPECT_TRUE(fs::exists(ckpt));
+  ::close(watch);
+}
+
+// --- The unix listener's socket file ----------------------------------------
+
+std::unique_ptr<Server> UnixServer(service::CampaignService& service,
+                                   const std::string& path) {
+  ServerOptions options;
+  options.endpoints = {{"", 0, path}};
+  return std::make_unique<Server>(service, WorkBroker(BrokerOptions{}),
+                                  options);
+}
+
+service::ServiceOptions OneWorker() {
+  service::ServiceOptions options;
+  options.workers = 1;
+  return options;
+}
+
+TEST(UnixListenerTest, StartFailsOnOverlongPath) {
+  service::CampaignService service(OneWorker());
+  auto server = UnixServer(service, std::string(200, 'x') + "/daemon.sock");
+  std::string error;
+  EXPECT_FALSE(server->Start(&error));
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
+}
+
+TEST(UnixListenerTest, StartRefusesWhenAnotherDaemonIsListening) {
+  const std::string path = ScratchDir("sock_live") + "/daemon.sock";
+  service::CampaignService service(OneWorker());
+  auto first = UnixServer(service, path);
+  std::string error;
+  ASSERT_TRUE(first->Start(&error)) << error;
+
+  // `first` is listening (Start binds + listens); a second daemon on the
+  // same path must refuse instead of stealing the socket file.
+  auto second = UnixServer(service, path);
+  EXPECT_FALSE(second->Start(&error));
+  EXPECT_NE(error.find("another daemon"), std::string::npos) << error;
+  second.reset();
+  EXPECT_TRUE(fs::exists(path)) << "the refused daemon removed a live file";
+}
+
+TEST(UnixListenerTest, StartReclaimsAStaleSocketFile) {
+  // Simulate a crashed daemon: a socket file nobody is listening on.
+  const std::string path = ScratchDir("sock_stale") + "/daemon.sock";
+  std::string error;
+  const int fd = Listen({"", 0, path}, &error);
+  ASSERT_GE(fd, 0) << error;
+  ::close(fd);  // no unlink — the file is now stale
+  ASSERT_TRUE(fs::exists(path));
+
+  service::CampaignService service(OneWorker());
+  auto server = UnixServer(service, path);
+  EXPECT_TRUE(server->Start(&error))
+      << "a dead daemon's socket file must not wedge restarts: " << error;
 }
 
 }  // namespace

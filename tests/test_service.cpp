@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -27,12 +26,7 @@
 #include "service/admission.h"
 #include "service/json.h"
 #include "service/protocol.h"
-#include "service/server.h"
 #include "service/service.h"
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 namespace gpustl::service {
 namespace {
@@ -170,6 +164,20 @@ TEST(ProtocolTest, SubmitThreadsAreBoundedByTheHost) {
     EXPECT_NE(error.find("threads must be"), std::string::npos) << error;
     EXPECT_EQ(req.threads, 7) << "a rejected request must not be filled";
   }
+}
+
+TEST(ProtocolTest, PathFieldNamesTheFirstDaemonSideFile) {
+  SubmitRequest req;
+  SubmitEntry entry;
+  entry.asm_text = "x";
+  req.entries = {entry, entry};
+  EXPECT_EQ(PathField(req), "");
+  req.checkpoint_dir = "/c";
+  EXPECT_EQ(PathField(req), "checkpoint_dir");
+  req.entries[1].path = "p.gptp";
+  EXPECT_EQ(PathField(req), "entries[1].path");
+  req.manifest = "m.txt";
+  EXPECT_EQ(PathField(req), "manifest");
 }
 
 // --- AdmissionQueue ----------------------------------------------------------
@@ -654,6 +662,41 @@ TEST(CampaignServiceTest, ManifestPlanMatchesInlinePlan) {
   EXPECT_THROW(BuildPlan(missing), Error);
 }
 
+TEST(CampaignServiceTest, ClientResolvedManifestKeepsEveryFingerprint) {
+  // gpustl-client reads the manifest itself and sends each PTP inline as
+  // its disassembly: the daemon must plan exactly what the manifest
+  // names, carried and reversed entries included.
+  const std::string dir = ScratchDir("client_manifest");
+  {
+    std::ofstream asm_file(fs::path(dir) / "tiny.asm");
+    asm_file << "# a comment the disassembly drops\n" << kTinyAsm;
+    std::ofstream manifest(fs::path(dir) / "stl.txt");
+    manifest << "tiny.asm DU compact\n"
+             << "tiny.asm SP carry\n"
+             << "tiny.asm SFU compact reverse\n";
+  }
+  const auto manifest_plan =
+      LoadManifestPlan((fs::path(dir) / "stl.txt").string());
+  Json request = Json::Object();
+  Json entries = Json::Array();
+  for (const auto& pe : manifest_plan) entries.Append(EncodeEntry(pe));
+  request.Set("entries", std::move(entries));
+  SubmitRequest wire;
+  std::string error;
+  ASSERT_TRUE(ParseSubmitRequest(request, &wire, &error)) << error;
+  EXPECT_EQ(PathField(wire), "");
+  const auto inline_plan = BuildPlan(wire);
+  ASSERT_EQ(inline_plan.size(), 3u);
+  ASSERT_EQ(manifest_plan.size(), 3u);
+  for (std::size_t i = 0; i < inline_plan.size(); ++i) {
+    EXPECT_EQ(inline_plan[i].fp, manifest_plan[i].fp) << "entry " << i;
+    EXPECT_EQ(inline_plan[i].entry.compactable,
+              manifest_plan[i].entry.compactable);
+    EXPECT_EQ(inline_plan[i].entry.reverse_patterns,
+              manifest_plan[i].entry.reverse_patterns);
+  }
+}
+
 TEST(CampaignServiceTest, RetiredBackendKeyIsIgnored) {
   // The engine picks its own width, so a submit that still names a backend
   // ("avx2" no longer exists) must run exactly like one that does not.
@@ -692,121 +735,6 @@ TEST(CampaignServiceTest, RetiredBackendKeyIsIgnored) {
   EXPECT_FALSE(reports[0].empty());
   EXPECT_EQ(reports[0], reports[1]);
   service.Drain(false);
-}
-
-// --- SocketServer ------------------------------------------------------------
-
-/// Connects a raw client to `path`. Returns the fd (caller closes).
-int ConnectUnix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  return fd;
-}
-
-/// Reads one newline-terminated line from `fd` (blocking).
-std::string ReadLine(int fd) {
-  std::string line;
-  char c;
-  while (::read(fd, &c, 1) == 1) {
-    if (c == '\n') break;
-    line.push_back(c);
-  }
-  return line;
-}
-
-TEST(SocketServerTest, StartFailsOnOverlongPath) {
-  ServiceOptions options;
-  options.workers = 1;
-  CampaignService service(options);
-  SocketServer server(service, std::string(200, 'x') + "/daemon.sock");
-  std::string error;
-  EXPECT_FALSE(server.Start(&error));
-  EXPECT_NE(error.find("too long"), std::string::npos) << error;
-}
-
-TEST(SocketServerTest, StartRefusesWhenAnotherDaemonIsListening) {
-  const std::string path = ScratchDir("sock_live") + "/daemon.sock";
-  ServiceOptions options;
-  options.workers = 1;
-  CampaignService first_service(options);
-  SocketServer first(first_service, path);
-  std::string error;
-  ASSERT_TRUE(first.Start(&error)) << error;
-
-  // `first` is listening (Start binds + listens); a second daemon on the
-  // same path must refuse instead of stealing the socket file.
-  CampaignService second_service(options);
-  SocketServer second(second_service, path);
-  EXPECT_FALSE(second.Start(&error));
-  EXPECT_NE(error.find("another daemon"), std::string::npos) << error;
-}
-
-TEST(SocketServerTest, StartReclaimsAStaleSocketFile) {
-  // Simulate a crashed daemon: a socket file nobody is listening on.
-  const std::string path = ScratchDir("sock_stale") + "/daemon.sock";
-  {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    ::close(fd);  // no unlink — the file is now stale
-  }
-  ASSERT_TRUE(fs::exists(path));
-
-  ServiceOptions options;
-  options.workers = 1;
-  CampaignService service(options);
-  SocketServer server(service, path);
-  std::string error;
-  EXPECT_TRUE(server.Start(&error))
-      << "a dead daemon's socket file must not wedge restarts: " << error;
-}
-
-TEST(SocketServerTest, UnterminatedGiantLineIsRejectedDeterministically) {
-  const std::string path = ScratchDir("sock_frame") + "/daemon.sock";
-  ServiceOptions options;
-  options.workers = 1;
-  CampaignService service(options);
-  SocketServer server(service, path);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  std::thread serve([&] { server.Serve(); });
-
-  const int fd = ConnectUnix(path);
-  // Stream > 1 MiB without ever sending a newline: the daemon must
-  // reject with `frame-too-large` instead of buffering without bound.
-  const std::string blob(64 * 1024, 'x');
-  for (int i = 0; i < 20; ++i) {  // 20 * 64 KiB = 1.25 MiB
-    const ssize_t n = ::send(fd, blob.data(), blob.size(), MSG_NOSIGNAL);
-    if (n < 0) break;  // already disconnected — also acceptable
-  }
-  const std::string reply = ReadLine(fd);
-  EXPECT_NE(reply.find("frame-too-large"), std::string::npos) << reply;
-  // The connection is closed afterwards: EOF, not a hung daemon.
-  char c;
-  EXPECT_EQ(::read(fd, &c, 1), 0);
-  ::close(fd);
-
-  // A well-behaved client on a fresh connection still gets service.
-  const int fd2 = ConnectUnix(path);
-  const std::string ping = "{\"op\":\"ping\"}\n";
-  ASSERT_EQ(::send(fd2, ping.data(), ping.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(ping.size()));
-  EXPECT_NE(ReadLine(fd2).find("pong"), std::string::npos);
-  ::close(fd2);
-
-  server.RequestStop();
-  serve.join();
-  service.Drain(false);
-  server.JoinConnections();
 }
 
 }  // namespace

@@ -1,40 +1,40 @@
 // gpustl-client — command-line client for the gpustld daemon.
 //
-// Speaks the newline-delimited JSON protocol (docs/FORMATS.md) over the
-// daemon's AF_UNIX socket, or the length-framed TCP transport for an
-// off-box daemon:
+// Speaks the daemon's framed protocol (docs/FORMATS.md) over its AF_UNIX
+// socket or its TCP listener — the same handshake, frames and submit on
+// both:
 //
 //   gpustl-client --socket /run/gpustld.sock submit --manifest stl.txt
 //   gpustl-client --connect buildhost:7777 submit --manifest stl.txt
 //   gpustl-client --socket /run/gpustld.sock ping | status | shutdown
 //
-// `submit` streams the job's lifecycle events until the terminal one and
-// maps it to the exit code; --report writes the campaign report text (the
-// same bytes `gpustlc campaign --report` would produce) to a file. Over
-// TCP the submit is idempotent and resumable: a mid-stream disconnect
-// reconnects with backoff and resumes the event stream where it left
-// off, with no duplicated and no lost events.
+// `submit` reads the manifest and its PTPs here (paths relative to the
+// manifest's directory) and sends every entry inline, streams the job's
+// lifecycle events until the terminal one and maps it to the exit code;
+// --report writes the campaign report text (the same bytes `gpustlc
+// campaign --report` would produce) to a file. The submit is idempotent
+// and resumable: a mid-stream disconnect reconnects with backoff and
+// resumes the event stream where it left off, with no duplicated and no
+// lost events.
 //
 // exit codes: 0 job complete (or ping/status/shutdown ok), 1 failed,
-// 2 usage, 3 job complete DEGRADED, 4 rejected, 5 transport error
-// (connect attempts exhausted, connection lost beyond recovery).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
+// 2 usage (--checkpoint with --connect too), 3 job complete DEGRADED,
+// 4 rejected, 5 transport error (connect attempts exhausted, connection
+// lost beyond recovery).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "common/chaos.h"
+#include "common/error.h"
 #include "common/strutil.h"
 #include "net/client.h"
 #include "net/net.h"
 #include "service/json.h"
+#include "service/protocol.h"
+#include "service/service.h"
 
 namespace gpustl::tools {
 namespace {
@@ -49,15 +49,17 @@ int Usage() {
       "\n"
       "transport:\n"
       "  --socket <path>        daemon's AF_UNIX socket\n"
-      "  --connect <host:port>  daemon's TCP listener; reconnects with\n"
-      "                         backoff and resumes event streams\n"
-      "  --secret <s>           handshake secret for --connect (default:\n"
+      "  --connect <host:port>  daemon's TCP listener\n"
+      "                         (either way the client reconnects with\n"
+      "                         backoff and resumes event streams)\n"
+      "  --secret <s>           handshake secret (default:\n"
       "                         $GPUSTL_NET_SECRET)\n"
       "  --retries N            connect attempts per cycle (default 8)\n"
       "\n"
       "commands:\n"
-      "  submit --manifest <file> [options]   submit a campaign and stream\n"
-      "                                       its events until it finishes\n"
+      "  submit --manifest <file> [options]   submit a campaign (its PTPs\n"
+      "                                       sent inline) and stream its\n"
+      "                                       events until it finishes\n"
       "  ping                                 liveness check\n"
       "  status                               queue/counter/cache snapshot\n"
       "  shutdown                             ask the daemon to drain\n"
@@ -70,7 +72,8 @@ int Usage() {
       "  --stage-deadline S     per-stage budget in seconds\n"
       "  --threads N            fault-sim workers for this job\n"
       "  --checkpoint <dir>     checkpoint after every PTP; resume from a\n"
-      "                         matching checkpoint in <dir>\n"
+      "                         matching checkpoint in <dir> (--socket\n"
+      "                         only: the daemon writes <dir>)\n"
       "  --report <file>        write the campaign report text\n"
       "  --json                 print raw event lines instead of summaries\n"
       "\n"
@@ -91,51 +94,6 @@ int Usage() {
   std::exit(5);
 }
 
-int Connect(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty()) Die("--socket <path> required");
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    Die("socket path too long: " + socket_path);
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) Die(std::string("socket: ") + std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    DieTransport("connect " + socket_path + ": " + std::strerror(errno));
-  }
-  return fd;
-}
-
-void SendLine(int fd, const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) DieTransport("send: daemon went away");
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads one newline-terminated line; false on EOF.
-bool ReadLine(int fd, std::string* buffer, std::string* line) {
-  while (true) {
-    const auto nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 struct SubmitArgs {
   std::string manifest;
   std::string tenant;
@@ -150,17 +108,24 @@ struct SubmitArgs {
 
 service::Json BuildSubmitRequest(const SubmitArgs& args) {
   if (args.manifest.empty()) Die("submit needs --manifest <file>");
+  service::Json entries = service::Json::Array();
+  try {
+    for (const auto& pe : service::LoadManifestPlan(args.manifest)) {
+      entries.Append(service::EncodeEntry(pe));
+    }
+  } catch (const Error& e) {
+    Die(e.what());
+  }
   service::Json req = service::Json::Object();
   req.Set("op", "submit");
-  // The daemon resolves manifest-relative PTP paths, so the manifest path
-  // itself must survive the change of working directory.
-  req.Set("manifest", std::filesystem::absolute(args.manifest).string());
+  req.Set("entries", std::move(entries));
   if (!args.tenant.empty()) req.Set("tenant", args.tenant);
   if (!args.priority.empty()) req.Set("priority", args.priority);
   if (args.deadline >= 0) req.Set("deadline", args.deadline);
   if (args.stage_deadline >= 0) req.Set("stage_deadline", args.stage_deadline);
   if (args.threads >= 0) req.Set("threads", args.threads);
   if (!args.checkpoint_dir.empty()) {
+    // The daemon writes it, from its own working directory.
     req.Set("checkpoint_dir",
             std::filesystem::absolute(args.checkpoint_dir).string());
   }
@@ -168,8 +133,7 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
 }
 
 /// Renders one job event. Returns true (with the exit code in `rc`) on
-/// the terminal event. Shared verbatim by the AF_UNIX and TCP paths so
-/// the two transports cannot drift in what the user sees.
+/// the terminal event.
 bool ProcessEvent(const service::Json& event, const SubmitArgs& args,
                   int* rc) {
   {
@@ -237,20 +201,7 @@ bool ProcessEvent(const service::Json& event, const SubmitArgs& args,
   return false;
 }
 
-int RunSubmit(int fd, const SubmitArgs& args) {
-  SendLine(fd, BuildSubmitRequest(args).Dump());
-  std::string buffer;
-  std::string line;
-  while (ReadLine(fd, &buffer, &line)) {
-    const auto event = service::Json::Parse(line);
-    if (!event) Die("bad event line from daemon: " + line);
-    int rc = 0;
-    if (ProcessEvent(*event, args, &rc)) return rc;
-  }
-  DieTransport("connection closed before the job finished");
-}
-
-int RunSubmitTcp(net::NetChannel& channel, const SubmitArgs& args) {
+int RunSubmit(net::NetChannel& channel, const SubmitArgs& args) {
   int rc = 0;
   bool terminal = false;
   const net::SubmitOutcome outcome = net::ResumableSubmit(
@@ -263,7 +214,7 @@ int RunSubmitTcp(net::NetChannel& channel, const SubmitArgs& args) {
   return rc;
 }
 
-int RunSimpleOpTcp(net::NetChannel& channel, const std::string& op) {
+int RunSimpleOp(net::NetChannel& channel, const std::string& op) {
   std::string error;
   bool fatal = false;
   if (!channel.EnsureConnected(&error, &fatal)) {
@@ -276,20 +227,6 @@ int RunSimpleOpTcp(net::NetChannel& channel, const std::string& op) {
   if (!reply) DieTransport("no response from daemon");
   std::printf("%s\n", reply->Dump().c_str());
   return reply->GetString("event") == "error" ? 1 : 0;
-}
-
-int RunSimpleOp(int fd, const std::string& op) {
-  service::Json req = service::Json::Object();
-  req.Set("op", op);
-  SendLine(fd, req.Dump());
-  std::string buffer;
-  std::string line;
-  if (!ReadLine(fd, &buffer, &line)) DieTransport("no response from daemon");
-  std::printf("%s\n", line.c_str());
-  const auto event = service::Json::Parse(line);
-  if (!event) return 1;
-  const std::string kind = event->GetString("event");
-  return kind == "error" ? 1 : 0;
 }
 
 int Main(int argc, char** argv) {
@@ -346,40 +283,37 @@ int Main(int argc, char** argv) {
   }
 
   if (command.empty()) return Usage();
+  if (socket_path.empty() && connect.empty()) {
+    Die("--socket <path> or --connect <host:port> required");
+  }
   if (!socket_path.empty() && !connect.empty()) {
     Die("--socket and --connect are mutually exclusive");
   }
+  std::string error;
+  const auto endpoint = net::ParseEndpoint(
+      socket_path.empty() ? connect : "unix:" + socket_path, &error);
+  if (!endpoint) Die(error);
+  if (!connect.empty() && endpoint->is_unix()) {
+    Die("--connect takes <host:port>; a unix socket is --socket <path>");
+  }
+  if (!connect.empty() && !submit.checkpoint_dir.empty()) {
+    std::fprintf(stderr,
+                 "gpustl-client: --checkpoint needs --socket: a daemon "
+                 "reached over TCP writes no directory a client names\n");
+    return 2;
+  }
   if (!chaos.empty()) chaos::Install(chaos, chaos_seed);
 
-  if (!connect.empty()) {
-    std::string error;
-    const auto endpoint = net::ParseEndpoint(connect, &error);
-    if (!endpoint) Die(error);
-    net::ChannelOptions copts;
-    copts.endpoint = *endpoint;
-    copts.secret = secret;
-    copts.retry.attempts = retries;
-    net::NetChannel channel(copts);
-    if (command == "submit") return RunSubmitTcp(channel, submit);
-    if (command == "ping" || command == "status" || command == "shutdown") {
-      return RunSimpleOpTcp(channel, command);
-    }
-    return Usage();
+  net::ChannelOptions copts;
+  copts.endpoint = *endpoint;
+  copts.secret = secret;
+  copts.retry.attempts = retries;
+  net::NetChannel channel(copts);
+  if (command == "submit") return RunSubmit(channel, submit);
+  if (command == "ping" || command == "status" || command == "shutdown") {
+    return RunSimpleOp(channel, command);
   }
-
-  const int fd = Connect(socket_path);
-  int rc;
-  if (command == "submit") {
-    rc = RunSubmit(fd, submit);
-  } else if (command == "ping" || command == "status" ||
-             command == "shutdown") {
-    rc = RunSimpleOp(fd, command);
-  } else {
-    ::close(fd);
-    return Usage();
-  }
-  ::close(fd);
-  return rc;
+  return Usage();
 }
 
 }  // namespace

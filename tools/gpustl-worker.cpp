@@ -10,9 +10,10 @@
 // failure pattern (see src/distrib/worker.h).
 //
 // With --connect the same worker runs OFF-BOX: work units arrive over the
-// daemon's TCP listener as RPCs, results are uploaded as store-entry
-// bytes, and a lost connection (or SIGKILL) surrenders the unit's lease
-// so it is re-issued exactly like a stale local claim.
+// daemon's TCP listener (or its unix socket, `unix:<path>`) as RPCs,
+// results are uploaded as store-entry bytes, and a lost connection (or
+// SIGKILL) surrenders the unit's lease so it is re-issued exactly like a
+// stale local claim.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -38,9 +39,11 @@ int Usage() {
       "\n"
       "options:\n"
       "  --dir <path>        distrib dir of the campaign (local mode)\n"
-      "  --connect <h:p>     a gpustld --listen address (remote mode:\n"
-      "                      units and results travel over TCP; the\n"
-      "                      worker reconnects with backoff forever)\n"
+      "  --connect <h:p>     a gpustld --listen address, or\n"
+      "                      unix:<path> for its --socket (remote mode:\n"
+      "                      units and results travel over the\n"
+      "                      connection; the worker reconnects with\n"
+      "                      backoff forever)\n"
       "  --secret <s>        handshake secret for --connect (default:\n"
       "                      $GPUSTL_NET_SECRET)\n"
       "  --scratch <dir>     remote mode: local scratch store (default: a\n"

@@ -1,8 +1,9 @@
 // gpustld — the compaction-as-a-service daemon.
 //
-// Accepts compaction campaign jobs over a local AF_UNIX socket speaking
-// newline-delimited JSON (docs/FORMATS.md), runs them on a worker pool
-// sharing one result store and per-module fault prep,
+// Accepts compaction campaign jobs on a local AF_UNIX socket and/or a TCP
+// listener — one server, one framed protocol behind one shared-secret
+// handshake (docs/FORMATS.md) — runs them on a worker pool sharing one
+// result store and per-module fault prep,
 // admission-controls the queue (bounded depth, per-tenant quotas, priority
 // classes) and streams per-job lifecycle events back to each client.
 //
@@ -17,15 +18,12 @@
 #include <cstring>
 #include <string>
 
-#include <thread>
-
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
 #include "net/broker.h"
 #include "net/net.h"
-#include "net/tcp_server.h"
-#include "service/server.h"
+#include "net/server.h"
 #include "service/service.h"
 
 namespace gpustl::tools {
@@ -42,10 +40,13 @@ int Usage() {
       "  --socket <path>        AF_UNIX socket to listen on\n"
       "  --listen <host:port>   TCP listener for off-box clients and\n"
       "                         workers (port 0 = ephemeral; the bound\n"
-      "                         port is printed at startup)\n"
-      "  --secret <s>           shared handshake secret for --listen\n"
-      "                         (default: $GPUSTL_NET_SECRET; empty\n"
-      "                         accepts any peer)\n"
+      "                         port is printed at startup). A TCP\n"
+      "                         submit must carry its PTPs inline: one\n"
+      "                         naming a manifest, an entry path or a\n"
+      "                         checkpoint dir is rejected bad-request\n"
+      "  --secret <s>           shared handshake secret for both\n"
+      "                         endpoints (default: $GPUSTL_NET_SECRET;\n"
+      "                         empty accepts any peer)\n"
       "  --workers N            campaign worker threads (default 2)\n"
       "  --queue-depth N        max queued jobs before `queue-full`\n"
       "                         rejections (default 64)\n"
@@ -80,13 +81,11 @@ int Usage() {
   std::exit(1);
 }
 
-service::SocketServer* g_server = nullptr;
-net::TcpServer* g_tcp_server = nullptr;
+net::Server* g_server = nullptr;
 
 void HandleSignal(int) {
-  // Both stops are a single self-pipe write: async-signal-safe.
+  // A single self-pipe write: async-signal-safe.
   if (g_server != nullptr) g_server->RequestStop();
-  if (g_tcp_server != nullptr) g_tcp_server->RequestStop();
 }
 
 struct Args {
@@ -165,35 +164,24 @@ int Main(int argc, char** argv) {
     service::CampaignService service(args.service);
     std::string error;
 
-    std::unique_ptr<service::SocketServer> server;
-    if (!args.socket_path.empty()) {
-      server = std::make_unique<service::SocketServer>(service,
-                                                       args.socket_path);
-      if (!server->Start(&error)) Die(error);
-    }
-
-    std::unique_ptr<net::TcpServer> tcp_server;
-    if (!args.listen.empty()) {
-      const auto endpoint = net::ParseEndpoint(args.listen, &error);
+    net::ServerOptions options;
+    options.secret = args.secret;
+    for (const std::string& spec :
+         {args.socket_path.empty() ? "" : "unix:" + args.socket_path,
+          args.listen}) {
+      if (spec.empty()) continue;
+      const auto endpoint = net::ParseEndpoint(spec, &error);
       if (!endpoint) Die(error);
-      net::BrokerOptions broker;
-      broker.distrib_dir = args.service.distrib_dir;
-      broker.cache_dir = args.service.cache_dir;
-      broker.lease_seconds = args.service.distrib_stale_seconds;
-      net::TcpServerOptions topts;
-      topts.endpoint = *endpoint;
-      topts.secret = args.secret;
-      tcp_server = std::make_unique<net::TcpServer>(
-          service, net::WorkBroker(broker), topts);
-      if (!tcp_server->Start(&error)) Die(error);
-      // A shutdown op arriving over TCP must also stop the AF_UNIX loop.
-      tcp_server->set_on_shutdown([&server] {
-        if (server) server->RequestStop();
-      });
+      options.endpoints.push_back(*endpoint);
     }
+    net::BrokerOptions broker;
+    broker.distrib_dir = args.service.distrib_dir;
+    broker.cache_dir = args.service.cache_dir;
+    broker.lease_seconds = args.service.distrib_stale_seconds;
+    net::Server server(service, net::WorkBroker(broker), options);
+    if (!server.Start(&error)) Die(error);
 
-    g_server = server.get();
-    g_tcp_server = tcp_server.get();
+    g_server = &server;
     std::signal(SIGTERM, HandleSignal);
     std::signal(SIGINT, HandleSignal);
     std::signal(SIGPIPE, SIG_IGN);
@@ -201,38 +189,25 @@ int Main(int argc, char** argv) {
     // The smoke tests (and any wrapper) wait for these lines before
     // connecting; keep them first and flushed. The tcp line prints the
     // BOUND port, so `--listen 127.0.0.1:0` wrappers learn the address.
-    if (server) {
-      std::printf("gpustld: listening on %s (%d workers)\n",
-                  args.socket_path.c_str(), args.service.workers);
-    }
-    if (tcp_server) {
-      const auto ep = net::ParseEndpoint(args.listen);
-      std::printf("gpustld: listening on tcp %s:%u (%d workers)\n",
-                  ep->host.c_str(), tcp_server->bound_port(),
-                  args.service.workers);
+    for (const net::Endpoint& ep : server.endpoints()) {
+      if (ep.is_unix()) {
+        std::printf("gpustld: listening on %s (%d workers)\n",
+                    ep.unix_path.c_str(), args.service.workers);
+      } else {
+        std::printf("gpustld: listening on tcp %s (%d workers)\n",
+                    ep.ToString().c_str(), args.service.workers);
+      }
     }
     std::fflush(stdout);
 
-    if (server) {
-      std::thread tcp_thread;
-      if (tcp_server) {
-        tcp_thread = std::thread([&tcp_server] { tcp_server->Serve(); });
-      }
-      server->Serve();
-      if (tcp_server) {
-        tcp_server->RequestStop();
-        tcp_thread.join();
-      }
-    } else {
-      tcp_server->Serve();
-    }
+    server.Serve();
 
     std::printf("gpustld: draining (%s in-flight jobs)\n",
                 args.drain_cancel ? "cancelling" : "finishing");
     std::fflush(stdout);
     service.Drain(args.drain_cancel);
-    if (server) server->JoinConnections();
-    if (tcp_server) tcp_server->JoinConnections();
+    server.JoinConnections();
+    g_server = nullptr;
 
     const service::ServiceCounters c = service.counters();
     std::printf("gpustld: drained — %llu submitted, %llu completed, "
