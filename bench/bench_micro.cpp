@@ -93,52 +93,59 @@ void BM_FaultSimSfuNoDropping(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSimSfuNoDropping);
 
+/// The PTP each GPU-execution bench runs, by arg: 0 = IMM (its module is
+/// the DU), 1 = RAND (SP), 2 = an SFU_IMM-style PTP (SFU).
+struct ModulePtp {
+  trace::TargetModule module;
+  isa::Program ptp;
+};
+
+ModulePtp PtpForModuleArg(std::int64_t arg) {
+  switch (arg) {
+    case 0:
+      return {trace::TargetModule::kDecoderUnit, stl::GenerateImm(100, 3)};
+    case 1:
+      return {trace::TargetModule::kSpCore, stl::GenerateRand(100, 3)};
+    default:
+      return {trace::TargetModule::kSfu,
+              stl::ConvertSfuPatterns(RandomSfuPatterns(256, 3))};
+  }
+}
+
+/// A bare run (no monitor) of the PTP the traced bench below runs with the
+/// same arg: the two together split dispatch from capture per module.
 void BM_GpuExecution(benchmark::State& state) {
-  const isa::Program ptp =
-      stl::GenerateImm(static_cast<int>(state.range(0)), 3);
+  const ModulePtp mp = PtpForModuleArg(state.range(0));
   for (auto _ : state) {
     gpu::Sm sm;
-    const auto res = sm.Run(ptp);
+    const auto res = sm.Run(mp.ptp);
     benchmark::DoNotOptimize(res.total_cycles);
   }
+  state.SetLabel(std::string(trace::TargetModuleName(mp.module)));
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ptp.size()));
+                          static_cast<std::int64_t>(mp.ptp.size()));
 }
-BENCHMARK(BM_GpuExecution)->Arg(50)->Arg(200);
+BENCHMARK(BM_GpuExecution)->Arg(0)->Arg(1)->Arg(2);
 
 /// A traced run as the compactor makes it (Tracing Report + one module's
-/// pattern probe), on a PTP that drives that module: arg 0 = DU on IMM,
-/// 1 = SP on RAND, 2 = SFU on an SFU_IMM-style PTP. The per-lane capture
-/// cost shows only on modules fed by every active lane (SP, SFU).
+/// pattern probe), on a PTP that drives that module (args as above). The
+/// per-lane capture cost shows only on modules fed by every active lane
+/// (SP, SFU).
 void BM_GpuExecutionWithMonitors(benchmark::State& state) {
-  trace::TargetModule module = trace::TargetModule::kDecoderUnit;
-  isa::Program ptp;
-  switch (state.range(0)) {
-    case 0:
-      ptp = stl::GenerateImm(100, 3);
-      break;
-    case 1:
-      module = trace::TargetModule::kSpCore;
-      ptp = stl::GenerateRand(100, 3);
-      break;
-    default:
-      module = trace::TargetModule::kSfu;
-      ptp = stl::ConvertSfuPatterns(RandomSfuPatterns(256, 3));
-      break;
-  }
+  const ModulePtp mp = PtpForModuleArg(state.range(0));
   std::size_t patterns = 0;
   for (auto _ : state) {
     trace::TraceRecorder recorder;
-    trace::PatternProbe probe(module);
+    trace::PatternProbe probe(mp.module);
     gpu::Sm sm;
     sm.AddMonitor(&recorder);
     sm.AddMonitor(&probe);
-    const auto res = sm.Run(ptp);
+    const auto res = sm.Run(mp.ptp);
     benchmark::DoNotOptimize(res.total_cycles);
     patterns = probe.patterns().size();
     benchmark::DoNotOptimize(patterns);
   }
-  state.SetLabel(std::string(trace::TargetModuleName(module)));
+  state.SetLabel(std::string(trace::TargetModuleName(mp.module)));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(patterns));
   state.counters["patterns"] = static_cast<double>(patterns);

@@ -96,17 +96,6 @@ std::uint32_t Fp32LiteOp(Fp32Uop uop, std::uint32_t a, std::uint32_t b) {
   throw Error("Fp32LiteOp: bad uop");
 }
 
-void EncodeFp32Pattern(Fp32Uop uop, std::uint32_t a, std::uint32_t b,
-                       std::uint64_t* words) {
-  words[0] = 0;
-  words[1] = 0;
-  words[0] |= static_cast<std::uint64_t>(static_cast<int>(uop) & 0x3);
-  words[0] |= static_cast<std::uint64_t>(a) << 2;
-  // A occupies bits [2,34); B occupies [34,66).
-  words[0] |= static_cast<std::uint64_t>(b) << 34;
-  words[1] |= static_cast<std::uint64_t>(b) >> 30;
-}
-
 // ---------------------------------------------------------------------------
 // Netlist. The same steps, in gates.
 // ---------------------------------------------------------------------------

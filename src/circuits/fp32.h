@@ -35,7 +35,13 @@ netlist::Netlist BuildFp32();
 std::uint32_t Fp32LiteOp(Fp32Uop uop, std::uint32_t a, std::uint32_t b);
 
 /// Packs an FP32 input pattern into `words[0..1]` ((66+63)/64 = 2 words).
-void EncodeFp32Pattern(Fp32Uop uop, std::uint32_t a, std::uint32_t b,
-                       std::uint64_t* words);
+inline void EncodeFp32Pattern(Fp32Uop uop, std::uint32_t a, std::uint32_t b,
+                              std::uint64_t* words) {
+  // A occupies bits [2,34); B occupies [34,66).
+  words[0] = static_cast<std::uint64_t>(static_cast<int>(uop) & 0x3) |
+             static_cast<std::uint64_t>(a) << 2 |
+             static_cast<std::uint64_t>(b) << 34;
+  words[1] = static_cast<std::uint64_t>(b) >> 30;
+}
 
 }  // namespace gpustl::circuits

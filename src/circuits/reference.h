@@ -33,8 +33,94 @@ struct SpResult {
 ///  * SEL is the bitwise select (a & c) | (b & ~c).
 ///  * MOV passes operand A; MOV32I/S2R pass operand B (the resolved
 ///    immediate/special value).
-SpResult SpIntOp(isa::Opcode op, isa::CmpOp cmp, std::uint32_t a,
-                 std::uint32_t b, std::uint32_t c);
+///
+/// Inline so that the GPU model's per-opcode lane loops (gpu/sm.cpp),
+/// which call it with a constant `op`, fold the switch away.
+inline SpResult SpIntOp(isa::Opcode op, isa::CmpOp cmp, std::uint32_t a,
+                        std::uint32_t b, std::uint32_t c) {
+  using isa::CmpOp;
+  using isa::Opcode;
+  const auto sa = static_cast<std::int32_t>(a);
+  const auto sb = static_cast<std::int32_t>(b);
+  const std::uint32_t mul16 = (a & 0xFFFFu) * (b & 0xFFFFu);
+
+  SpResult r;
+  switch (op) {
+    case Opcode::IADD:
+    case Opcode::IADD32I:
+      r.value = a + b;
+      break;
+    case Opcode::ISUB:
+      r.value = a - b;
+      break;
+    case Opcode::IMUL:
+      r.value = mul16;
+      break;
+    case Opcode::IMAD:
+      r.value = mul16 + c;
+      break;
+    case Opcode::IMIN:
+      r.value = sa < sb ? a : b;
+      break;
+    case Opcode::IMAX:
+      r.value = sa < sb ? b : a;
+      break;
+    case Opcode::IABS:
+      r.value = sa < 0 ? 0u - a : a;
+      break;
+    case Opcode::INEG:
+      r.value = 0u - a;
+      break;
+    case Opcode::AND:
+      r.value = a & b;
+      break;
+    case Opcode::OR:
+      r.value = a | b;
+      break;
+    case Opcode::XOR:
+      r.value = a ^ b;
+      break;
+    case Opcode::NOT:
+      r.value = ~a;
+      break;
+    case Opcode::SHL:
+      r.value = a << (b & 31u);
+      break;
+    case Opcode::SHR:
+      r.value = a >> (b & 31u);
+      break;
+    case Opcode::SAR:
+      r.value = static_cast<std::uint32_t>(sa >> (b & 31u));
+      break;
+    case Opcode::SEL:
+      r.value = (a & c) | (b & ~c);
+      break;
+    case Opcode::MOV:
+      r.value = a;
+      break;
+    case Opcode::MOV32I:
+    case Opcode::S2R:
+      r.value = b;
+      break;
+    case Opcode::ISETP: {
+      r.value = 0;
+      switch (cmp) {
+        case CmpOp::kLT: r.pred = sa < sb; break;
+        case CmpOp::kLE: r.pred = sa <= sb; break;
+        case CmpOp::kGT: r.pred = sa > sb; break;
+        case CmpOp::kGE: r.pred = sa >= sb; break;
+        case CmpOp::kEQ: r.pred = a == b; break;
+        case CmpOp::kNE: r.pred = a != b; break;
+      }
+      break;
+    }
+    default:
+      // Non-integer opcodes never reach the SP integer datapath.
+      r.value = 0;
+      break;
+  }
+  return r;
+}
 
 /// SFU datapath semantics: fixed-point quadratic interpolation
 /// y = (c0 << 16) + c1*xl + c2*hi16(xl*xl)  (mod 2^32), with the

@@ -64,9 +64,4 @@ netlist::Netlist BuildSfu() {
   return nl;
 }
 
-std::uint64_t EncodeSfuPattern(int fsel, std::uint32_t x) {
-  return (static_cast<std::uint64_t>(fsel) & 0x7u) |
-         (static_cast<std::uint64_t>(x) << 3);
-}
-
 }  // namespace gpustl::circuits

@@ -33,6 +33,9 @@ netlist::Netlist BuildSfu();
 
 /// Packs an SFU input pattern (fsel, x) into one 64-bit word
 /// (bits 0..2 = fsel, bits 3..34 = x).
-std::uint64_t EncodeSfuPattern(int fsel, std::uint32_t x);
+inline std::uint64_t EncodeSfuPattern(int fsel, std::uint32_t x) {
+  return (static_cast<std::uint64_t>(fsel) & 0x7u) |
+         (static_cast<std::uint64_t>(x) << 3);
+}
 
 }  // namespace gpustl::circuits

@@ -136,15 +136,4 @@ netlist::Netlist BuildSpCore() {
   return nl;
 }
 
-void EncodeSpPattern(int uop, int cmp, std::uint32_t a, std::uint32_t b,
-                     std::uint32_t c, std::uint64_t* words) {
-  // Fields at bits 0/6/9/41/73, widths 6/3/32/32/32; B straddles the words.
-  words[0] = (static_cast<std::uint64_t>(uop) & 0x3f) |
-             (static_cast<std::uint64_t>(cmp) & 0x7) << 6 |
-             static_cast<std::uint64_t>(a) << 9 |
-             static_cast<std::uint64_t>(b) << 41;
-  words[1] = static_cast<std::uint64_t>(b) >> 23 |
-             static_cast<std::uint64_t>(c) << 9;
-}
-
 }  // namespace gpustl::circuits

@@ -26,7 +26,16 @@ netlist::Netlist BuildSpCore();
 /// Packs an SP input pattern (uop, cmp, a, b, c) into `words[0..1]`
 /// following the input order above ((105+63)/64 = 2 words). uop and cmp
 /// are masked to their 6- and 3-bit fields; bits 105..127 are zero.
-void EncodeSpPattern(int uop, int cmp, std::uint32_t a, std::uint32_t b,
-                     std::uint32_t c, std::uint64_t* words);
+/// Inline: the pattern probe encodes every executing lane with it.
+inline void EncodeSpPattern(int uop, int cmp, std::uint32_t a, std::uint32_t b,
+                            std::uint32_t c, std::uint64_t* words) {
+  // Fields at bits 0/6/9/41/73, widths 6/3/32/32/32; B straddles the words.
+  words[0] = (static_cast<std::uint64_t>(uop) & 0x3f) |
+             (static_cast<std::uint64_t>(cmp) & 0x7) << 6 |
+             static_cast<std::uint64_t>(a) << 9 |
+             static_cast<std::uint64_t>(b) << 41;
+  words[1] = static_cast<std::uint64_t>(b) >> 23 |
+             static_cast<std::uint64_t>(c) << 9;
+}
 
 }  // namespace gpustl::circuits

@@ -1,11 +1,14 @@
 #include "gpu/sm.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "circuits/reference.h"
-#include "common/bitops.h"
 #include "common/error.h"
 #include "common/strutil.h"
 
@@ -13,7 +16,6 @@ namespace gpustl::gpu {
 
 using isa::CmpOp;
 using isa::ExecUnit;
-using isa::Format;
 using isa::Instruction;
 using isa::Opcode;
 using isa::Program;
@@ -87,6 +89,94 @@ std::uint32_t SfuArchOp(Opcode op, std::uint32_t a) {
   }
 }
 
+/// One data warp-instruction in flight: the lanes' operand rows (by lane),
+/// the results computed for them and the SETP outcomes as a lane mask.
+/// SP kernels fill every lane of `result`, the others the exec lanes.
+struct WarpLanes {
+  std::uint32_t exec_mask = 0;
+  CmpOp cmp = CmpOp::kEQ;
+  const std::uint32_t* a = nullptr;
+  const std::uint32_t* b = nullptr;
+  const std::uint32_t* c = nullptr;
+  std::uint32_t result[32] = {};
+  std::uint32_t pred = 0;
+};
+
+using LaneKernel = void (*)(WarpLanes&);
+
+/// The SP integer datapath on all 32 lanes, the opcode fixed at compile
+/// time so that circuits::SpIntOp, the one copy of the semantics, folds
+/// to straight-line code (only ISETP still switches, on its compare).
+/// Lanes outside the exec mask compute too: the op is pure and total, and
+/// their results are never committed or shown.
+template <Opcode kOp>
+void SpIntLanes(WarpLanes& w) {
+  std::uint32_t pred = 0;
+  for (int lane = 0; lane < 32; ++lane) {
+    const circuits::SpResult r =
+        circuits::SpIntOp(kOp, w.cmp, w.a[lane], w.b[lane], w.c[lane]);
+    w.result[lane] = r.value;
+    pred |= static_cast<std::uint32_t>(r.pred) << lane;
+  }
+  w.pred = pred;
+}
+
+/// Calls `f(lane)` for every lane of `mask`, in ascending lane order.
+template <typename F>
+void ForLanes(std::uint32_t mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1) f(std::countr_zero(mask));
+}
+
+/// The FP32 and SFU arch ops, only on the executing lanes (dead lanes may
+/// hold values whose conversion is undefined, and libm is not free).
+template <Opcode kOp>
+void FpLanes(WarpLanes& w) {
+  ForLanes(w.exec_mask, [&](int lane) {
+    w.result[lane] = FpOp(kOp, w.a[lane], w.b[lane], w.c[lane]);
+  });
+}
+
+template <Opcode kOp>
+void SfuLanes(WarpLanes& w) {
+  ForLanes(w.exec_mask,
+           [&](int lane) { w.result[lane] = SfuArchOp(kOp, w.a[lane]); });
+}
+
+void FsetpLanes(WarpLanes& w) {
+  std::uint32_t pred = 0;
+  ForLanes(w.exec_mask, [&](int lane) {
+    w.result[lane] = 0;
+    pred |= static_cast<std::uint32_t>(FpCompare(w.cmp, w.a[lane], w.b[lane]))
+            << lane;
+  });
+  w.pred = pred;
+}
+
+/// The kernel of opcode `kOp` on unit `kUnit`.
+template <ExecUnit kUnit, Opcode kOp>
+void UnitLanes(WarpLanes& w) {
+  if constexpr (kUnit == ExecUnit::kSpInt) {
+    SpIntLanes<kOp>(w);
+  } else if constexpr (kUnit == ExecUnit::kSpFp) {
+    FpLanes<kOp>(w);
+  } else {
+    SfuLanes<kOp>(w);
+  }
+}
+
+/// One kernel per opcode value (entries of other units' opcodes are never
+/// called), so a warp-instruction costs one indexed call instead of a
+/// switch per lane.
+template <ExecUnit kUnit, std::size_t... I>
+constexpr std::array<LaneKernel, sizeof...(I)> KernelTable(
+    std::index_sequence<I...>) {
+  return {&UnitLanes<kUnit, static_cast<Opcode>(I)>...};
+}
+constexpr auto kOpSeq = std::make_index_sequence<isa::kNumOpcodes>{};
+constexpr auto kSpIntKernels = KernelTable<ExecUnit::kSpInt>(kOpSeq);
+constexpr auto kFpKernels = KernelTable<ExecUnit::kSpFp>(kOpSeq);
+constexpr auto kSfuKernels = KernelTable<ExecUnit::kSfu>(kOpSeq);
+
 enum class StackKind : std::uint8_t { kReconv, kDiv };
 
 struct StackEntry {
@@ -117,8 +207,8 @@ Sm::Sm(const SmConfig& config) : config_(config) {
 
 void Sm::AddMonitor(ExecMonitor* monitor) { monitors_.push_back(monitor); }
 
-void Sm::SetLaneOverride(LaneOverride override) {
-  lane_override_ = std::move(override);
+void Sm::SetWarpOverride(WarpOverride override) {
+  warp_override_ = std::move(override);
 }
 
 RunResult Sm::Run(const Program& prog) {
@@ -141,20 +231,23 @@ RunResult Sm::Run(const Program& prog) {
   std::uint64_t cc = 0;
 
   // The DU sees the same word on every issue of an instruction: encode each
-  // one once. Lane events are built only for an observer.
+  // one once, and only for an observer.
   std::vector<std::uint64_t> encoded;
   if (!monitors_.empty()) {
     encoded.reserve(code.size());
     for (const Instruction& inst : code) encoded.push_back(inst.Encode());
   }
-  const bool observed = !monitors_.empty() || lane_override_ != nullptr;
+
+  // Per-warp register rows, [warp][reg][lane], and predicate lane masks,
+  // [warp][pred]. Lanes past the block's last thread are never executed.
+  constexpr std::size_t kWarpRegs = std::size_t{isa::kNumRegs} * 32;
+  std::vector<std::uint32_t> regs;
+  std::vector<std::uint32_t> preds;
 
   for (int block = 0; block < prog.config().blocks; ++block) {
     // Per-block state.
-    std::vector<std::uint32_t> regs(
-        static_cast<std::size_t>(tpb) * isa::kNumRegs, 0);
-    std::vector<std::uint8_t> preds(
-        static_cast<std::size_t>(tpb) * isa::kNumPredRegs, 0);
+    regs.assign(static_cast<std::size_t>(num_warps) * kWarpRegs, 0);
+    preds.assign(static_cast<std::size_t>(num_warps) * isa::kNumPredRegs, 0);
     DenseMemory shared(config_.shared_words);
     DenseMemory local(config_.local_words * static_cast<std::uint32_t>(tpb));
 
@@ -166,15 +259,6 @@ RunResult Sm::Run(const Program& prog) {
       ws.active = ws.full;
       ws.pc = 0;
     }
-
-    auto reg = [&](int tid, int r) -> std::uint32_t& {
-      return regs[static_cast<std::size_t>(tid) * isa::kNumRegs +
-                  static_cast<std::size_t>(r)];
-    };
-    auto pred = [&](int tid, int p) -> std::uint8_t& {
-      return preds[static_cast<std::size_t>(tid) * isa::kNumPredRegs +
-                   static_cast<std::size_t>(p)];
-    };
 
     // Unwinds the SIMT stack after the active mask went empty.
     auto unwind = [&](WarpState& ws) {
@@ -215,38 +299,38 @@ RunResult Sm::Run(const Program& prog) {
         const std::uint32_t pc = ws.pc;
         const Instruction& inst = code[pc];
         const auto& info = inst.info();
+        std::uint32_t* const wregs =
+            regs.data() + static_cast<std::size_t>(w) * kWarpRegs;
+        std::uint32_t* const wpreds =
+            preds.data() + static_cast<std::size_t>(w) * isa::kNumPredRegs;
+        auto row = [wregs](int r) {
+          return wregs + static_cast<std::size_t>(r) * 32;
+        };
 
-        // Per-lane predication.
+        // Predication: one AND with the guard's lane mask.
         std::uint32_t exec_mask = ws.active;
         if (inst.predicated) {
-          std::uint32_t m = 0;
-          for (int lane = 0; lane < 32; ++lane) {
-            if (!((ws.active >> lane) & 1)) continue;
-            const int tid = w * 32 + lane;
-            const bool p = pred(tid, inst.pred_reg) != 0;
-            if (p != inst.pred_negated) m |= 1u << lane;
-          }
-          exec_mask = m;
+          const std::uint32_t guard = wpreds[inst.pred_reg];
+          exec_mask &= inst.pred_negated ? ~guard : guard;
         }
 
-        // Decode event (the DU sees the word on every issue). Lane events
-        // share the same cc stamp: the labeling join in the compactor maps
-        // module patterns back to the issuing instruction through it.
+        // Decode event (the DU sees the word on every issue). The data
+        // event shares its cc stamp: the labeling join in the compactor
+        // maps module patterns back to the issuing instruction through it.
         const std::uint64_t issue_cc = cc;
         if (!monitors_.empty()) {
-          DecodeEvent ev;
-          ev.cc = issue_cc;
-          ev.block = block;
-          ev.warp = w;
-          ev.pc = pc;
-          ev.active_mask = exec_mask;
-          ev.inst = inst;
-          ev.encoded = encoded[pc];
+          const DecodeEvent ev{.cc = issue_cc,
+                               .block = block,
+                               .warp = w,
+                               .pc = pc,
+                               .active_mask = exec_mask,
+                               .inst = inst,
+                               .encoded = encoded[pc]};
           for (ExecMonitor* m : monitors_) m->OnDecode(ev);
         }
         ++result.dynamic_instructions;
 
-        const int active_count = PopCount(exec_mask);
+        const int active_count = std::popcount(exec_mask);
 
         // Timing.
         int units = 1;
@@ -352,120 +436,151 @@ RunResult Sm::Run(const Program& prog) {
           continue;
         }
 
-        // Data instructions: per-lane execution. The lane event's
-        // instruction-wide fields are set once per warp-instruction.
-        LaneEvent ev;
-        if (observed) {
-          ev.cc = issue_cc;
-          ev.block = block;
-          ev.warp = w;
-          ev.pc = pc;
-          ev.inst = inst;
-        }
-        for (int lane = 0; lane < 32; ++lane) {
-          if (!((exec_mask >> lane) & 1)) continue;
-          const int tid = w * 32 + lane;
-
-          std::uint32_t a = reg(tid, inst.src_a);
-          std::uint32_t b = inst.has_imm ? inst.imm : reg(tid, inst.src_b);
-          std::uint32_t c = reg(tid, inst.src_c);
-          std::uint32_t value = 0;
-          bool pred_result = false;
-
-          switch (info.unit) {
-            case ExecUnit::kSpInt: {
-              if (inst.op == Opcode::S2R) {
-                switch (static_cast<SpecialReg>(inst.imm)) {
-                  case SpecialReg::kTid: b = static_cast<std::uint32_t>(tid); break;
-                  case SpecialReg::kCtaid: b = static_cast<std::uint32_t>(block); break;
-                  case SpecialReg::kNtid: b = static_cast<std::uint32_t>(tpb); break;
-                  case SpecialReg::kNctaid:
-                    b = static_cast<std::uint32_t>(prog.config().blocks);
-                    break;
-                  case SpecialReg::kLaneid: b = static_cast<std::uint32_t>(lane); break;
-                  case SpecialReg::kWarpid: b = static_cast<std::uint32_t>(w); break;
-                }
-              }
-              const circuits::SpResult r =
-                  circuits::SpIntOp(inst.op, inst.cmp, a, b, c);
-              value = r.value;
-              pred_result = r.pred;
-              break;
-            }
-            case ExecUnit::kSpFp:
-              if (inst.op == Opcode::FSETP) {
-                pred_result = FpCompare(inst.cmp, a, b);
-              } else {
-                value = FpOp(inst.op, a, b, c);
-              }
-              break;
-            case ExecUnit::kSfu:
-              value = SfuArchOp(inst.op, a);
-              break;
-            case ExecUnit::kMem: {
-              const std::uint32_t addr = a + inst.imm;
-              switch (inst.op) {
-                case Opcode::LDG: value = result.global.Load(addr); break;
-                case Opcode::STG:
-                  value = reg(tid, inst.dst);
-                  result.global.Store(addr, value);
-                  break;
-                case Opcode::LDS: value = shared.Load(addr); break;
-                case Opcode::STS:
-                  value = reg(tid, inst.dst);
-                  shared.Store(addr, value);
-                  break;
-                case Opcode::LDC: value = const_mem.Load(addr); break;
-                case Opcode::LDL:
-                  value = local.Load(
-                      addr + static_cast<std::uint32_t>(tid) *
-                                 config_.local_words * 4);
-                  break;
-                case Opcode::STL:
-                  value = reg(tid, inst.dst);
-                  local.Store(addr + static_cast<std::uint32_t>(tid) *
-                                         config_.local_words * 4,
-                              value);
-                  break;
-                default:
-                  throw SimError("unhandled memory opcode");
-              }
-              break;
-            }
-            case ExecUnit::kControl:
-              break;  // handled above
-          }
-
-          if (observed) {
-            ev.lane = lane;
-            ev.tid = tid;
-            ev.a = a;
-            ev.b = b;
-            ev.c = c;
-            ev.result = value;
-            ev.pred_result = pred_result;
-
-            // Fault-injection hook: may substitute the lane result before
-            // it is architecturally committed.
-            if (lane_override_ &&
-                lane_override_(ev, &value, &pred_result)) {
-              ev.result = value;
-              ev.pred_result = pred_result;
-            }
-          }
-
-          // Write-back.
-          if (info.writes_reg && !info.writes_memory) {
-            reg(tid, inst.dst) = value;
-          }
-          if (info.writes_pred) {
-            pred(tid, inst.dst) = pred_result ? 1 : 0;
-          }
-
-          for (ExecMonitor* m : monitors_) m->OnLane(ev);
-        }
-
         ws.pc = pc + 1;
+        if (exec_mask == 0) continue;
+
+        // Data instructions: the whole warp at once. Operands are read as
+        // register rows; B is the immediate broadcast, or for S2R the
+        // lane's special value.
+        WarpLanes lanes;
+        lanes.exec_mask = exec_mask;
+        lanes.cmp = inst.cmp;
+        lanes.a = row(inst.src_a);
+        lanes.c = row(inst.src_c);
+        std::uint32_t b_row[32] = {};
+        if (inst.op == Opcode::S2R) {
+          for (int lane = 0; lane < 32; ++lane) {
+            std::uint32_t v = 0;
+            switch (static_cast<SpecialReg>(inst.imm)) {
+              case SpecialReg::kTid: v = static_cast<std::uint32_t>(w * 32 + lane); break;
+              case SpecialReg::kCtaid: v = static_cast<std::uint32_t>(block); break;
+              case SpecialReg::kNtid: v = static_cast<std::uint32_t>(tpb); break;
+              case SpecialReg::kNctaid:
+                v = static_cast<std::uint32_t>(prog.config().blocks);
+                break;
+              case SpecialReg::kLaneid: v = static_cast<std::uint32_t>(lane); break;
+              case SpecialReg::kWarpid: v = static_cast<std::uint32_t>(w); break;
+            }
+            b_row[lane] = v;
+          }
+          lanes.b = b_row;
+        } else if (inst.has_imm) {
+          std::fill(std::begin(b_row), std::end(b_row), inst.imm);
+          lanes.b = b_row;
+        } else {
+          lanes.b = row(inst.src_b);
+        }
+
+        const auto op = static_cast<std::size_t>(inst.op);
+        switch (info.unit) {
+          case ExecUnit::kSpInt:
+            kSpIntKernels[op](lanes);
+            break;
+          case ExecUnit::kSpFp:
+            if (inst.op == Opcode::FSETP) {
+              FsetpLanes(lanes);
+            } else {
+              kFpKernels[op](lanes);
+            }
+            break;
+          case ExecUnit::kSfu:
+            kSfuKernels[op](lanes);
+            break;
+          case ExecUnit::kMem: {
+            // Accesses stay lane by lane, in ascending lane order (the
+            // last lane storing to a word wins).
+            const std::uint32_t* addr = lanes.a;
+            const std::uint32_t* data = row(inst.dst);
+            const std::uint32_t off = inst.imm;
+            std::uint32_t* out = lanes.result;
+            const std::uint32_t local_stride = config_.local_words * 4;
+            auto local_addr = [&](int lane) {
+              return addr[lane] + off +
+                     static_cast<std::uint32_t>(w * 32 + lane) * local_stride;
+            };
+            switch (inst.op) {
+              case Opcode::LDG:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = result.global.Load(addr[lane] + off);
+                });
+                break;
+              case Opcode::STG:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = data[lane];
+                  result.global.Store(addr[lane] + off, data[lane]);
+                });
+                break;
+              case Opcode::LDS:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = shared.Load(addr[lane] + off);
+                });
+                break;
+              case Opcode::STS:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = data[lane];
+                  shared.Store(addr[lane] + off, data[lane]);
+                });
+                break;
+              case Opcode::LDC:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = const_mem.Load(addr[lane] + off);
+                });
+                break;
+              case Opcode::LDL:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = local.Load(local_addr(lane));
+                });
+                break;
+              case Opcode::STL:
+                ForLanes(exec_mask, [&](int lane) {
+                  out[lane] = data[lane];
+                  local.Store(local_addr(lane), data[lane]);
+                });
+                break;
+              default:
+                throw SimError("unhandled memory opcode");
+            }
+            break;
+          }
+          case ExecUnit::kControl:
+            break;  // handled above
+        }
+        lanes.pred &= exec_mask;
+
+        // Fault injection, then the monitors, see the warp before write-
+        // back, while the operand rows still hold the values read.
+        if (warp_override_ || !monitors_.empty()) {
+          WarpEvent ev{.cc = issue_cc,
+                       .block = block,
+                       .warp = w,
+                       .pc = pc,
+                       .inst = inst,
+                       .exec_mask = exec_mask,
+                       .a = lanes.a,
+                       .b = lanes.b,
+                       .c = lanes.c,
+                       .result = lanes.result,
+                       .pred_result = lanes.pred};
+          if (warp_override_) {
+            warp_override_(ev, lanes.result, &lanes.pred);
+            lanes.pred &= exec_mask;
+            ev.pred_result = lanes.pred;
+          }
+          for (ExecMonitor* m : monitors_) m->OnWarp(ev);
+        }
+
+        // Write-back: a masked blend, so it vectorizes.
+        if (info.writes_reg && !info.writes_memory) {
+          std::uint32_t* dst = row(inst.dst);
+          for (int lane = 0; lane < 32; ++lane) {
+            dst[lane] =
+                (exec_mask >> lane) & 1 ? lanes.result[lane] : dst[lane];
+          }
+        }
+        if (info.writes_pred) {
+          std::uint32_t& p = wpreds[inst.dst];
+          p = (p & ~exec_mask) | lanes.pred;
+        }
       }
 
       if (!issued_any) {

@@ -13,9 +13,12 @@
 //  * divergence is handled with the G80 SSY/SYNC reconvergence stack;
 //  * BAR synchronizes all live warps of the block.
 //
-// Monitors observe every decode and lane-execution event (see monitor.h);
-// this is the substrate both the Tracing Report and the module test-pattern
-// capture are built on.
+// The data path runs one whole warp at a time: registers are kept per warp
+// as [reg][lane] rows and each predicate register as a 32-bit lane mask,
+// so one warp-instruction is one dispatch on the opcode followed by a tight
+// lane loop over the exec mask. Monitors observe every decode and every
+// data warp-instruction (see monitor.h); this is the substrate both the
+// Tracing Report and the module test-pattern capture are built on.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +39,14 @@ struct RunResult {
   GlobalMemory global;                     // final global-memory state
 };
 
-/// Lane-result override hook for fault-injection experiments: called for
-/// every executed lane BEFORE write-back with the architecturally computed
-/// value/predicate; may modify them (return true if it did). The fault
-/// injector uses this to substitute gate-level faulty results.
-using LaneOverride =
-    std::function<bool(const LaneEvent& event, std::uint32_t* value,
-                       bool* pred)>;
+/// Result override hook for fault-injection experiments: called once per
+/// data warp-instruction, after its lanes computed and BEFORE write-back
+/// and the monitors' OnWarp. It may rewrite `result[lane]` and the bits of
+/// `*pred_result` of lanes in `event.exec_mask` (the event's own result
+/// pointer aliases `result`). The fault injector uses this to substitute
+/// gate-level faulty results.
+using WarpOverride = std::function<void(
+    const WarpEvent& event, std::uint32_t* result, std::uint32_t* pred_result)>;
 
 /// One SM executing one kernel at a time.
 class Sm {
@@ -52,8 +56,8 @@ class Sm {
   /// Registers a monitor (not owned). Monitors fire in registration order.
   void AddMonitor(ExecMonitor* monitor);
 
-  /// Installs the lane-result override (empty = none).
-  void SetLaneOverride(LaneOverride override);
+  /// Installs the result override (empty = none).
+  void SetWarpOverride(WarpOverride override);
 
   /// Runs the program to completion (all warps exited). Throws SimError on
   /// malformed execution (bad memory access, runaway kernel, ...).
@@ -64,7 +68,7 @@ class Sm {
  private:
   SmConfig config_;
   std::vector<ExecMonitor*> monitors_;
-  LaneOverride lane_override_;
+  WarpOverride warp_override_;
 };
 
 }  // namespace gpustl::gpu

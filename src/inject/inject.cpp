@@ -1,5 +1,7 @@
 #include "inject/inject.h"
 
+#include <bit>
+
 #include "circuits/sp_core.h"
 #include "common/error.h"
 #include "netlist/logicsim.h"
@@ -76,16 +78,17 @@ InjectionResult RunWithFault(const isa::Program& ptp,
   const FaultySpModel model(sp, fault);
 
   gpu::Sm sm(config);
-  sm.SetLaneOverride([&](const gpu::LaneEvent& ev, std::uint32_t* value,
-                         bool* pred) {
-    if (ev.inst.info().unit != isa::ExecUnit::kSpInt) return false;
-    bool faulty_pred = false;
-    const std::uint32_t faulty = model.Eval(ev.inst.op, ev.inst.cmp, ev.a,
-                                            ev.b, ev.c, &faulty_pred);
-    if (faulty == *value && faulty_pred == *pred) return false;
-    *value = faulty;
-    *pred = faulty_pred;
-    return true;
+  sm.SetWarpOverride([&](const gpu::WarpEvent& ev, std::uint32_t* result,
+                         std::uint32_t* pred) {
+    if (ev.inst.info().unit != isa::ExecUnit::kSpInt) return;
+    for (std::uint32_t m = ev.exec_mask; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      bool faulty_pred = false;
+      result[lane] = model.Eval(ev.inst.op, ev.inst.cmp, ev.a[lane],
+                                ev.b[lane], ev.c[lane], &faulty_pred);
+      const std::uint32_t bit = 1u << lane;
+      *pred = faulty_pred ? *pred | bit : *pred & ~bit;
+    }
   });
 
   InjectionResult out;
@@ -102,16 +105,23 @@ InjectionResult RunWithFault(const isa::Program& ptp,
     return out;
   }
   // Compare images both ways (a faulty run may write extra or different
-  // words; missing words also count as mismatches).
-  for (const auto& [addr, value] : run.global.words()) {
-    const auto it = golden.words().find(addr);
-    if (it == golden.words().end() || it->second != value) {
-      ++out.mismatching_words;
-    }
-  }
-  for (const auto& [addr, value] : golden.words()) {
-    if (run.global.words().find(addr) == run.global.words().end()) {
-      ++out.mismatching_words;
+  // words; missing words also count as mismatches): one merge walk over
+  // the two ascending word lists.
+  const auto got = run.global.words();
+  const auto want = golden.words();
+  auto g = got.begin();
+  auto w = want.begin();
+  while (g != got.end() || w != want.end()) {
+    if (w == want.end() || (g != got.end() && g->first < w->first)) {
+      ++out.mismatching_words;  // written only by the faulty run
+      ++g;
+    } else if (g == got.end() || w->first < g->first) {
+      ++out.mismatching_words;  // missing from the faulty run
+      ++w;
+    } else {
+      out.mismatching_words += g->second != w->second;
+      ++g;
+      ++w;
     }
   }
   out.detected = out.mismatching_words > 0;

@@ -96,7 +96,10 @@ void Server::Serve() {
     for (std::size_t i = 0; i + 1 < fds.size(); ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
       const int fd = Accept(fds[i].fd);
-      if (fd < 0) continue;
+      if (fd < 0) {
+        if (errno == EMFILE || errno == ENFILE) AwaitFreeDescriptor();
+        continue;
+      }
       auto conn = std::make_shared<Connection>(fd, options_.limits,
                                                !endpoints_[i].is_unix());
       std::lock_guard<std::mutex> lock(conns_mu_);
@@ -108,6 +111,15 @@ void Server::Serve() {
       });
     }
   }
+}
+
+void Server::AwaitFreeDescriptor() {
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    ReapEndedConnections();
+  }
+  pollfd stop{stop_pipe_[0], POLLIN, 0};
+  ::poll(&stop, 1, kFdExhaustedBackoffMs);
 }
 
 void Server::ReapEndedConnections() {

@@ -20,7 +20,9 @@
 // Threading: one accept loop polling every listen socket and a self-pipe,
 // one thread per connection. A connection closes its fd as it ends; the
 // accept loop joins and forgets ended connections, so a long-running
-// daemon holds descriptors and threads only for live peers. Event writes happen on service worker
+// daemon holds descriptors and threads only for live peers. At the fd
+// limit the accept loop backs off (100 ms) instead of spinning until a
+// peer leaves. Event writes happen on service worker
 // threads under a per-connection mutex with a bounded deadline — a peer
 // that stops draining (chaos `slow-peer`) is disconnected, and its job's
 // events keep accumulating in the ledger for the reconnect.
@@ -96,6 +98,12 @@ class Server {
   void CloseListeners();
   /// Joins and drops connections whose thread has finished (conns_mu_).
   void ReapEndedConnections();
+  /// Out of descriptors: a refused connection stays queued, so the
+  /// listener polls readable at once and the loop would spin. Reaps ended
+  /// connections, then waits (for a stop, or at most the backoff) before
+  /// the listeners are polled again.
+  void AwaitFreeDescriptor();
+  static constexpr int kFdExhaustedBackoffMs = 100;
   void HandleConnection(const std::shared_ptr<Connection>& conn);
   void ServeClient(const std::shared_ptr<Connection>& conn);
   void ServeWorker(const std::shared_ptr<Connection>& conn);

@@ -1,14 +1,67 @@
 #include "netlist/patterns.h"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
 #include <istream>
+#include <new>
 #include <ostream>
 
 #include "common/error.h"
 #include "common/strutil.h"
 
 namespace gpustl::netlist {
+
+namespace internal {
+
+WordArray::~WordArray() {
+#if defined(__linux__)
+  if (mapped_) {
+    ::munmap(data_, capacity_ * sizeof(std::uint64_t));
+    return;
+  }
+#endif
+  std::free(data_);
+}
+
+void WordArray::Reserve(std::size_t n) {
+  if (n <= capacity_) return;
+  std::size_t bytes = n * sizeof(std::uint64_t);
+#if defined(__linux__)
+  if (bytes >= kMapBytes) {
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    bytes = (bytes + page - 1) / page * page;
+    void* grown = nullptr;
+    if (mapped_) {
+      grown = ::mremap(data_, capacity_ * sizeof(std::uint64_t), bytes,
+                       MREMAP_MAYMOVE);
+    } else {
+      grown = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (grown != MAP_FAILED) {
+        std::copy_n(data_, size_, static_cast<std::uint64_t*>(grown));
+        std::free(data_);
+      }
+    }
+    if (grown == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<std::uint64_t*>(grown);
+    capacity_ = bytes / sizeof(std::uint64_t);
+    mapped_ = true;
+    return;
+  }
+#endif
+  void* grown = std::realloc(data_, bytes);
+  if (grown == nullptr) throw std::bad_alloc();
+  data_ = static_cast<std::uint64_t*>(grown);
+  capacity_ = n;
+}
+
+}  // namespace internal
 
 PatternSet::PatternSet(int width) : width_(width) {
   GPUSTL_ASSERT(width > 0, "pattern width must be positive");
@@ -30,6 +83,12 @@ void PatternSet::Add64(std::uint64_t cc, std::uint64_t bits) {
   Add(cc, &bits);
 }
 
+std::uint64_t* PatternSet::AppendRows(std::uint64_t cc, std::size_t n) {
+  GPUSTL_ASSERT(width_ > 0, "AppendRows on a pattern set without a width");
+  std::fill_n(ccs_.Grow(n), n, cc);
+  return bits_.Grow(n * words_per_pattern());
+}
+
 bool PatternSet::Bit(std::size_t p, int i) const {
   GPUSTL_ASSERT(p < size() && i >= 0 && i < width_, "pattern bit out of range");
   const std::uint64_t word = bits_[p * words_per_pattern() +
@@ -39,14 +98,14 @@ bool PatternSet::Bit(std::size_t p, int i) const {
 
 const std::uint64_t* PatternSet::Row(std::size_t p) const {
   GPUSTL_ASSERT(p < size(), "pattern index out of range");
-  return &bits_[p * words_per_pattern()];
+  return bits_.data() + p * words_per_pattern();
 }
 
 PatternSet PatternSet::Reversed() const {
   PatternSet out(width_ == 0 ? 1 : width_);
   out.width_ = width_;
-  out.ccs_.clear();
-  out.bits_.clear();
+  out.ccs_.Reserve(size());
+  out.bits_.Reserve(bits_.size());
   for (std::size_t p = size(); p-- > 0;) {
     out.Add(ccs_[p], Row(p));
   }
@@ -56,12 +115,12 @@ PatternSet PatternSet::Reversed() const {
 PatternSet PatternSet::Select(const std::vector<std::uint32_t>& rows) const {
   PatternSet out;
   out.width_ = width_;
-  out.ccs_.reserve(rows.size());
-  out.bits_.reserve(rows.size() * words_per_pattern());
+  out.ccs_.Reserve(rows.size());
+  out.bits_.Reserve(rows.size() * words_per_pattern());
   for (const std::uint32_t p : rows) {
-    const std::uint64_t* row = Row(p);
     out.ccs_.push_back(ccs_[p]);
-    out.bits_.insert(out.bits_.end(), row, row + words_per_pattern());
+    std::copy_n(Row(p), words_per_pattern(),
+                out.bits_.Grow(words_per_pattern()));
   }
   return out;
 }

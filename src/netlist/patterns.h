@@ -7,12 +7,76 @@
 // lets stage 3 join fault detections back to instructions.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpustl::netlist {
+
+namespace internal {
+
+/// A growable array of 64-bit words. A captured pattern set grows by a
+/// warp at a time to megabytes; std::vector copies each doubling into
+/// fresh pages, so every page of the final array is faulted in about
+/// twice. From kMapBytes up the array is its own mapping, grown with
+/// mremap, which moves page tables and neither copies nor re-faults: only
+/// the new tail faults in. Smaller arrays stay on the heap.
+class WordArray {
+ public:
+  WordArray() = default;
+  WordArray(const WordArray& other) {
+    std::copy_n(other.data_, other.size_, Grow(other.size_));
+  }
+  WordArray(WordArray&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)),
+        mapped_(std::exchange(other.mapped_, false)) {}
+  WordArray& operator=(WordArray other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(capacity_, other.capacity_);
+    std::swap(mapped_, other.mapped_);
+    return *this;
+  }
+  ~WordArray();
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::uint64_t* data() const { return data_; }
+  std::uint64_t operator[](std::size_t i) const { return data_[i]; }
+
+  /// Appends `n` words for the caller to write; returns the first.
+  std::uint64_t* Grow(std::size_t n) {
+    if (size_ + n > capacity_) Reserve(std::max(2 * capacity_, size_ + n));
+    std::uint64_t* tail = data_ + size_;
+    size_ += n;
+    return tail;
+  }
+  void push_back(std::uint64_t word) { *Grow(1) = word; }
+
+  /// Makes room for `n` words in all (never shrinks).
+  void Reserve(std::size_t n);
+
+  bool operator==(const WordArray& other) const {
+    return size_ == other.size_ && std::equal(data_, data_ + size_, other.data_);
+  }
+
+ private:
+  /// glibc's default mmap threshold: the size from which malloc would map
+  /// a block itself, had a large free not raised its threshold since.
+  static constexpr std::size_t kMapBytes = std::size_t{128} << 10;
+
+  std::uint64_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+  bool mapped_ = false;  // data_ is an mmap of capacity_ words
+};
+
+}  // namespace internal
 
 /// An ordered set of equal-width binary input vectors with cc stamps.
 class PatternSet {
@@ -36,6 +100,12 @@ class PatternSet {
   /// Appends a pattern of up to 64 bits.
   void Add64(std::uint64_t cc, std::uint64_t bits);
 
+  /// Appends `n` patterns stamped `cc` in one step and returns their
+  /// storage, n * words_per_pattern() words for the caller to fill in
+  /// place. Unlike Add, nothing is masked: the caller must leave every
+  /// padding bit zero.
+  std::uint64_t* AppendRows(std::uint64_t cc, std::size_t n);
+
   /// Clock-cycle stamp of pattern `p`.
   std::uint64_t cc(std::size_t p) const { return ccs_[p]; }
 
@@ -57,8 +127,8 @@ class PatternSet {
 
  private:
   int width_ = 0;
-  std::vector<std::uint64_t> ccs_;
-  std::vector<std::uint64_t> bits_;  // size() * words_per_pattern()
+  internal::WordArray ccs_;
+  internal::WordArray bits_;  // size() * words_per_pattern()
 };
 
 /// The rows of a pattern set with repeats removed. A GPU's loops and

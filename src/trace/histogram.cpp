@@ -1,6 +1,7 @@
 #include "trace/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/strutil.h"
@@ -11,8 +12,9 @@ void OpcodeHistogram::OnDecode(const gpu::DecodeEvent& event) {
   ++issues_[static_cast<std::size_t>(event.inst.op)];
 }
 
-void OpcodeHistogram::OnLane(const gpu::LaneEvent& event) {
-  ++lanes_[static_cast<std::size_t>(event.inst.op)];
+void OpcodeHistogram::OnWarp(const gpu::WarpEvent& event) {
+  lanes_[static_cast<std::size_t>(event.inst.op)] +=
+      static_cast<std::uint64_t>(std::popcount(event.exec_mask));
 }
 
 std::uint64_t OpcodeHistogram::unit_issues(isa::ExecUnit unit) const {

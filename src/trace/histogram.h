@@ -16,7 +16,7 @@ namespace gpustl::trace {
 class OpcodeHistogram : public gpu::ExecMonitor {
  public:
   void OnDecode(const gpu::DecodeEvent& event) override;
-  void OnLane(const gpu::LaneEvent& event) override;
+  void OnWarp(const gpu::WarpEvent& event) override;
 
   std::uint64_t issues(isa::Opcode op) const {
     return issues_[static_cast<std::size_t>(op)];

@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <bit>
 #include <istream>
 #include <ostream>
 
@@ -153,23 +154,35 @@ void PatternProbe::OnDecode(const gpu::DecodeEvent& event) {
   }
 }
 
-void PatternProbe::OnLane(const gpu::LaneEvent& event) {
+void PatternProbe::OnWarp(const gpu::WarpEvent& event) {
   if (!lanes_feed_) return;
-  std::uint64_t words[2];
+  // The warp's rows are appended in one step and encoded in place, one
+  // per executing lane in ascending lane order.
+  std::uint32_t mask = event.exec_mask;
+  std::uint64_t* row = patterns_.AppendRows(
+      event.cc, static_cast<std::size_t>(std::popcount(mask)));
+  const std::uint32_t* a = event.a;
+  const std::uint32_t* b = event.b;
   switch (module_) {
     case TargetModule::kSpCore:
-      circuits::EncodeSpPattern(selector_, cmp_, event.a, event.b, event.c,
-                                words);
-      patterns_.Add(event.cc, words);
+      for (; mask != 0; mask &= mask - 1, row += 2) {
+        const int lane = std::countr_zero(mask);
+        circuits::EncodeSpPattern(selector_, cmp_, a[lane], b[lane],
+                                  event.c[lane], row);
+      }
       break;
     case TargetModule::kSfu:
-      patterns_.Add64(event.cc,
-                      circuits::EncodeSfuPattern(selector_, event.a));
+      for (; mask != 0; mask &= mask - 1) {
+        *row++ = circuits::EncodeSfuPattern(selector_,
+                                            a[std::countr_zero(mask)]);
+      }
       break;
     case TargetModule::kFp32:
-      circuits::EncodeFp32Pattern(static_cast<circuits::Fp32Uop>(selector_),
-                                  event.a, event.b, words);
-      patterns_.Add(event.cc, words);
+      for (; mask != 0; mask &= mask - 1, row += 2) {
+        const int lane = std::countr_zero(mask);
+        circuits::EncodeFp32Pattern(static_cast<circuits::Fp32Uop>(selector_),
+                                    a[lane], b[lane], row);
+      }
       break;
     case TargetModule::kDecoderUnit:
       break;  // one pattern per decode event, none per lane

@@ -62,7 +62,7 @@ class TracingReport {
 class TraceRecorder : public gpu::ExecMonitor {
  public:
   void OnDecode(const gpu::DecodeEvent& event) override;
-  void OnLane(const gpu::LaneEvent& event) override {(void)event;}
+  void OnWarp(const gpu::WarpEvent& /*event*/) override {}
 
   const TracingReport& report() const { return report_; }
   /// Moves the report out; the recorder is left empty.
@@ -89,7 +89,7 @@ class PatternProbe : public gpu::ExecMonitor {
   explicit PatternProbe(TargetModule module);
 
   void OnDecode(const gpu::DecodeEvent& event) override;
-  void OnLane(const gpu::LaneEvent& event) override;
+  void OnWarp(const gpu::WarpEvent& event) override;
 
   const netlist::PatternSet& patterns() const { return patterns_; }
   /// Moves the captured patterns out; the probe keeps none.
@@ -101,7 +101,8 @@ class PatternProbe : public gpu::ExecMonitor {
   netlist::PatternSet patterns_;
   // Set at OnDecode for the issuing instruction: whether its lanes apply a
   // pattern to module_, and the module's selector field (SP uop and cmp,
-  // SFU function, FP32 uop) that every lane of it shares.
+  // SFU function, FP32 uop) that every lane of it shares. OnWarp, which
+  // follows at once, encodes the lanes with them.
   bool lanes_feed_ = false;
   int selector_ = 0;
   int cmp_ = 0;

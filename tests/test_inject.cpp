@@ -162,5 +162,46 @@ TEST_F(InjectFixture, ModuleUndetectedFaultsStaySilent) {
   EXPECT_EQ(campaign.detected_at_memory, 0u);
 }
 
+TEST_F(InjectFixture, CampaignDetectionsArePinned) {
+  // A predicated, diverged PTP on a partial warp and a fixed fault
+  // sample: how many faults reach memory is pinned to what a lane-by-lane
+  // result override gave, so the per-warp override must rewrite exactly
+  // the executing lanes.
+  const isa::Program ptp = isa::Assemble(R"(
+      .threads 40
+      S2R R1, SR_TID
+      MOV32I R2, 0x9E3779B9
+      IMUL R3, R1, R2
+      IADD32I R3, R3, 0x7F4A7C15
+      XOR R4, R3, R1
+      SHL R5, R4, 5
+      ISETP.LT P0, R1, 13
+      @P0 IADD R4, R4, R5
+      @!P0 ISUB R4, R4, R5
+      AND R6, R1, 1
+      ISETP.EQ P1, R6, 0
+      SSY join
+      @P1 BRA even
+      IMAD R4, R4, R3, R5
+      SYNC
+    even:
+      SAR R4, R4, 3
+      SYNC
+    join:
+      SHL R7, R1, 2
+      IADD32I R7, R7, 0x10000
+      STG [R7+0], R4
+      EXIT
+  )");
+  const auto faults = fault::CollapsedFaultList(*sp_);
+  std::vector<fault::Fault> sample;
+  for (std::size_t i = 0; i < faults.size() && sample.size() < 40; i += 89) {
+    sample.push_back(faults[i]);
+  }
+  const CampaignResult campaign = RunInjectionCampaign(ptp, *sp_, sample);
+  EXPECT_EQ(campaign.injected, 40u);
+  EXPECT_EQ(campaign.detected_at_memory, 28u);
+}
+
 }  // namespace
 }  // namespace gpustl::inject

@@ -4,6 +4,8 @@
 // cross-PTP dropping increases later PTPs' compaction).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "circuits/decoder_unit.h"
 #include "common/rng.h"
 #include "circuits/sfu.h"
@@ -137,9 +139,12 @@ TEST_F(IntegrationTest, CompactedProgramProducesSameMemoryImage) {
   const gpu::RunResult orig = sm.Run(sfu_ptp);
   const gpu::RunResult comp = sm.Run(res.compacted);
   // Every word written by the compacted program matches the original run.
+  const auto orig_words = orig.global.words();
+  const std::map<std::uint32_t, std::uint32_t> orig_map(orig_words.begin(),
+                                                        orig_words.end());
   for (const auto& [addr, value] : comp.global.words()) {
-    const auto it = orig.global.words().find(addr);
-    ASSERT_NE(it, orig.global.words().end());
+    const auto it = orig_map.find(addr);
+    ASSERT_NE(it, orig_map.end());
     EXPECT_EQ(it->second, value) << "at word " << addr;
   }
 }

@@ -11,9 +11,15 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/inotify.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
+#include <ctime>
 
 #include <algorithm>
 #include <atomic>
@@ -898,6 +904,99 @@ TEST(ServerTest, EndedConnectionsReleaseTheirDescriptors) {
   }
   EXPECT_EQ(settles_at(baseline), baseline)
       << "connections that ended still hold descriptors";
+}
+
+TEST(ServerTest, AcceptLoopBacksOffAtTheFdLimit) {
+  // A daemon out of descriptors must not spin: accept fails with EMFILE,
+  // the refused connection stays queued, and the listener polls readable
+  // again at once. The server runs in a child that lowers its own fd
+  // limit, so only a couple of dozen connections fill it.
+  int port_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const rlimit limit{32, 32};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    service::ServiceOptions sopts;
+    sopts.workers = 1;
+    service::CampaignService svc(sopts);
+    ServerOptions options;
+    options.endpoints = {{"127.0.0.1", 0, ""}};
+    options.secret = "sesame";
+    options.handshake_deadline_ms = 60000;  // held peers stay connected
+    Server server(svc, WorkBroker(BrokerOptions{}), options);
+    std::string error;
+    if (!server.Start(&error)) ::_exit(3);
+    const std::uint16_t port = server.endpoints()[0].port;
+    if (::write(port_pipe[1], &port, sizeof(port)) != sizeof(port)) {
+      ::_exit(4);
+    }
+    server.Serve();
+    ::_exit(0);
+  }
+  ::close(port_pipe[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  ::close(port_pipe[0]);
+  const Endpoint endpoint{"127.0.0.1", port, ""};
+
+  // The server greets every connection it accepts, so a connection with
+  // nothing to read after a second was left queued: the table is full.
+  const auto greeted = [](int fd, int timeout_ms) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, timeout_ms) == 1;
+  };
+  std::vector<int> held;
+  int pending = -1;
+  for (int i = 0; i < 64 && pending < 0; ++i) {
+    std::string error;
+    const int fd = Connect(endpoint, 5000, &error);
+    ASSERT_GE(fd, 0) << error;
+    if (greeted(fd, 1000)) {
+      held.push_back(fd);
+    } else {
+      pending = fd;
+    }
+  }
+  ASSERT_GE(pending, 0) << "the fd limit was never reached";
+  EXPECT_GE(held.size(), 10u);
+
+  const auto cpu_ms = [&] {
+    clockid_t clock;
+    timespec ts{};
+    if (::clock_getcpuclockid(child, &clock) != 0 ||
+        ::clock_gettime(clock, &ts) != 0) {
+      return -1.0;
+    }
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const double cpu_before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_spent = cpu_ms() - cpu_before;
+  ASSERT_GE(cpu_before, 0.0);
+  EXPECT_LT(cpu_spent, 100.0) << "the accept loop spins at the fd limit";
+
+  // One peer leaves; the queued connection is accepted and served.
+  ::close(held.back());
+  held.pop_back();
+  EXPECT_TRUE(greeted(pending, 5000));
+  Conn conn(pending);
+  const HandshakeResult hs = ClientHandshake(conn, "sesame", "client", 5000);
+  EXPECT_TRUE(hs.ok) << hs.error;
+  Json ping;
+  ping.Set("op", "ping");
+  Json pong;
+  ASSERT_EQ(conn.WriteJson(ping, 5000), IoStatus::kOk);
+  ASSERT_EQ(conn.ReadJson(&pong, 5000), IoStatus::kOk);
+  EXPECT_EQ(pong.GetString("event"), "pong");
+
+  for (const int fd : held) ::close(fd);
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ::waitpid(child, &status, 0);
 }
 
 TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixOnesComplete) {

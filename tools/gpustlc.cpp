@@ -351,7 +351,7 @@ int CmdRun(const Args& args) {
               prog.name().c_str(),
               static_cast<unsigned long long>(res.total_cycles),
               static_cast<unsigned long long>(res.dynamic_instructions),
-              res.global.words().size());
+              res.global.size());
   for (int k = 0; k < args.dump_count; ++k) {
     const std::uint32_t addr = args.dump_addr + static_cast<std::uint32_t>(k) * 4;
     std::printf("  [0x%08x] = 0x%08x\n", addr, res.global.Load(addr));
