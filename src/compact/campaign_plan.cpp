@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/strutil.h"
 #include "fault/faultlist_io.h"
+#include "isa/assembler.h"
 #include "isa/binary.h"
 
 namespace gpustl::compact {
@@ -33,8 +34,44 @@ Hash128 FingerprintPlanEntry(const StlEntry& entry,
                                     entry.reverse_patterns);
 }
 
-std::vector<PlanEntry> ParseManifestPlan(const std::string& manifest,
-                                         const PtpLoader& load_ptp) {
+PlanEntry MakePlanEntry(isa::Program ptp, trace::TargetModule target,
+                        bool compactable, bool reverse_patterns) {
+  PlanEntry pe;
+  pe.entry.ptp = std::move(ptp);
+  pe.entry.target = target;
+  pe.entry.compactable = compactable;
+  pe.entry.reverse_patterns = reverse_patterns;
+  pe.target_token = std::string(trace::TargetModuleName(target));
+  pe.fp = FingerprintPlanEntry(pe.entry, pe.target_token);
+  return pe;
+}
+
+bool IsAssemblyPath(std::string_view path) {
+  return path.ends_with(".asm") || path.ends_with(".s");
+}
+
+namespace {
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot open " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+}  // namespace
+
+isa::Program LoadPtpFile(const std::string& path) {
+  if (IsAssemblyPath(path)) return isa::Assemble(ReadFile(path));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot open " + path);
+  return isa::LoadBinary(in);
+}
+
+std::vector<PlanEntry> LoadManifestPlan(const std::string& path) {
+  const std::string manifest = ReadFile(path);
+  const std::filesystem::path base = std::filesystem::path(path).parent_path();
   std::vector<PlanEntry> plan;
   int line_no = 0;
   for (std::string_view raw : Split(manifest, '\n')) {
@@ -49,18 +86,14 @@ std::vector<PlanEntry> ParseManifestPlan(const std::string& manifest,
       throw Error("manifest line " + std::to_string(line_no) +
                   ": expected <file> <module> <compact|carry> [reverse]");
     }
-    PlanEntry pe;
-    pe.entry.ptp = load_ptp(std::string(toks[0]));
+    // An absolute path stays as it is; `base / ptp` returns it unchanged.
+    isa::Program ptp = LoadPtpFile((base / toks[0]).string());
     const auto module = ParseTargetModule(toks[1]);
     if (!module) {
       throw Error("manifest line " + std::to_string(line_no) + ": bad module");
     }
-    pe.entry.target = *module;
-    pe.entry.compactable = toks[2] == "compact";
-    pe.entry.reverse_patterns = toks.size() > 3 && toks[3] == "reverse";
-    pe.target_token = std::string(trace::TargetModuleName(*module));
-    pe.fp = FingerprintPlanEntry(pe.entry, pe.target_token);
-    plan.push_back(std::move(pe));
+    plan.push_back(MakePlanEntry(std::move(ptp), *module, toks[2] == "compact",
+                                 toks.size() > 3 && toks[3] == "reverse"));
   }
   return plan;
 }
@@ -73,11 +106,10 @@ std::string FlistPath(const std::string& dir, trace::TargetModule m) {
       .string();
 }
 
-}  // namespace
-
-CampaignCheckpointer::RestoreResult CampaignCheckpointer::TryRestore(
-    StlCampaign& campaign, const std::vector<PlanEntry>& plan,
-    const std::string& dir) {
+/// Restores into `campaign` the longest checkpointed prefix of `dir` that
+/// exactly matches `plan`, leaving its entries in `ckpt`.
+RestoreResult Restore(StlCampaign& campaign, const std::vector<PlanEntry>& plan,
+                      const std::string& dir, store::CampaignCheckpoint* ckpt) {
   RestoreResult result;
   auto prior = store::ReadCheckpoint(dir);
   if (!prior) return result;  // absent or damaged: fresh start, no message
@@ -137,15 +169,13 @@ CampaignCheckpointer::RestoreResult CampaignCheckpointer::TryRestore(
   for (auto& [m, detected] : flists) {
     campaign.compactor(m).MutableDetected() = std::move(detected);
   }
-  ckpt_.entries = std::move(prior->entries);
-  result.restored = ckpt_.entries.size();
+  ckpt->entries = std::move(prior->entries);
+  result.restored = ckpt->entries.size();
   return result;
 }
 
-void CampaignCheckpointer::Record(StlCampaign& campaign,
-                                  const PlanEntry& plan_entry,
-                                  const CampaignRecord& rec,
-                                  const std::string& dir) {
+store::CheckpointEntry CheckpointEntryFor(const PlanEntry& plan_entry,
+                                          const CampaignRecord& rec) {
   store::CheckpointEntry e;
   e.entry_fp = plan_entry.fp;
   e.name = rec.name;
@@ -162,13 +192,14 @@ void CampaignCheckpointer::Record(StlCampaign& campaign,
     e.error_class = std::string(ErrorClassName(rec.error_class));
     e.error_stage = rec.error_stage;
   }
-  ckpt_.entries.push_back(std::move(e));
-  Write(campaign, dir);
+  return e;
 }
 
-void CampaignCheckpointer::Write(StlCampaign& campaign,
-                                 const std::string& dir) {
-  store::WriteCheckpoint(dir, ckpt_);
+/// Rewrites `dir` from the current state: the checkpoint file and one
+/// fault-list snapshot per module, each written atomically.
+void WriteState(StlCampaign& campaign, const store::CampaignCheckpoint& ckpt,
+                const std::string& dir) {
+  store::WriteCheckpoint(dir, ckpt);
   for (const auto m : campaign.modules()) {
     auto& compactor = campaign.compactor(m);
     std::ostringstream ss;
@@ -176,6 +207,32 @@ void CampaignCheckpointer::Write(StlCampaign& campaign,
                           compactor.detected());
     store::AtomicWriteFile(FlistPath(dir, m), ss.str());
   }
+}
+
+}  // namespace
+
+RestoreResult RunPlan(StlCampaign& campaign, const std::vector<PlanEntry>& plan,
+                      const std::string& checkpoint_dir,
+                      const PlanEntryCallback& on_entry) {
+  const bool checkpointed = !checkpoint_dir.empty();
+  store::CampaignCheckpoint ckpt;
+  RestoreResult restore;
+  if (checkpointed) {
+    restore = Restore(campaign, plan, checkpoint_dir, &ckpt);
+    if (restore.restored == 0) WriteState(campaign, ckpt, checkpoint_dir);
+  }
+  for (std::size_t i = 0; i < restore.restored; ++i) {
+    on_entry(i, campaign.records()[i], restore);
+  }
+  for (std::size_t i = restore.restored; i < plan.size(); ++i) {
+    const CampaignRecord& rec = campaign.Process(plan[i].entry);
+    on_entry(i, rec, restore);
+    if (checkpointed) {
+      ckpt.entries.push_back(CheckpointEntryFor(plan[i], rec));
+      WriteState(campaign, ckpt, checkpoint_dir);
+    }
+  }
+  return restore;
 }
 
 }  // namespace gpustl::compact

@@ -21,7 +21,6 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
-#include "common/timer.h"
 #include "compact/campaign_plan.h"
 #include "compact/compactor.h"
 #include "distrib/claims.h"
@@ -265,7 +264,6 @@ WorkerStats RunWorker(const WorkerOptions& options) {
       }
 
       try {
-        Timer dbg_unit;
         const auto unit =
             ReadUnitFile(UnitsDir(options.dir) + "/" + name + ".unit");
         if (!unit) throw Error("distrib: unreadable unit " + name);
@@ -274,11 +272,6 @@ WorkerStats RunWorker(const WorkerOptions& options) {
         // heartbeat keeps the claim fresh through long simulations.
         HeartbeatThread heartbeat(board, name);
         runner.Run(*unit);
-
-        if (std::getenv("GPUSTL_DISTRIB_DEBUG")) {
-          std::fprintf(stderr, "DBG %s unit %s %.3fs\n", owner.c_str(),
-                       name.c_str(), dbg_unit.Seconds());
-        }
         board.MarkDone(name);
         board.Release(name);
         ++stats.units_done;

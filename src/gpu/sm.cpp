@@ -50,8 +50,14 @@ std::uint32_t FpOp(Opcode op, std::uint32_t a, std::uint32_t b,
     case Opcode::FMAX: return FloatToBits(std::fmax(fa, fb));
     case Opcode::FABS: return FloatToBits(std::fabs(fa));
     case Opcode::FNEG: return FloatToBits(-fa);
-    case Opcode::F2I:
-      return static_cast<std::uint32_t>(static_cast<std::int32_t>(fa));
+    case Opcode::F2I: {
+      // Truncates toward zero. A NaN or a value outside int32 gives
+      // 0x80000000, what x86's cvttss2si returns (the pinned stage-2
+      // digests were made with it); the C++ conversion would be undefined.
+      const bool in_range = fa >= -0x1p31f && fa < 0x1p31f;
+      return in_range ? static_cast<std::uint32_t>(static_cast<std::int32_t>(fa))
+                      : 0x80000000u;
+    }
     case Opcode::I2F:
       return FloatToBits(static_cast<float>(static_cast<std::int32_t>(a)));
     default:

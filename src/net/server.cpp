@@ -209,15 +209,14 @@ void Server::ServeClient(const std::shared_ptr<Connection>& conn) {
         info.record(service::EventRejected(0, "bad-request", error));
         continue;
       }
-      // Checked before MakeJobSpec opens anything: a TCP peer, possibly
+      // Checked before the job can create anything: a TCP peer, possibly
       // anyone when the secret is empty, must not steer the daemon's
-      // file reads or writes.
-      if (const std::string field = service::PathField(req);
-          conn->tcp && !field.empty()) {
+      // file writes.
+      if (conn->tcp && !req.checkpoint_dir.empty()) {
         info.record(service::EventRejected(
             0, "bad-request",
-            field + " names a path on the daemon; a TCP submit carries "
-                    "its PTPs inline and no checkpoint_dir"));
+            "checkpoint_dir names a path on the daemon; a TCP submit "
+            "cannot checkpoint"));
         continue;
       }
       service::JobSpec spec;

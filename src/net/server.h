@@ -11,11 +11,11 @@
 //   workers  the distrib claim protocol brokered as RPCs
 //            (fetch/renew/publish/done/release — net/broker.h).
 //
-// The endpoints differ in one rule only: a submit arriving over TCP may
-// not name a daemon-side file (`manifest`, an entry `path`,
-// `checkpoint_dir`) — it is rejected `bad-request` before any file is
-// opened. A unix peer is already bounded by the socket file's
-// permissions, so it keeps path-bearing submits.
+// The endpoints differ in one rule only: `checkpoint_dir` is unix-only.
+// A submit arriving over TCP that names one is rejected `bad-request`
+// before any file is created; a unix peer is already bounded by the
+// socket file's permissions. No submit names a file the daemon reads:
+// PTPs always travel inline.
 //
 // Threading: one accept loop polling every listen socket and a self-pipe,
 // one thread per connection. A connection closes its fd as it ends; the

@@ -77,8 +77,13 @@ class Json {
   double AsDouble(double def = 0.0) const {
     return type_ == Type::kNumber ? num_ : def;
   }
+  /// A number outside the int64 range (a peer may send `1e300`) also
+  /// reads as `def`: converting it would be undefined behaviour.
   std::int64_t AsInt(std::int64_t def = 0) const {
-    return type_ == Type::kNumber ? static_cast<std::int64_t>(num_) : def;
+    // [-2^63, 2^63) is exactly the int64 range; both bounds are doubles.
+    const bool in_range = num_ >= -0x1p63 && num_ < 0x1p63;
+    return type_ == Type::kNumber && in_range ? static_cast<std::int64_t>(num_)
+                                              : def;
   }
   bool AsBool(bool def = false) const {
     return type_ == Type::kBool ? bool_ : def;

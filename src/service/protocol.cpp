@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 
@@ -22,8 +23,21 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
     *error = "priority must be high, normal or low";
     return false;
   }
-  req.deadline_seconds = request.GetDouble("deadline", -1.0);
-  req.stage_deadline_seconds = request.GetDouble("stage_deadline", -1.0);
+  // A budget is armed as int64 nanoseconds: an infinite or huge one
+  // (`1e999` parses to inf) is rejected before it can reach that cast.
+  const auto parse_deadline = [&](const char* key, double* seconds) {
+    *seconds = request.GetDouble(key, -1.0);
+    if (std::isfinite(*seconds) && *seconds <= kMaxDeadlineSeconds) {
+      return true;
+    }
+    *error = std::string(key) + " must be a finite number of seconds, at "
+                                "most 1e9";
+    return false;
+  };
+  if (!parse_deadline("deadline", &req.deadline_seconds) ||
+      !parse_deadline("stage_deadline", &req.stage_deadline_seconds)) {
+    return false;
+  }
   // Range-checked before narrowing: each fault-sim thread is an OS
   // thread, so a peer must not be able to ask for more than the host has.
   // Checked as the wire double, so no value converts out of range.
@@ -37,43 +51,44 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
   }
   req.threads = static_cast<int>(threads);
   req.checkpoint_dir = request.GetString("checkpoint_dir");
-  req.manifest = request.GetString("manifest");
-
-  const Json* entries = request.Find("entries");
-  if (!req.manifest.empty() && entries != nullptr) {
-    *error = "submit takes either manifest or entries, not both";
+  // The daemon reads no PTP or manifest file: clients resolve manifests
+  // themselves and send every PTP inline.
+  if (request.Find("manifest") != nullptr) {
+    *error = "manifest is not accepted: send the PTPs inline as entries";
     return false;
   }
-  if (entries != nullptr) {
-    if (!entries->is_array() || entries->items().empty()) {
-      *error = "entries must be a non-empty array";
+
+  const Json* entries = request.Find("entries");
+  if (entries == nullptr || !entries->is_array() || entries->items().empty()) {
+    *error = "entries must be a non-empty array";
+    return false;
+  }
+  for (std::size_t i = 0; i < entries->items().size(); ++i) {
+    const Json& e = entries->items()[i];
+    if (e.Find("path") != nullptr) {
+      *error = "entries[" + std::to_string(i) +
+               "].path is not accepted: send the PTP inline as asm";
       return false;
     }
-    for (const Json& e : entries->items()) {
-      SubmitEntry entry;
-      entry.path = e.GetString("path");
-      entry.asm_text = e.GetString("asm");
-      if (entry.path.empty() == entry.asm_text.empty()) {
-        *error = "each entry needs exactly one of path or asm";
-        return false;
-      }
-      entry.module = e.GetString("module");
-      if (entry.module.empty()) {
-        *error = "each entry needs a module (DU, SP, SFU or FP32)";
-        return false;
-      }
-      const std::string mode = e.GetString("mode", "compact");
-      if (mode != "compact" && mode != "carry") {
-        *error = "entry mode must be compact or carry";
-        return false;
-      }
-      entry.compact = mode == "compact";
-      entry.reverse = e.GetBool("reverse");
-      req.entries.push_back(std::move(entry));
+    SubmitEntry entry;
+    entry.asm_text = e.GetString("asm");
+    if (entry.asm_text.empty()) {
+      *error = "each entry needs asm";
+      return false;
     }
-  } else if (req.manifest.empty()) {
-    *error = "submit needs a manifest or entries";
-    return false;
+    entry.module = e.GetString("module");
+    if (entry.module.empty()) {
+      *error = "each entry needs a module (DU, SP, SFU or FP32)";
+      return false;
+    }
+    const std::string mode = e.GetString("mode", "compact");
+    if (mode != "compact" && mode != "carry") {
+      *error = "entry mode must be compact or carry";
+      return false;
+    }
+    entry.compact = mode == "compact";
+    entry.reverse = e.GetBool("reverse");
+    req.entries.push_back(std::move(entry));
   }
   *out = std::move(req);
   return true;
@@ -86,17 +101,6 @@ Json EncodeEntry(const compact::PlanEntry& entry) {
   e.Set("mode", entry.entry.compactable ? "compact" : "carry");
   if (entry.entry.reverse_patterns) e.Set("reverse", true);
   return e;
-}
-
-std::string PathField(const SubmitRequest& request) {
-  if (!request.manifest.empty()) return "manifest";
-  for (std::size_t i = 0; i < request.entries.size(); ++i) {
-    if (!request.entries[i].path.empty()) {
-      return "entries[" + std::to_string(i) + "].path";
-    }
-  }
-  if (!request.checkpoint_dir.empty()) return "checkpoint_dir";
-  return "";
 }
 
 namespace {

@@ -16,10 +16,14 @@
 
 namespace gpustl::service {
 
-/// One inline STL entry of a submit request (alternative to a manifest).
+/// Largest accepted `deadline` / `stage_deadline`, in seconds (about 31
+/// years). Deadlines are armed as int64 nanoseconds on a monotonic clock;
+/// this bound keeps that sum far from overflow.
+inline constexpr double kMaxDeadlineSeconds = 1e9;
+
+/// One STL entry of a submit request: the PTP travels inline.
 struct SubmitEntry {
-  std::string path;      // PTP file (.asm/.s or .gptp); or
-  std::string asm_text;  // inline assembly source ("asm" field)
+  std::string asm_text;  // assembly source ("asm" field)
   std::string module;    // DU | SP | SFU | FP32
   bool compact = true;   // "mode": "compact" (default) or "carry"
   bool reverse = false;
@@ -32,16 +36,16 @@ struct SubmitRequest {
   std::string priority = "normal";
   double deadline_seconds = -1.0;        // whole-job budget; -1 = default
   double stage_deadline_seconds = -1.0;  // per-stage budget; -1 = default
-  std::string manifest;                  // manifest path, or:
-  std::vector<SubmitEntry> entries;      // inline entries
+  std::vector<SubmitEntry> entries;
   int threads = -1;  // fault-sim workers; -1 = default, 0 = all cores
   std::string checkpoint_dir;            // "" = no checkpointing
 };
 
 /// Parses a submit request. Returns false (with a diagnostic in `error`)
 /// on schema violations — unknown priority, a `threads` value outside
-/// -1 .. hardware_concurrency, entry without a source, both manifest and
-/// entries, ...
+/// -1 .. hardware_concurrency, a deadline that is not finite or exceeds
+/// kMaxDeadlineSeconds, an entry without `asm`, a `manifest` or an entry
+/// `path` (the daemon reads no PTP files: clients send PTPs inline) ...
 bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
                         std::string* error);
 
@@ -49,11 +53,6 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
 /// inline `entries` element — its disassembly (which assembles back to
 /// the same program) with the entry's module, mode and order.
 Json EncodeEntry(const compact::PlanEntry& entry);
-
-/// The first field of `request` that names a daemon-side file —
-/// "manifest", "entries[i].path" or "checkpoint_dir" — or "" when the
-/// request carries everything inline.
-std::string PathField(const SubmitRequest& request);
 
 // --- Event builders (daemon -> client) ---------------------------------
 //

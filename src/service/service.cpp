@@ -1,9 +1,6 @@
 #include "service/service.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "circuits/decoder_unit.h"
 #include "circuits/fp32.h"
@@ -13,64 +10,16 @@
 #include "compact/report.h"
 #include "distrib/coordinator.h"
 #include "isa/assembler.h"
-#include "isa/binary.h"
 
 namespace gpustl::service {
 
-namespace {
-
-std::string ReadFileOrThrow(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-isa::Program LoadPtpFile(const std::string& path) {
-  if (EndsWith(path, ".asm") || EndsWith(path, ".s")) {
-    return isa::Assemble(ReadFileOrThrow(path));
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open " + path);
-  return isa::LoadBinary(in);
-}
-
-}  // namespace
-
-std::vector<compact::PlanEntry> LoadManifestPlan(const std::string& path) {
-  const std::string manifest = ReadFileOrThrow(path);
-  // PTP paths in a manifest are relative to the manifest, not to the
-  // reader's working directory — the same manifest `gpustlc campaign`
-  // runs from the manifest's own directory.
-  const std::filesystem::path base = std::filesystem::path(path).parent_path();
-  return compact::ParseManifestPlan(manifest, [&](const std::string& p) {
-    const std::filesystem::path ptp(p);
-    return LoadPtpFile(ptp.is_absolute() ? ptp.string()
-                                         : (base / ptp).string());
-  });
-}
-
 std::vector<compact::PlanEntry> BuildPlan(const SubmitRequest& request) {
-  if (!request.manifest.empty()) return LoadManifestPlan(request.manifest);
   std::vector<compact::PlanEntry> plan;
   for (const SubmitEntry& e : request.entries) {
-    compact::PlanEntry pe;
-    pe.entry.ptp =
-        e.path.empty() ? isa::Assemble(e.asm_text) : LoadPtpFile(e.path);
     const auto module = compact::ParseTargetModule(e.module);
     if (!module) throw Error("bad module " + e.module);
-    pe.entry.target = *module;
-    pe.entry.compactable = e.compact;
-    pe.entry.reverse_patterns = e.reverse;
-    pe.target_token = std::string(trace::TargetModuleName(*module));
-    pe.fp = compact::FingerprintPlanEntry(pe.entry, pe.target_token);
-    plan.push_back(std::move(pe));
+    plan.push_back(compact::MakePlanEntry(isa::Assemble(e.asm_text), *module,
+                                          e.compact, e.reverse));
   }
   return plan;
 }
@@ -220,46 +169,36 @@ void CampaignService::RunJob(Job& job, int worker_index) {
       }
     }
 
-    struct {
-      std::size_t index = 0;
-      std::string name;
-    } current;
-    opt.stage_observer = [this, &job, &current](std::string_view stage) {
-      Emit(job, EventStage(job.id, current.index, current.name, stage));
+    // The entry in progress is the one after the records so far.
+    const compact::StlCampaign* running = nullptr;
+    opt.stage_observer = [this, &job, &spec, &running](std::string_view stage) {
+      const std::size_t i = running->records().size();
+      Emit(job, EventStage(job.id, i, spec.plan[i].entry.ptp.name(), stage));
     };
 
     compact::StlCampaign campaign(du_, sp_, sfu_, opt, &fp32_, &preps_);
-
-    compact::CampaignCheckpointer ckpt;
-    std::size_t restored = 0;
-    if (!spec.checkpoint_dir.empty()) {
-      restored = ckpt.TryRestore(campaign, spec.plan, spec.checkpoint_dir)
-                     .restored;
-      if (restored == 0) ckpt.Write(campaign, spec.checkpoint_dir);
-    }
+    running = &campaign;
 
     const auto mode = [](const compact::CampaignRecord& r) {
       return std::string(r.degraded      ? "DEGRADED"
                          : r.compacted   ? "compacted"
                                          : "carried");
     };
-    for (std::size_t i = 0; i < spec.plan.size(); ++i) {
-      const std::string name = spec.plan[i].entry.ptp.name();
-      if (i < restored) {
-        Emit(job, EventEntryDone(job.id, i, name, "checkpointed", "", ""));
-        continue;
-      }
-      current.index = i;
-      current.name = name;
-      const compact::CampaignRecord& rec = campaign.Process(spec.plan[i].entry);
-      Emit(job, EventEntryDone(
-                    job.id, i, name, mode(rec), rec.error_stage,
-                    rec.degraded ? std::string(ErrorClassName(rec.error_class))
-                                 : ""));
-      if (!spec.checkpoint_dir.empty()) {
-        ckpt.Record(campaign, spec.plan[i], rec, spec.checkpoint_dir);
-      }
-    }
+    compact::RunPlan(
+        campaign, spec.plan, spec.checkpoint_dir,
+        [&](std::size_t i, const compact::CampaignRecord& rec,
+            const compact::RestoreResult& restore) {
+          const std::string& name = spec.plan[i].entry.ptp.name();
+          if (i < restore.restored) {
+            Emit(job, EventEntryDone(job.id, i, name, "checkpointed", "", ""));
+            return;
+          }
+          Emit(job, EventEntryDone(
+                        job.id, i, name, mode(rec), rec.error_stage,
+                        rec.degraded
+                            ? std::string(ErrorClassName(rec.error_class))
+                            : ""));
+        });
 
     const compact::CampaignSummary summary = campaign.Summary();
     const std::string report =

@@ -133,3 +133,19 @@ foreach(artifact tiny.gptp tiny.trace.txt tiny.vcde tiny.vcd tiny.cptp.asm tiny.
     message(FATAL_ERROR "missing artifact ${artifact}")
   endif()
 endforeach()
+
+# Manifest paths resolve against the manifest's directory, not the working
+# directory: a campaign over sub/manifest.txt run from its parent gives the
+# report the same manifest gives run from its own directory.
+file(MAKE_DIRECTORY ${WORK}/sub)
+foreach(f manifest.txt tiny.asm tiny.gptp fpu.asm)
+  file(COPY ${WORK}/${f} DESTINATION ${WORK}/sub)
+endforeach()
+run_cli(campaign manifest.txt --report in_dir.txt)
+run_cli(campaign sub/manifest.txt --report from_parent.txt)
+file(READ ${WORK}/in_dir.txt report_in_dir)
+file(READ ${WORK}/from_parent.txt report_from_parent)
+if(NOT report_in_dir STREQUAL report_from_parent)
+  message(FATAL_ERROR "campaign sub/manifest.txt from the parent dir gave a "
+                      "different report than the in-dir run")
+endif()

@@ -618,6 +618,37 @@ TEST(SmExec, FsetpAndConversions) {
   EXPECT_EQ(res.global.Load(0x108), 0x40E00000u);  // 7.0f
 }
 
+TEST(SmExec, F2iTruncatesAndSaturatesOutOfRangeToIntMin) {
+  // The generated STLs feed F2I arbitrary bit patterns: out-of-range
+  // values and NaN give 0x80000000, the value the pinned digests hold.
+  Sm sm;
+  const RunResult res = sm.Run(Assemble(R"(
+    .threads 1
+    MOV32I R1, 0xC0200000   // -2.5f
+    MOV32I R2, 0x501502F9   // 1e10f
+    MOV32I R3, 0xD01502F9   // -1e10f
+    MOV32I R4, 0x7FC00000   // NaN
+    MOV32I R5, 0xCF000000   // -2^31, in range
+    F2I R1, R1
+    F2I R2, R2
+    F2I R3, R3
+    F2I R4, R4
+    F2I R5, R5
+    MOV32I R9, 0x100
+    STG [R9+0], R1
+    STG [R9+4], R2
+    STG [R9+8], R3
+    STG [R9+12], R4
+    STG [R9+16], R5
+    EXIT
+  )"));
+  EXPECT_EQ(res.global.Load(0x100), 0xFFFFFFFEu);  // -2
+  EXPECT_EQ(res.global.Load(0x104), 0x80000000u);
+  EXPECT_EQ(res.global.Load(0x108), 0x80000000u);
+  EXPECT_EQ(res.global.Load(0x10C), 0x80000000u);
+  EXPECT_EQ(res.global.Load(0x110), 0x80000000u);
+}
+
 TEST(SmExec, NestedCalls) {
   const auto v = RunAndLoad(R"(
       .threads 1

@@ -999,7 +999,7 @@ TEST(ServerTest, AcceptLoopBacksOffAtTheFdLimit) {
   ::waitpid(child, &status, 0);
 }
 
-TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixOnesComplete) {
+TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixCheckpointsComplete) {
   const std::string dir = ScratchDir("confined");
   {
     std::ofstream(dir + "/tiny.asm") << kTinyAsm;
@@ -1038,16 +1038,15 @@ TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixOnesComplete) {
     while (::read(watch, buf, sizeof(buf)) > 0) any = true;
     return any;
   };
-
-  ServerFixture fx;
-  for (const Case& c : cases) {
-    NetChannel tcp(fx.Channel());
+  // Submits `c` twice under one client_job (the second is a resubmit:
+  // the ledger replays the rejection) and expects one `bad-request`
+  // naming the field, before `queued`.
+  const auto expect_rejected = [](NetChannel& channel, const Case& c) {
     const std::string client_job = GenerateClientJobId();
-    // The second submit is a resubmit: the ledger replays the rejection.
     for (int attempt = 0; attempt < 2; ++attempt) {
       std::vector<Json> events;
       const SubmitOutcome o =
-          ResumableSubmit(tcp, c.doc, client_job,
+          ResumableSubmit(channel, c.doc, client_job,
                           [&](const Json& e) { events.push_back(e); });
       ASSERT_FALSE(o.transport_error) << o.transport_detail;
       ASSERT_EQ(events.size(), 1u) << c.field << ": rejected before queued";
@@ -1057,21 +1056,35 @@ TEST(ServerTest, TcpSubmitsNamingDaemonFilesAreRejectedUnixOnesComplete) {
           << events[0].GetString("detail");
       EXPECT_EQ(events[0].GetInt("seq"), 1);
     }
+  };
+
+  ServerFixture fx;
+  for (const Case& c : cases) {
+    NetChannel tcp(fx.Channel());
+    expect_rejected(tcp, c);
   }
   EXPECT_FALSE(touched()) << "a TCP submit opened or created a file";
   EXPECT_FALSE(fs::exists(ckpt));
   EXPECT_EQ(fx.svc->counters().submitted, 0u);
 
-  const std::string direct = DirectReport(service::BuildPlan(TinyRequest()));
-  for (const Case& c : cases) {
+  // On the unix socket the daemon still reads no PTP file: only the
+  // checkpoint directory, which it writes, is unix-only rather than gone.
+  for (const Case& c : {cases[0], cases[1]}) {
     NetChannel local(fx.Channel("sesame", /*unix=*/true));
-    const SubmitOutcome o = ResumableSubmit(local, c.doc, GenerateClientJobId(),
-                                            [](const Json&) {});
-    ASSERT_FALSE(o.transport_error) << o.transport_detail;
-    EXPECT_EQ(o.terminal.GetString("status"), "complete") << c.field;
-    EXPECT_EQ(o.terminal.GetString("report"), direct) << c.field;
+    expect_rejected(local, c);
   }
-  EXPECT_TRUE(touched()) << "the unix submits must have read their files";
+  EXPECT_FALSE(touched()) << "a unix submit opened a PTP or manifest file";
+  EXPECT_EQ(fx.svc->counters().submitted, 0u);
+
+  NetChannel local(fx.Channel("sesame", /*unix=*/true));
+  const SubmitOutcome o = ResumableSubmit(local, cases[2].doc,
+                                          GenerateClientJobId(),
+                                          [](const Json&) {});
+  ASSERT_FALSE(o.transport_error) << o.transport_detail;
+  EXPECT_EQ(o.terminal.GetString("status"), "complete");
+  EXPECT_EQ(o.terminal.GetString("report"),
+            DirectReport(service::BuildPlan(TinyRequest())));
+  EXPECT_TRUE(touched()) << "the unix submit must have written its checkpoint";
   EXPECT_TRUE(fs::exists(ckpt));
   ::close(watch);
 }

@@ -90,6 +90,21 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Json::Parse(deep).has_value());
 }
 
+TEST(JsonTest, AsIntReadsOutOfRangeNumbersAsTheDefault) {
+  // A peer chooses these numbers: converting one past int64 to an integer
+  // would be undefined behaviour, so it reads as the default instead.
+  const auto j = Json::Parse(
+      "{\"big\":1e300,\"inf\":1e999,\"neg\":-1e300,\"edge\":9223372036854775808,"
+      "\"min\":-9223372036854775808,\"ok\":-42}");
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(j->GetInt("big", 7), 7);
+  EXPECT_EQ(j->GetInt("inf", 7), 7);
+  EXPECT_EQ(j->GetInt("neg", 7), 7);
+  EXPECT_EQ(j->GetInt("edge", 7), 7);  // 2^63
+  EXPECT_EQ(j->GetInt("min", 7), INT64_MIN);
+  EXPECT_EQ(j->GetInt("ok", 7), -42);
+}
+
 TEST(JsonTest, NumbersPrintIntegersWithoutDecimalPoint) {
   Json j = Json::Object();
   j.Set("i", 42);
@@ -110,9 +125,9 @@ TEST(ProtocolTest, ParseSubmitRequestValidatesSchema) {
     return ParseSubmitRequest(*j, &req, &error);
   };
 
-  EXPECT_TRUE(parse("{\"op\":\"submit\",\"manifest\":\"m.txt\","
-                    "\"tenant\":\"t1\",\"priority\":\"high\","
-                    "\"deadline\":9,\"threads\":1}"));
+  EXPECT_TRUE(parse("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\","
+                    "\"module\":\"DU\"}],\"tenant\":\"t1\","
+                    "\"priority\":\"high\",\"deadline\":9,\"threads\":1}"));
   EXPECT_EQ(req.tenant, "t1");
   EXPECT_EQ(req.priority, "high");
   EXPECT_EQ(req.deadline_seconds, 9.0);
@@ -123,14 +138,67 @@ TEST(ProtocolTest, ParseSubmitRequestValidatesSchema) {
   ASSERT_EQ(req.entries.size(), 1u);
   EXPECT_FALSE(req.entries[0].compact);
 
-  EXPECT_FALSE(parse("{\"op\":\"submit\"}"));  // no manifest, no entries
-  EXPECT_FALSE(parse("{\"op\":\"submit\",\"manifest\":\"m\","
-                     "\"entries\":[{\"asm\":\"x\",\"module\":\"DU\"}]}"));
-  EXPECT_FALSE(parse("{\"op\":\"submit\",\"manifest\":\"m\","
-                     "\"priority\":\"urgent\"}"));
-  EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"module\":\"DU\"}]}"));
+  EXPECT_FALSE(parse("{\"op\":\"submit\"}"));  // no entries
+  EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[]}"));
   EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\","
-                     "\"path\":\"y\",\"module\":\"DU\"}]}"));
+                     "\"module\":\"DU\"}],\"priority\":\"urgent\"}"));
+  EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"module\":\"DU\"}]}"));
+  EXPECT_FALSE(parse("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\"}]}"));
+}
+
+TEST(ProtocolTest, SubmitsNamingAManifestOrAnEntryPathAreRejected) {
+  // The daemon reads no PTP file: a submit that names one fails the
+  // parse, with a detail that starts with the field, whatever else it
+  // carries.
+  const auto reject = [](const std::string& text) {
+    const auto j = Json::Parse(text);
+    EXPECT_TRUE(j.has_value()) << text;
+    SubmitRequest req;
+    std::string error;
+    EXPECT_FALSE(ParseSubmitRequest(*j, &req, &error)) << text;
+    return error;
+  };
+  EXPECT_EQ(reject("{\"op\":\"submit\",\"manifest\":\"m.txt\"}")
+                .rfind("manifest ", 0),
+            0u);
+  EXPECT_EQ(reject("{\"op\":\"submit\",\"manifest\":\"m.txt\",\"entries\":"
+                   "[{\"asm\":\"x\",\"module\":\"DU\"}]}")
+                .rfind("manifest ", 0),
+            0u);
+  EXPECT_EQ(reject("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\","
+                   "\"module\":\"DU\"},{\"path\":\"p.gptp\",\"module\":\"SP\"}]}")
+                .rfind("entries[1].path ", 0),
+            0u);
+  EXPECT_EQ(reject("{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\","
+                   "\"path\":\"y\",\"module\":\"DU\"}]}")
+                .rfind("entries[0].path ", 0),
+            0u);
+}
+
+TEST(ProtocolTest, SubmitDeadlinesAreFiniteAndBounded) {
+  // A deadline is armed as int64 nanoseconds: `1e999` parses to inf, and
+  // neither it nor a finite value too large may reach that conversion.
+  for (const char* key : {"deadline", "stage_deadline"}) {
+    const auto parse = [key](const std::string& value, SubmitRequest* req,
+                             std::string* error) {
+      const auto j = Json::Parse(
+          "{\"op\":\"submit\",\"entries\":[{\"asm\":\"x\",\"module\":"
+          "\"DU\"}],\"" + std::string(key) + "\":" + value + "}");
+      EXPECT_TRUE(j.has_value()) << value;
+      return ParseSubmitRequest(*j, req, error);
+    };
+    for (const char* ok : {"-1", "0", "2.5", "1e9"}) {
+      SubmitRequest req;
+      std::string error;
+      EXPECT_TRUE(parse(ok, &req, &error)) << key << "=" << ok << error;
+    }
+    for (const char* bad : {"1e999", "-1e999", "1e300", "1.5e9"}) {
+      SubmitRequest req;
+      std::string error;
+      EXPECT_FALSE(parse(bad, &req, &error)) << key << "=" << bad;
+      EXPECT_EQ(error.rfind(std::string(key) + " must be", 0), 0u) << error;
+    }
+  }
 }
 
 TEST(ProtocolTest, SubmitThreadsAreBoundedByTheHost) {
@@ -141,8 +209,9 @@ TEST(ProtocolTest, SubmitThreadsAreBoundedByTheHost) {
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   const auto parse = [](const std::string& threads, SubmitRequest* req,
                         std::string* error) {
-    const auto j = Json::Parse("{\"op\":\"submit\",\"manifest\":\"m\","
-                               "\"threads\":" + threads + "}");
+    const auto j = Json::Parse("{\"op\":\"submit\",\"entries\":[{\"asm\":"
+                               "\"x\",\"module\":\"DU\"}],\"threads\":" +
+                               threads + "}");
     EXPECT_TRUE(j.has_value()) << threads;
     return ParseSubmitRequest(*j, req, error);
   };
@@ -164,20 +233,6 @@ TEST(ProtocolTest, SubmitThreadsAreBoundedByTheHost) {
     EXPECT_NE(error.find("threads must be"), std::string::npos) << error;
     EXPECT_EQ(req.threads, 7) << "a rejected request must not be filled";
   }
-}
-
-TEST(ProtocolTest, PathFieldNamesTheFirstDaemonSideFile) {
-  SubmitRequest req;
-  SubmitEntry entry;
-  entry.asm_text = "x";
-  req.entries = {entry, entry};
-  EXPECT_EQ(PathField(req), "");
-  req.checkpoint_dir = "/c";
-  EXPECT_EQ(PathField(req), "checkpoint_dir");
-  req.entries[1].path = "p.gptp";
-  EXPECT_EQ(PathField(req), "entries[1].path");
-  req.manifest = "m.txt";
-  EXPECT_EQ(PathField(req), "manifest");
 }
 
 // --- AdmissionQueue ----------------------------------------------------------
@@ -456,6 +511,16 @@ TEST(CampaignServiceTest, EventOrderingAndReportMatchesGpustlc) {
   EXPECT_EQ(kinds.back(), "complete");
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), "stage"), kinds.end());
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), "entry-done"), kinds.end());
+  // A stage event names the entry in progress: the one after every
+  // entry-done so far.
+  std::size_t done = 0;
+  for (const Json& e : log.events) {
+    if (e.GetString("event") == "entry-done") ++done;
+    if (e.GetString("event") != "stage") continue;
+    ASSERT_LT(done, plan.size());
+    EXPECT_EQ(e.GetInt("entry"), static_cast<std::int64_t>(done));
+    EXPECT_EQ(e.GetString("name"), plan[done].entry.ptp.name());
+  }
 
   const Json terminal = log.Terminal();
   EXPECT_EQ(terminal.GetString("status"), "complete");
@@ -647,9 +712,8 @@ TEST(CampaignServiceTest, ManifestPlanMatchesInlinePlan) {
              << "tiny.asm DU compact\n"
              << "tiny.asm SP carry\n";
   }
-  SubmitRequest by_manifest;
-  by_manifest.manifest = (fs::path(dir) / "stl.txt").string();
-  const auto manifest_plan = BuildPlan(by_manifest);
+  const auto manifest_plan =
+      compact::LoadManifestPlan((fs::path(dir) / "stl.txt").string());
   const auto inline_plan = BuildPlan(TinyRequest());
   ASSERT_EQ(manifest_plan.size(), inline_plan.size());
   for (std::size_t i = 0; i < manifest_plan.size(); ++i) {
@@ -657,9 +721,9 @@ TEST(CampaignServiceTest, ManifestPlanMatchesInlinePlan) {
     EXPECT_EQ(manifest_plan[i].target_token, inline_plan[i].target_token);
   }
 
-  SubmitRequest missing;
-  missing.manifest = (fs::path(dir) / "absent.txt").string();
-  EXPECT_THROW(BuildPlan(missing), Error);
+  EXPECT_THROW(
+      compact::LoadManifestPlan((fs::path(dir) / "absent.txt").string()),
+      Error);
 }
 
 TEST(CampaignServiceTest, ClientResolvedManifestKeepsEveryFingerprint) {
@@ -676,7 +740,7 @@ TEST(CampaignServiceTest, ClientResolvedManifestKeepsEveryFingerprint) {
              << "tiny.asm SFU compact reverse\n";
   }
   const auto manifest_plan =
-      LoadManifestPlan((fs::path(dir) / "stl.txt").string());
+      compact::LoadManifestPlan((fs::path(dir) / "stl.txt").string());
   Json request = Json::Object();
   Json entries = Json::Array();
   for (const auto& pe : manifest_plan) entries.Append(EncodeEntry(pe));
@@ -684,7 +748,6 @@ TEST(CampaignServiceTest, ClientResolvedManifestKeepsEveryFingerprint) {
   SubmitRequest wire;
   std::string error;
   ASSERT_TRUE(ParseSubmitRequest(request, &wire, &error)) << error;
-  EXPECT_EQ(PathField(wire), "");
   const auto inline_plan = BuildPlan(wire);
   ASSERT_EQ(inline_plan.size(), 3u);
   ASSERT_EQ(manifest_plan.size(), 3u);
@@ -708,7 +771,11 @@ TEST(CampaignServiceTest, RetiredBackendKeyIsIgnored) {
     manifest << "tiny.asm DU compact\n"
              << "tiny.asm SP carry\n";
   }
-  const std::string manifest = (fs::path(dir) / "stl.txt").string();
+  Json entries = Json::Array();
+  for (const auto& pe :
+       compact::LoadManifestPlan((fs::path(dir) / "stl.txt").string())) {
+    entries.Append(EncodeEntry(pe));
+  }
 
   ServiceOptions options;
   options.workers = 1;
@@ -716,8 +783,8 @@ TEST(CampaignServiceTest, RetiredBackendKeyIsIgnored) {
   std::string reports[2];
   const std::string extra[] = {"", ",\"backend\":\"avx2\""};
   for (int i = 0; i < 2; ++i) {
-    const auto j = Json::Parse("{\"op\":\"submit\",\"manifest\":\"" +
-                               manifest + "\"" + extra[i] + "}");
+    const auto j = Json::Parse("{\"op\":\"submit\",\"entries\":" +
+                               entries.Dump() + extra[i] + "}");
     ASSERT_TRUE(j.has_value());
     SubmitRequest req;
     std::string error;

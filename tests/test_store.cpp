@@ -22,6 +22,7 @@
 #include "circuits/sp_core.h"
 #include "common/chaos.h"
 #include "common/hash.h"
+#include "compact/campaign_plan.h"
 #include "compact/compactor.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
@@ -593,6 +594,63 @@ TEST(CampaignResumeTest, InterruptedThenResumedMatchesUninterrupted) {
   // The deterministic campaign report is byte-identical.
   EXPECT_EQ(compact::RenderCampaignReport(resumed.records(), resumed.Summary()),
             compact::RenderCampaignReport(full.records(), full.Summary()));
+}
+
+TEST(PlanRunnerTest, ResumesAMatchingPrefixAndDiscardsAnEditedOne) {
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const netlist::Netlist sp = circuits::BuildSpCore();
+  const netlist::Netlist sfu = circuits::BuildSfu();
+  std::vector<compact::PlanEntry> plan;
+  for (compact::StlEntry& e : SmallStl()) {
+    plan.push_back(compact::MakePlanEntry(std::move(e.ptp), e.target,
+                                          e.compactable, e.reverse_patterns));
+  }
+
+  struct Run {
+    compact::RestoreResult restore;
+    std::vector<std::size_t> reported;  // entry indices, in callback order
+    std::string report;
+  };
+  const auto run = [&](const std::vector<compact::PlanEntry>& p,
+                       const std::string& dir) {
+    auto campaign = MakeCampaign(du, sp, sfu, nullptr);
+    Run r;
+    r.restore = compact::RunPlan(
+        campaign, p, dir,
+        [&](std::size_t i, const compact::CampaignRecord& rec,
+            const compact::RestoreResult&) {
+          EXPECT_EQ(rec.name, p[i].entry.ptp.name());
+          r.reported.push_back(i);
+        });
+    r.report =
+        compact::RenderCampaignReport(campaign.records(), campaign.Summary());
+    return r;
+  };
+  const std::vector<std::size_t> all = {0, 1, 2};
+
+  const Run uninterrupted = run(plan, "");
+  EXPECT_EQ(uninterrupted.reported, all);
+
+  // "Interrupted" after two entries: the checkpoint holds exactly those.
+  const std::string dir = ScratchDir("plan_runner");
+  const Run first_two = run({plan[0], plan[1]}, dir);
+  EXPECT_EQ(first_two.restore.restored, 0u);
+  EXPECT_FALSE(first_two.restore.mismatch);
+
+  const Run resumed = run(plan, dir);
+  EXPECT_EQ(resumed.restore.restored, 2u);
+  EXPECT_FALSE(resumed.restore.mismatch);
+  EXPECT_EQ(resumed.reported, all);
+  EXPECT_EQ(resumed.report, uninterrupted.report);
+
+  // An edited PTP changes its fingerprint: nothing is restored.
+  std::vector<compact::PlanEntry> edited = plan;
+  edited[1] = compact::MakePlanEntry(stl::GenerateMem(8, 6), plan[1].entry.target,
+                                     true, false);
+  const Run fresh = run(edited, dir);
+  EXPECT_EQ(fresh.restore.restored, 0u);
+  EXPECT_TRUE(fresh.restore.mismatch);
+  EXPECT_EQ(fresh.reported, all);
 }
 
 TEST(CampaignResumeTest, MidModuleKillAndResumeIsBitIdentical) {

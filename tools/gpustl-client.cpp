@@ -30,11 +30,11 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
+#include "compact/campaign_plan.h"
 #include "net/client.h"
 #include "net/net.h"
 #include "service/json.h"
 #include "service/protocol.h"
-#include "service/service.h"
 
 namespace gpustl::tools {
 namespace {
@@ -110,7 +110,7 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
   if (args.manifest.empty()) Die("submit needs --manifest <file>");
   service::Json entries = service::Json::Array();
   try {
-    for (const auto& pe : service::LoadManifestPlan(args.manifest)) {
+    for (const auto& pe : compact::LoadManifestPlan(args.manifest)) {
       entries.Append(service::EncodeEntry(pe));
     }
   } catch (const Error& e) {

@@ -16,13 +16,9 @@
 //   <file> <DU|SP|SFU> <compact|carry> [reverse]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,7 +39,6 @@
 #include "fault/collapse.h"
 #include "fault/faultsim.h"
 #include "gpu/sm.h"
-#include "isa/assembler.h"
 #include "isa/binary.h"
 #include "isa/disasm.h"
 #include "isa/lint.h"
@@ -51,7 +46,6 @@
 #include "fault/transition.h"
 #include "netlist/patterns.h"
 #include "netlist/vcd.h"
-#include "store/checkpoint.h"
 #include "store/result_store.h"
 #include "trace/trace.h"
 
@@ -138,28 +132,6 @@ int Usage() {
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustlc: %s\n", msg.c_str());
   std::exit(1);
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) Die("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-isa::Program LoadPtp(const std::string& path) {
-  if (EndsWith(path, ".asm") || EndsWith(path, ".s")) {
-    return isa::Assemble(ReadFile(path));
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) Die("cannot open " + path);
-  return isa::LoadBinary(in);
 }
 
 std::optional<trace::TargetModule> ParseModule(const std::string& name) {
@@ -310,7 +282,7 @@ void PrintCacheStats(const store::StoreStats& s) {
 }
 
 int CmdAssemble(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   if (args.out.empty()) Die("-o <out.gptp> required");
   std::ofstream out(args.out, std::ios::binary);
   if (!out) Die("cannot write " + args.out);
@@ -322,7 +294,7 @@ int CmdAssemble(const Args& args) {
 }
 
 int CmdLint(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   const auto findings = isa::Lint(prog);
   std::fputs(isa::FormatFindings(findings).c_str(), stdout);
   int errors = 0;
@@ -335,13 +307,13 @@ int CmdLint(const Args& args) {
 }
 
 int CmdDisasm(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   std::fputs(isa::DisassembleProgram(prog).c_str(), stdout);
   return 0;
 }
 
 int CmdRun(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   gpu::SmConfig config;
   config.num_sp = args.sp_cores;
   gpu::Sm sm(config);
@@ -360,7 +332,7 @@ int CmdRun(const Args& args) {
 }
 
 int CmdTrace(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   const trace::TargetModule module = args.RequireModule();
   const std::string base = args.out.empty() ? prog.name() : args.out;
 
@@ -392,7 +364,7 @@ int CmdTrace(const Args& args) {
 }
 
 int CmdFaultsim(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   const trace::TargetModule module = args.RequireModule();
   const netlist::Netlist nl = BuildModule(module);
 
@@ -439,7 +411,7 @@ int CmdFaultsim(const Args& args) {
 }
 
 int CmdCompact(const Args& args) {
-  const isa::Program prog = LoadPtp(args.RequireInput());
+  const isa::Program prog = compact::LoadPtpFile(args.RequireInput());
   const trace::TargetModule module = args.RequireModule();
   if (args.out.empty()) Die("-o <out> required");
   const netlist::Netlist nl = BuildModule(module);
@@ -459,7 +431,7 @@ int CmdCompact(const Args& args) {
   compact::Compactor compactor(nl, module, options);
   const compact::CompactionResult res = compactor.CompactPtp(prog);
 
-  if (EndsWith(args.out, ".asm") || EndsWith(args.out, ".s")) {
+  if (compact::IsAssemblyPath(args.out)) {
     std::ofstream out(args.out);
     out << isa::DisassembleProgram(res.compacted);
   } else {
@@ -499,7 +471,10 @@ int CmdCompact(const Args& args) {
 }
 
 int CmdCampaign(const Args& args) {
-  const std::string manifest = ReadFile(args.RequireInput());
+  // Parse the whole manifest up front: the checkpoint prefix-match needs
+  // every entry's content fingerprint before any processing starts.
+  const std::vector<compact::PlanEntry> plan =
+      compact::LoadManifestPlan(args.RequireInput());
 
   const netlist::Netlist du = circuits::BuildDecoderUnit();
   const netlist::Netlist sp = circuits::BuildSpCore();
@@ -532,12 +507,6 @@ int CmdCampaign(const Args& args) {
   const auto modules = {trace::TargetModule::kDecoderUnit,
                         trace::TargetModule::kSpCore,
                         trace::TargetModule::kSfu, trace::TargetModule::kFp32};
-
-  // Parse the whole manifest up front (shared with the gpustld service —
-  // compact/campaign_plan.h): the checkpoint prefix-match needs every
-  // entry's content fingerprint before any processing starts.
-  const std::vector<compact::PlanEntry> plan =
-      compact::ParseManifestPlan(manifest, LoadPtp);
 
   // Distributed prefetch: post work units, drive the fleet (forked here —
   // before any thread exists — unless external workers were requested),
@@ -581,52 +550,37 @@ int CmdCampaign(const Args& args) {
   // --resume: restore the longest checkpointed prefix that exactly matches
   // the manifest. Any divergence (edited PTP, reordered/changed manifest)
   // discards the checkpoint — with a cache dir the re-run still skips every
-  // fault simulation whose inputs didn't change. The restore/record logic
-  // is shared with the gpustld service (compact/campaign_plan.h).
-  compact::CampaignCheckpointer ckpt;
-  std::size_t restored = 0;
-  if (!args.resume.empty()) {
-    const auto res = ckpt.TryRestore(campaign, plan, args.resume);
-    restored = res.restored;
-    if (restored > 0) {
-      std::printf("resumed %zu/%zu entries from %s\n", restored, plan.size(),
-                  args.resume.c_str());
-    } else if (res.mismatch) {
-      std::fprintf(stderr,
-                   "gpustlc: checkpoint in %s does not match the manifest; "
-                   "starting fresh\n",
-                   args.resume.c_str());
-    }
-  }
-  if (restored == 0 && !args.resume.empty()) ckpt.Write(campaign, args.resume);
-
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const auto mode = [](const compact::CampaignRecord& r) {
-      return r.degraded ? "DEGRADED" : r.compacted ? "compacted" : "carried";
-    };
-    if (i < restored) {
-      const auto& rec = campaign.records()[i];
-      std::printf("  %-12s [%s] %s: %zu -> %zu instr (checkpointed)\n",
-                  rec.name.c_str(), trace::TargetModuleName(rec.target).data(),
-                  mode(rec), rec.original_size, rec.final_size);
-      continue;
-    }
-    const auto& rec = campaign.Process(plan[i].entry);
-    std::printf("  %-12s [%s] %s: %zu -> %zu instr\n", rec.name.c_str(),
-                trace::TargetModuleName(rec.target).data(), mode(rec),
-                rec.original_size, rec.final_size);
-    if (rec.degraded) {
-      std::fprintf(stderr,
-                   "gpustlc: %s degraded at stage %s [%s]: %s\n",
-                   rec.name.empty() ? "<anon>" : rec.name.c_str(),
-                   rec.error_stage.c_str(),
-                   std::string(ErrorClassName(rec.error_class)).c_str(),
-                   rec.error_message.c_str());
-    }
-    if (!args.resume.empty()) {
-      ckpt.Record(campaign, plan[i], rec, args.resume);
-    }
-  }
+  // fault simulation whose inputs didn't change. The plan runner is shared
+  // with the gpustld service (compact/campaign_plan.h).
+  const auto mode = [](const compact::CampaignRecord& r) {
+    return r.degraded ? "DEGRADED" : r.compacted ? "compacted" : "carried";
+  };
+  compact::RunPlan(
+      campaign, plan, args.resume,
+      [&](std::size_t i, const compact::CampaignRecord& rec,
+          const compact::RestoreResult& restore) {
+        if (i == 0 && restore.restored > 0) {
+          std::printf("resumed %zu/%zu entries from %s\n", restore.restored,
+                      plan.size(), args.resume.c_str());
+        } else if (i == 0 && restore.mismatch) {
+          std::fprintf(stderr,
+                       "gpustlc: checkpoint in %s does not match the "
+                       "manifest; starting fresh\n",
+                       args.resume.c_str());
+        }
+        const bool restored = i < restore.restored;
+        std::printf("  %-12s [%s] %s: %zu -> %zu instr%s\n", rec.name.c_str(),
+                    trace::TargetModuleName(rec.target).data(), mode(rec),
+                    rec.original_size, rec.final_size,
+                    restored ? " (checkpointed)" : "");
+        if (!restored && rec.degraded) {
+          std::fprintf(stderr, "gpustlc: %s degraded at stage %s [%s]: %s\n",
+                       rec.name.empty() ? "<anon>" : rec.name.c_str(),
+                       rec.error_stage.c_str(),
+                       std::string(ErrorClassName(rec.error_class)).c_str(),
+                       rec.error_message.c_str());
+        }
+      });
 
   if (!args.state.empty()) {
     for (const auto m : modules) {
