@@ -184,13 +184,10 @@ int Main() {
         {"speedup", speedup},
         {"report_identical", identical ? 1.0 : 0.0},
         {"wave1_units", static_cast<double>(r.prefetch.wave1_units)},
-        {"wave2_units", static_cast<double>(r.prefetch.wave2_units)},
         {"worker_units", static_cast<double>(r.prefetch.worker_units)},
         {"inline_units", static_cast<double>(r.prefetch.inline_units)},
         {"steals", static_cast<double>(r.prefetch.steals)},
         {"wave1_seconds", r.prefetch.wave1_seconds},
-        {"plan_seconds", r.prefetch.plan_seconds},
-        {"wave2_seconds", r.prefetch.wave2_seconds},
         {"cache_hits", static_cast<double>(r.cache.hits)},
         {"cache_misses", static_cast<double>(r.cache.misses)},
     };

@@ -143,21 +143,36 @@ Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
   return out;
 }
 
+fault::FaultSimOptions Compactor::SimOptions(bool drop_detected) const {
+  return fault::FaultSimOptions{.drop_detected = drop_detected,
+                                .num_threads = options_.num_threads,
+                                .collapse_plan = &prep_->collapse,
+                                .cancel = ActiveToken(),
+                                .faults_early_exited = early_exited_.get()};
+}
+
 fault::FaultSimResult Compactor::SimulateFaults(
     const netlist::PatternSet& patterns, const BitVec* skip,
     bool drop_detected) const {
-  const fault::FaultSimOptions sim_options{
-      .drop_detected = drop_detected,
-      .num_threads = options_.num_threads,
-      .collapse_plan = &prep_->collapse,
-      .cancel = ActiveToken(),
-      .faults_early_exited = early_exited_.get()};
   const store::SimModel model = options_.fault_model == FaultModel::kTransition
                                     ? store::SimModel::kTransition
                                     : store::SimModel::kStuckAt;
   return store::SimulateWithStore(options_.result_store, *module_, patterns,
-                                  prep_->faults, skip, sim_options, model,
+                                  prep_->faults, skip,
+                                  SimOptions(drop_detected), model,
                                   &prep_->faults_fp);
+}
+
+BitVec Compactor::ValidateDetected(const PatternSet& before,
+                                   const FaultSimResult& before_full,
+                                   const PatternSet& after) const {
+  if (options_.fault_model == FaultModel::kTransition) {
+    return SimulateFaults(after, nullptr, true).detected_mask;
+  }
+  return store::DetectedWithStore(options_.result_store, *module_, before,
+                                  before_full.first_detect, after,
+                                  prep_->faults, SimOptions(true),
+                                  prep_->faults_fp);
 }
 
 CompactionResult Compactor::CompactPtp(const Program& ptp) {
@@ -207,24 +222,23 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     RelocateData(res.compacted);
   });
 
-  // Stage 5: reassembly + validation (logic trace of the CPTP and one
-  // full-list fault simulation of its patterns, filtered by the same
+  // Stage 5: reassembly + validation (logic trace of the CPTP and the
+  // full-list detected set of its patterns, filtered by the same
   // fault-list state, for the FC difference).
   guard.Run(kStageValidate, [&] {
     TraceRun compacted_run = RunLogicTrace(res.compacted);
     const PatternSet compacted_patterns =
         options_.reverse_patterns ? compacted_run.patterns.Reversed()
                                   : std::move(compacted_run.patterns);
-    const FaultSimResult full_after =
-        SimulateFaults(compacted_patterns, nullptr, true);
-    res.validation_detections =
-        fault::ReplaySkipFromFull(full_after, detected_).num_detected;
+    const BitVec after =
+        ValidateDetected(patterns, full_before, compacted_patterns);
+    res.validation_detections = BitVec(after).AndNot(detected_).Count();
 
     // FC bookkeeping follows the paper's tables: the FC of a PTP (and hence
     // the "Diff FC" column) is its STANDALONE coverage of the module's full
-    // fault list — the two full-list runs themselves. This is what makes
-    // RAND lose coverage after TPGEN: the instructions removed as
-    // unessential (because TPGEN already detected their faults in the
+    // fault list — the two full-list detected sets themselves. This is
+    // what makes RAND lose coverage after TPGEN: the instructions removed
+    // as unessential (because TPGEN already detected their faults in the
     // dropped flow) did detect faults standalone.
 
     res.original.size_instr = ptp.size();
@@ -236,8 +250,8 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     res.result.size_instr = res.compacted.size();
     res.result.duration_cc = compacted_run.run.total_cycles;
     res.result.arc_percent = isa::Cfg(res.compacted).ArcFraction() * 100.0;
-    res.result.fc_percent = fault::CoveragePercent(
-        full_after.num_detected, prep_->faults.size());
+    res.result.fc_percent =
+        fault::CoveragePercent(after.Count(), prep_->faults.size());
 
     res.diff_fc = res.result.fc_percent - res.original.fc_percent;
     res.compaction_seconds = timer.Seconds();

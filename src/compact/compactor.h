@@ -19,14 +19,20 @@
 //  4. PTP reduction     — SB removal (Fig. 3): an SB is removed iff all of
 //                         its instructions are unessential; input-data
 //                         segments no longer referenced are relocated out;
-//  5. Reassembly        — branch retargeting, validation run of the
-//                         compacted PTP (logic sim + ONE full-list fault
-//                         sim) to report the FC difference.
+//  5. Reassembly        — branch retargeting, validation of the
+//                         compacted PTP (logic sim + its full-list detected
+//                         set) to report the FC difference.
 //
-// So a compacted PTP costs two fault simulations, one per pattern set: each
-// full-list run is both a standalone coverage measurement and, filtered,
-// the dropped run (stage 3 / validation). Those are exactly the runs the
-// distributed schedule (src/distrib/) prefetches into the result store.
+// So a compacted PTP costs ONE full-list fault simulation, of its original
+// patterns: it is the standalone coverage measurement and, filtered, the
+// stage-3 dropped run. Stage 5 needs only the detected set of the
+// compacted patterns, and for stuck-at faults derives it from that run
+// (fault/revalidate.h): compaction drops rows and adds a few, so only the
+// faults whose first-detecting row is gone and the never-detected faults
+// against the new rows are simulated. Its result is cached as a small
+// validation entry. The transition model keeps a full-list stage-5 run.
+// The full-list runs are exactly what the distributed schedule
+// (src/distrib/) prefetches into the result store.
 //
 // A Compactor instance owns the persistent fault-list report: compacting a
 // sequence of PTPs that target the same module drops already-detected
@@ -112,7 +118,7 @@ struct CompactionResult {
   double diff_fc = 0.0;
 
   /// Marginal detections of the compacted PTP under the campaign's
-  /// dropping state (the stage-5 validation fault simulation).
+  /// dropping state (the stage-5 validation).
   std::size_t validation_detections = 0;
 
   /// Wall-clock seconds spent compacting this PTP.
@@ -268,10 +274,20 @@ class Compactor {
   };
   TraceRun RunLogicTrace(const isa::Program& ptp) const;
 
+  /// Options of every fault simulation this compactor runs.
+  fault::FaultSimOptions SimOptions(bool drop_detected) const;
+
   /// Stage-3/5 fault simulation under the configured fault model.
   fault::FaultSimResult SimulateFaults(const netlist::PatternSet& patterns,
                                        const BitVec* skip,
                                        bool drop_detected) const;
+
+  /// Stage 5: the full-list detected set of `after`. Stuck-at derives it
+  /// from stage 3's full-list run `before_full` over `before`
+  /// (store::DetectedWithStore); transition simulates it.
+  BitVec ValidateDetected(const netlist::PatternSet& before,
+                          const fault::FaultSimResult& before_full,
+                          const netlist::PatternSet& after) const;
 
   /// The token fault simulations poll and stage guards arm: the external
   /// one when provided, else the compactor's own when a stage deadline is

@@ -18,20 +18,17 @@
 #include "distrib/claims.h"
 #include "distrib/units.h"
 #include "distrib/worker.h"
-#include "fault/replay.h"
 #include "gpu/sm.h"
-#include "isa/cfg.h"
 #include "store/result_store.h"
 #include "trace/trace.h"
 
 namespace gpustl::distrib {
 
-/// Everything phase `plan` needs per target module: the netlist, the
-/// (possibly shared) fault prep, and the replayed cross-PTP drop state.
+/// What an inline unit needs per target module: the netlist and the
+/// (possibly shared) fault prep.
 struct Coordinator::TargetState {
   const netlist::Netlist* nl = nullptr;
   std::shared_ptr<const compact::ModulePrep> prep;
-  BitVec detected;
 };
 
 namespace {
@@ -92,7 +89,6 @@ Coordinator::TargetState& Coordinator::StateFor(const std::string& token) {
     throw Error("distrib: no netlist for target module '" + token + "'");
   }
   if (state->prep == nullptr) state->prep = compact::BuildModulePrep(*state->nl);
-  state->detected = BitVec(state->prep->faults.size(), false);
   return *states_.emplace(token, std::move(state)).first->second;
 }
 
@@ -239,7 +235,7 @@ PrefetchStats Coordinator::Prefetch(
   }
   if (base_.fault_model != compact::FaultModel::kStuckAt ||
       !base_.drop_within_ptp) {
-    throw Error("distrib: the two-phase schedule requires dropped stuck-at "
+    throw Error("distrib: the prefetch wave requires dropped stuck-at "
                 "fault simulations");
   }
 
@@ -253,8 +249,10 @@ PrefetchStats Coordinator::Prefetch(
                              {"stale_seconds", stale}});
   }
 
-  // Wave 1: every entry's original patterns, full fault list. Content
-  // naming dedups identical (target, order, PTP) triples across entries.
+  // The one wave: every entry's original patterns, full fault list — all
+  // the full-list simulations the campaign runs (its stage 5 derives the
+  // rest from them). Content naming dedups identical (target, order, PTP)
+  // triples across entries.
   Timer wave1_timer;
   std::set<std::string> wave1;
   for (const compact::PlanEntry& pe : plan) {
@@ -274,79 +272,6 @@ PrefetchStats Coordinator::Prefetch(
   ForkWorkers();
   Await(std::vector<std::string>(wave1.begin(), wave1.end()));
   stats_.wave1_seconds = wave1_timer.Seconds();
-
-  // Phase `plan`: replay the sequential drop order over the wave-1 results
-  // and derive each compacted PTP — the exact computation the final
-  // campaign will repeat (Compactor stages 1..4), so the wave-2 units below
-  // are precisely the simulations it will ask for.
-  Timer plan_timer;
-  std::set<std::string> wave2;
-  for (const compact::PlanEntry& pe : plan) {
-    if (!pe.entry.compactable) continue;
-    try {
-      TargetState& ts = StateFor(pe.target_token);
-      const auto target = compact::ParseTargetModule(pe.target_token);
-      const isa::Program& ptp = pe.entry.ptp;
-
-      const isa::Cfg cfg(ptp);
-      const std::vector<bool> admissible = cfg.AdmissibleMask();
-      const std::vector<compact::SmallBlock> sbs =
-          compact::SegmentSmallBlocks(ptp, admissible);
-
-      trace::TraceRecorder recorder;
-      trace::PatternProbe probe(*target);
-      gpu::Sm sm(base_.sm);
-      sm.AddMonitor(&recorder);
-      sm.AddMonitor(&probe);
-      sm.Run(ptp);
-      const netlist::PatternSet patterns =
-          pe.entry.reverse_patterns ? probe.patterns().Reversed()
-                                    : probe.TakePatterns();
-
-      const fault::FaultSimResult full = store::SimulateWithStore(
-          base_.result_store, *ts.nl, patterns, ts.prep->faults,
-          /*skip=*/nullptr, FullSimOptions(base_, *ts.prep),
-          store::SimModel::kStuckAt, &ts.prep->faults_fp);
-
-      const fault::FaultSimResult replayed =
-          fault::ReplaySkipFromFull(full, ts.detected);
-
-      const std::vector<bool> labels = compact::LabelInstructions(
-          ptp, recorder.report(), patterns, replayed);
-      const std::vector<std::size_t> removals =
-          compact::SelectRemovals(sbs, labels);
-      isa::Program compacted = ptp.RemoveInstructions(removals);
-      compact::RelocateData(compacted);
-
-      // Advance the drop state exactly as CompactPtp does (stage-3
-      // detections only; validation detections are never merged).
-      ts.detected |= replayed.detected_mask;
-
-      WorkUnit unit;
-      unit.wave = 2;
-      unit.target_token = pe.target_token;
-      unit.reverse_patterns = pe.entry.reverse_patterns;
-      unit.ptp = std::move(compacted);
-      wave2.insert(WriteUnitFile(options_.dir, unit));
-      ++stats_.planned_entries;
-    } catch (const std::exception& e) {
-      // Planning is advisory: this entry's compacted simulations will miss
-      // the store and run live in the final campaign. Later entries keep
-      // planning against the pre-entry drop state, mirroring a degraded
-      // campaign entry.
-      std::fprintf(stderr,
-                   "gpustl-distrib: planning '%s' failed (%s); its wave-2 "
-                   "simulations will run live\n",
-                   pe.entry.ptp.name().c_str(), e.what());
-      ++stats_.plan_failures;
-    }
-  }
-  stats_.wave2_units = wave2.size();
-  stats_.plan_seconds = plan_timer.Seconds();
-
-  Timer wave2_timer;
-  Await(std::vector<std::string>(wave2.begin(), wave2.end()));
-  stats_.wave2_seconds = wave2_timer.Seconds();
 
   if (options_.finalize) {
     MarkCampaignDone(options_.dir);

@@ -5,23 +5,19 @@
 // The cross-PTP fault dropping that makes campaign reports deterministic is
 // inherently sequential: entry k's stage-3 skip mask is the union of the
 // stage-3 detections of entries 0..k-1 on the same module. Naively
-// distributing entries would break that chain. The two-phase schedule keeps
-// it intact while extracting all the parallelism that actually matters:
+// distributing entries would break that chain. One prefetch wave keeps it
+// intact while extracting all the parallelism that actually matters:
 //
-//   wave 1  every plan entry's FULL-fault-list simulation (no skip mask —
+//   wave    every plan entry's FULL-fault-list simulation (no skip mask —
 //           embarrassingly parallel) runs on the workers and lands in the
 //           shared result store.
-//   plan    the coordinator replays the sequential drop order over the
-//           wave-1 results (fault/replay.h: a first-detect filter per
-//           entry, no simulation at all), labels, reduces and reassembles
-//           each compacted PTP — cheap, single-process, exact.
-//   wave 2  the compacted PTPs' full-list simulations run on the workers.
-//   final   the caller runs the ordinary StlCampaign: the only fault
-//           simulations a Compactor runs are full-list ones (it filters
-//           them for the skip-masked views), so every one is now a store
-//           hit. Ground truth is still the campaign itself — if phase
-//           `plan` and the campaign ever disagreed, the campaign's own
-//           store-missing simulations would run live and win.
+//   final   the caller runs the ordinary StlCampaign. The only full-list
+//           simulations a Compactor runs are of original patterns (it
+//           filters them for the skip-masked views, fault/replay.h), so
+//           every one is now a store hit; its stage 5 derives the
+//           compacted PTP's detected set from them (fault/revalidate.h)
+//           with two small simulations it runs live. Ground truth is the
+//           campaign itself — a unit that never landed just runs live.
 //
 // Nothing in the protocol is load-bearing for correctness: kill every
 // worker and the coordinator computes the remaining units inline after a
@@ -76,13 +72,11 @@ struct CoordinatorOptions {
 
 struct PrefetchStats {
   std::size_t wave1_units = 0;  // posted (deduped by content)
-  std::size_t wave2_units = 0;
   std::uint64_t inline_units = 0;  // computed by the coordinator itself
   std::uint64_t worker_units = 0;  // from workers' stats files
   std::uint64_t steals = 0;        // workers' + coordinator's stale steals
-  std::size_t planned_entries = 0; // compactable entries phase `plan` ran
-  std::size_t plan_failures = 0;   // entries left for the campaign to do live
   double wave1_seconds = 0.0;
+  // Always 0: read by perfbench/ only (ROADMAP item 8).
   double plan_seconds = 0.0;
   double wave2_seconds = 0.0;
 };
@@ -91,7 +85,7 @@ class Coordinator {
  public:
   /// `base` must carry the SAME semantic options the final campaign will
   /// run with (sm config, fault model, dropping flags, result_store) —
-  /// store keys and the replayed drop order depend on them. A null
+  /// store keys depend on them. A null
   /// base.result_store or a non-(stuck-at, dropped) configuration makes
   /// Prefetch throw: distribution without a shared store is meaningless.
   Coordinator(CoordinatorOptions options, ModuleSet modules,
@@ -100,9 +94,9 @@ class Coordinator {
   /// Reaps any forked workers still alive (finalize=false callers).
   ~Coordinator();
 
-  /// Runs the two-phase schedule over `plan`. Returns observability stats;
-  /// throws only for setup errors (bad dir, missing store). Per-entry
-  /// planning failures degrade to "the final campaign simulates it live".
+  /// Posts the wave for `plan` and waits for it. Returns observability
+  /// stats; throws only for setup errors (bad dir, missing store). A unit
+  /// that fails degrades to "the final campaign simulates it live".
   PrefetchStats Prefetch(const std::vector<compact::PlanEntry>& plan);
 
  private:

@@ -14,9 +14,9 @@
 //
 // A unit is (wave, target module, pattern order, PTP): "run the stage-2
 // logic trace of this PTP and publish the full-fault-list, dropped,
-// stuck-at simulation of the captured patterns to the store". Wave 1 units
-// are the plan's original PTPs; wave 2 units are the compacted PTPs the
-// coordinator derives between the waves. Units are idempotent — the store
+// stuck-at simulation of the captured patterns to the store". Every unit
+// is a plan's original PTP, so `wave` is always 1 (the field stays in the
+// GWU1 codec and in the name). Units are idempotent — the store
 // entry they publish is a pure function of the unit — and content-named
 // (`w<wave>-<fingerprint>`), so two plan entries needing the same
 // simulation collapse into one unit, and re-running a unit is only wasted
@@ -35,7 +35,7 @@
 namespace gpustl::distrib {
 
 struct WorkUnit {
-  int wave = 1;                   // 1 = original PTPs, 2 = compacted PTPs
+  int wave = 1;                   // always 1: a plan's original PTP
   std::string target_token;       // "DU" | "SP" | "SFU" | "FP32"
   bool reverse_patterns = false;  // apply the captured patterns reversed
   isa::Program ptp;

@@ -139,7 +139,6 @@ void WriteStatsFile(const std::string& dir, const std::string& owner,
                    std::ios::trunc);
   os << "units_done=" << stats.units_done << "\n"
      << "steals=" << stats.steals << "\n"
-     << "wave2_units=" << stats.wave2_units << "\n"
      << "stale_left=" << stats.stale_left << "\n"
      << "failures=" << stats.failures << "\n";
 }
@@ -275,7 +274,6 @@ WorkerStats RunWorker(const WorkerOptions& options) {
         board.MarkDone(name);
         board.Release(name);
         ++stats.units_done;
-        if (name.rfind("w2-", 0) == 0) ++stats.wave2_units;
       } catch (const std::exception& e) {
         std::fprintf(stderr, "gpustl-worker[%s]: unit %s failed: %s\n",
                      owner.c_str(), name.c_str(), e.what());

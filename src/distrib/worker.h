@@ -112,7 +112,6 @@ class UnitRunner {
 struct WorkerStats {
   std::uint64_t units_done = 0;
   std::uint64_t steals = 0;       // claims acquired by expiring a stale one
-  std::uint64_t wave2_units = 0;  // of units_done, how many were wave 2
   std::uint64_t stale_left = 0;   // chaos: claims abandoned with old mtimes
   std::uint64_t failures = 0;     // unit attempts that threw
 };

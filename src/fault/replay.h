@@ -4,9 +4,9 @@
 //
 // Every skip-masked dropped run a campaign needs is derived this way: the
 // Compactor simulates each pattern set once against the full list and
-// filters that run by its dropping state, and the distributed two-phase
-// schedule (src/distrib/) simulates the full-list runs on its workers and
-// replays the paper's sequential inter-PTP drop order over them. The
+// filters that run by its dropping state, and the distributed prefetch
+// (src/distrib/) simulates the full-list runs on its workers, over which
+// the campaign replays the paper's sequential inter-PTP drop order. The
 // filter is exact, not approximate, because under fault dropping a
 // report is a pure function of `first_detect`, and that is
 // skip-independent:

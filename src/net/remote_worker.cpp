@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -21,6 +22,15 @@ using service::Json;
 
 namespace {
 
+/// The renew period for a daemon-supplied lease: a third of it, within
+/// [0.5 s, 1 h]. The bound keeps wait_for's conversion to integer
+/// nanoseconds defined for any double on the wire (1e300, inf; NaN reads
+/// as 0.5 s).
+double RenewPeriod(double lease_seconds) {
+  const double period = lease_seconds / 3.0;
+  return period >= 0.5 ? std::min(period, 3600.0) : 0.5;
+}
+
 /// Sends `renew` every lease/3 seconds while a simulation runs. Owns the
 /// channel for its lifetime — the compute thread must not touch it until
 /// the destructor joins.
@@ -30,7 +40,7 @@ class RenewThread {
               int rpc_deadline_ms)
       : channel_(channel),
         unit_(std::move(unit)),
-        period_(std::max(0.5, lease_seconds / 3.0)),
+        period_(RenewPeriod(lease_seconds)),
         rpc_deadline_ms_(rpc_deadline_ms),
         thread_([this] { Loop(); }) {}
 
@@ -212,7 +222,6 @@ distrib::WorkerStats RunRemoteWorker(const RemoteWorkerOptions& options) {
       channel.Call(done, options.rpc_deadline_ms, "done");
 
       ++stats.units_done;
-      if (name.rfind("w2-", 0) == 0) ++stats.wave2_units;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gpustl-worker[%s]: unit %s failed: %s\n",
                    owner.c_str(), name.c_str(), e.what());

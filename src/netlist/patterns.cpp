@@ -145,32 +145,43 @@ std::uint64_t HashRow(const std::uint64_t* row, std::size_t words) {
 
 }  // namespace
 
-DistinctRows FindDistinctRows(const PatternSet& patterns) {
-  constexpr std::uint32_t kEmpty = UINT32_MAX;
+RowTable::RowTable(const PatternSet& patterns)
+    : patterns_(&patterns),
+      words_(patterns.words_per_pattern()),
+      // Slots hold distinct indices; the load factor stays at or below 1/2.
+      mask_(std::bit_ceil(std::max<std::size_t>(2 * patterns.size(), 2)) -
+            1),
+      slots_(mask_ + 1, kAbsent) {
   const std::size_t n = patterns.size();
-  GPUSTL_ASSERT(n < kEmpty, "too many patterns to index");
-  const std::size_t words = patterns.words_per_pattern();
-  DistinctRows out;
-  out.of.resize(n);
-  // Slots hold distinct indices; the load factor stays at or below 1/2.
-  const std::size_t mask = std::bit_ceil(std::max<std::size_t>(2 * n, 2)) - 1;
-  std::vector<std::uint32_t> table(mask + 1, kEmpty);
+  GPUSTL_ASSERT(n < kAbsent, "too many patterns to index");
+  distinct_.of.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
-    const std::uint64_t* row = patterns.Row(p);
-    for (std::size_t slot = HashRow(row, words) & mask;;
-         slot = (slot + 1) & mask) {
-      std::uint32_t& d = table[slot];
-      if (d == kEmpty) {
-        d = static_cast<std::uint32_t>(out.first.size());
-        out.first.push_back(static_cast<std::uint32_t>(p));
-      } else if (!std::equal(row, row + words, patterns.Row(out.first[d]))) {
-        continue;
-      }
-      out.of[p] = d;
-      break;
+    std::uint32_t& d = slots_[SlotOf(patterns.Row(p))];
+    if (d == kAbsent) {
+      d = static_cast<std::uint32_t>(distinct_.first.size());
+      distinct_.first.push_back(static_cast<std::uint32_t>(p));
+    }
+    distinct_.of[p] = d;
+  }
+}
+
+std::size_t RowTable::SlotOf(const std::uint64_t* row) const {
+  for (std::size_t slot = HashRow(row, words_) & mask_;;
+       slot = (slot + 1) & mask_) {
+    const std::uint32_t d = slots_[slot];
+    if (d == kAbsent ||
+        std::equal(row, row + words_, patterns_->Row(distinct_.first[d]))) {
+      return slot;
     }
   }
-  return out;
+}
+
+std::uint32_t RowTable::Find(const std::uint64_t* row) const {
+  return slots_[SlotOf(row)];
+}
+
+DistinctRows FindDistinctRows(const PatternSet& patterns) {
+  return RowTable(patterns).TakeDistinct();
 }
 
 void WriteVcde(std::ostream& os, const std::string& module,

@@ -145,9 +145,37 @@ struct DistinctRows {
   bool all_distinct() const { return first.size() == of.size(); }
 };
 
-/// Finds the distinct rows of `patterns`: whole rows (every word; Add
-/// masks the padding) are hashed into a flat open-addressing table of
-/// distinct indices, at least twice the row count, probed linearly.
+/// The distinct rows of a pattern set, indexed for lookup by content:
+/// whole rows (every word; Add masks the padding) are hashed into a flat
+/// open-addressing table of distinct indices, at least twice the row
+/// count, probed linearly.
+class RowTable {
+ public:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+  /// Indexes `patterns`, which must outlive the table.
+  explicit RowTable(const PatternSet& patterns);
+
+  const DistinctRows& distinct() const { return distinct_; }
+  DistinctRows TakeDistinct() && { return std::move(distinct_); }
+
+  /// The index into distinct().first of the row equal to `row` (a row of
+  /// the indexed set's width, padding zero), or kAbsent.
+  std::uint32_t Find(const std::uint64_t* row) const;
+
+ private:
+  /// The slot holding `row`'s distinct index, or the empty slot it would
+  /// take.
+  std::size_t SlotOf(const std::uint64_t* row) const;
+
+  const PatternSet* patterns_;
+  std::size_t words_;
+  std::size_t mask_;
+  std::vector<std::uint32_t> slots_;
+  DistinctRows distinct_;
+};
+
+/// Finds the distinct rows of `patterns` (see RowTable).
 DistinctRows FindDistinctRows(const PatternSet& patterns);
 
 /// Writes the VCDE-style text report:

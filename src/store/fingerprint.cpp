@@ -57,6 +57,19 @@ StoreKey FaultSimKeyWith(const netlist::Netlist& nl,
   return h.Finish();
 }
 
+StoreKey ValidationKey(const netlist::Netlist& nl,
+                       const netlist::PatternSet& patterns,
+                       const Hash128& faults_fp, SimModel model) {
+  GPUSTL_ASSERT(nl.frozen(), "validation key needs a frozen netlist");
+  Hasher128 h;
+  h.AddString("gpustl-validate-v1");
+  h.AddU32(static_cast<std::uint32_t>(model));
+  h.AddHash(nl.fingerprint());
+  h.AddHash(faults_fp);
+  h.AddHash(FingerprintPatterns(patterns));
+  return h.Finish();
+}
+
 StoreKey FaultSimKey(const netlist::Netlist& nl,
                      const netlist::PatternSet& patterns,
                      const std::vector<fault::Fault>& faults,

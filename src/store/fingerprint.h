@@ -55,4 +55,11 @@ StoreKey FaultSimKeyWith(const netlist::Netlist& nl,
                          const Hash128& faults_fp, const BitVec* skip,
                          bool drop_detected, SimModel model);
 
+/// The key of a validation entry: the detected mask of the full-list
+/// dropped run of `patterns` (store/result_store.h, DetectedWithStore).
+/// Its own domain tag keeps it apart from every FaultSimKey.
+StoreKey ValidationKey(const netlist::Netlist& nl,
+                       const netlist::PatternSet& patterns,
+                       const Hash128& faults_fp, SimModel model);
+
 }  // namespace gpustl::store

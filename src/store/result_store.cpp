@@ -15,6 +15,7 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/status.h"
+#include "fault/revalidate.h"
 #include "fault/transition.h"
 #include "store/io_retry.h"
 
@@ -24,10 +25,11 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'R', 'E'};
-// v2 dropped the per-pattern activation histogram from the payload. An
-// entry of any other version is a plain miss (recomputed and overwritten),
-// not a bad entry: upgrading must not report a whole store as corrupt.
-constexpr std::uint32_t kFormatVersion = 2;
+// v2 dropped the per-pattern activation histogram from the payload; v3
+// opened the payload with its kind. An entry of any other version is a
+// plain miss (recomputed and overwritten), not a bad entry: upgrading must
+// not report a whole store as corrupt.
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 16 + 8 + 16;
 
 void PutU32(std::string& out, std::uint32_t v) {
@@ -93,6 +95,42 @@ void LogBadEntry(const std::string& path, const char* why) {
                path.c_str(), why);
 }
 
+/// Checks `bytes` as the entry at `key` whose payload is of `kind` (any
+/// kind when unset) and decodes the payload with `decode`.
+template <typename Decode>
+EntryCheck CheckWith(std::string_view bytes, const StoreKey& key,
+                     std::optional<EntryKind> kind, Decode decode) {
+  const auto bad = [](const char* why) {
+    return EntryCheck{EntryCheck::Status::kBad, why};
+  };
+  Reader r(bytes);
+  if (bytes.size() < kHeaderBytes) return bad("truncated header");
+  if (!r.Expect(kMagic, 4)) return bad("bad magic");
+  if (r.U32() != kFormatVersion) {
+    return EntryCheck{EntryCheck::Status::kStaleVersion,
+                      "format version mismatch"};
+  }
+  const std::uint64_t key_lo = r.U64();
+  const std::uint64_t key_hi = r.U64();
+  const std::uint64_t payload_size = r.U64();
+  const std::uint64_t sum_lo = r.U64();
+  const std::uint64_t sum_hi = r.U64();
+  if (key_lo != key.lo || key_hi != key.hi) return bad("key mismatch");
+  if (bytes.size() - kHeaderBytes != payload_size) {
+    return bad("payload size mismatch");
+  }
+  const std::string_view payload = bytes.substr(kHeaderBytes);
+  const Hash128 sum = Checksum(payload);
+  if (sum.lo != sum_lo || sum.hi != sum_hi) return bad("checksum mismatch");
+  Reader head(payload);
+  const std::uint32_t payload_kind = head.U32();
+  if (head.Ok() && kind && payload_kind != static_cast<std::uint32_t>(*kind)) {
+    return bad("payload of another kind");
+  }
+  if (!decode(payload)) return bad("undecodable payload");
+  return EntryCheck{EntryCheck::Status::kValid, ""};
+}
+
 thread_local StoreAttribution* t_attribution = nullptr;
 
 /// Holds `<dir>/.eviction.lock` via flock for the scope's lifetime.
@@ -152,6 +190,7 @@ std::string ResultStore::EntryPath(const StoreKey& key) const {
 
 std::string ResultStore::EncodeResult(const fault::FaultSimResult& result) {
   std::string out;
+  PutU32(out, static_cast<std::uint32_t>(EntryKind::kFaultSim));
   PutU64(out, result.first_detect.size());
   for (const std::uint32_t v : result.first_detect) PutU32(out, v);
   PutU64(out, result.detects_per_pattern.size());
@@ -162,9 +201,17 @@ std::string ResultStore::EncodeResult(const fault::FaultSimResult& result) {
   return out;
 }
 
-std::string ResultStore::EncodeEntry(const StoreKey& key,
-                                     const fault::FaultSimResult& result) {
-  const std::string payload = EncodeResult(result);
+std::string ResultStore::EncodeDetected(const BitVec& detected) {
+  std::string out;
+  PutU32(out, static_cast<std::uint32_t>(EntryKind::kDetected));
+  PutU64(out, detected.size());
+  for (const std::uint64_t w : detected.Words()) PutU64(out, w);
+  return out;
+}
+
+namespace {
+
+std::string Frame(const StoreKey& key, const std::string& payload) {
   const Hash128 sum = Checksum(payload);
   std::string data;
   data.reserve(kHeaderBytes + payload.size());
@@ -179,41 +226,52 @@ std::string ResultStore::EncodeEntry(const StoreKey& key,
   return data;
 }
 
+}  // namespace
+
+std::string ResultStore::EncodeEntry(const StoreKey& key,
+                                     const fault::FaultSimResult& result) {
+  return Frame(key, EncodeResult(result));
+}
+
+std::string ResultStore::EncodeEntry(const StoreKey& key,
+                                     const BitVec& detected) {
+  return Frame(key, EncodeDetected(detected));
+}
+
+EntryCheck ResultStore::CheckEntry(std::string_view bytes,
+                                   const StoreKey& key) {
+  return CheckWith(bytes, key, std::nullopt, [](std::string_view payload) {
+    fault::FaultSimResult result;
+    BitVec detected;
+    return DecodeResult(payload, &result) ||
+           DecodeDetected(payload, &detected);
+  });
+}
+
 EntryCheck ResultStore::CheckEntry(std::string_view bytes,
                                    const StoreKey& key,
                                    fault::FaultSimResult* out) {
-  const auto bad = [](const char* why) {
-    return EntryCheck{EntryCheck::Status::kBad, why};
-  };
-  Reader r(bytes);
-  if (bytes.size() < kHeaderBytes) return bad("truncated header");
-  if (!r.Expect(kMagic, 4)) return bad("bad magic");
-  if (r.U32() != kFormatVersion) {
-    return EntryCheck{EntryCheck::Status::kStaleVersion,
-                      "format version mismatch"};
-  }
-  const std::uint64_t key_lo = r.U64();
-  const std::uint64_t key_hi = r.U64();
-  const std::uint64_t payload_size = r.U64();
-  const std::uint64_t sum_lo = r.U64();
-  const std::uint64_t sum_hi = r.U64();
-  if (key_lo != key.lo || key_hi != key.hi) return bad("key mismatch");
-  if (bytes.size() - kHeaderBytes != payload_size) {
-    return bad("payload size mismatch");
-  }
-  const std::string_view payload = bytes.substr(kHeaderBytes);
-  const Hash128 sum = Checksum(payload);
-  if (sum.lo != sum_lo || sum.hi != sum_hi) return bad("checksum mismatch");
-  fault::FaultSimResult decoded;
-  if (!DecodeResult(payload, &decoded)) return bad("undecodable payload");
-  if (out != nullptr) *out = std::move(decoded);
-  return EntryCheck{EntryCheck::Status::kValid, ""};
+  return CheckWith(bytes, key, EntryKind::kFaultSim,
+                   [out](std::string_view payload) {
+                     return DecodeResult(payload, out);
+                   });
+}
+
+EntryCheck ResultStore::CheckEntry(std::string_view bytes,
+                                   const StoreKey& key, BitVec* out) {
+  return CheckWith(bytes, key, EntryKind::kDetected,
+                   [out](std::string_view payload) {
+                     return DecodeDetected(payload, out);
+                   });
 }
 
 bool ResultStore::DecodeResult(std::string_view payload,
                                fault::FaultSimResult* out) {
   Reader r(payload);
   fault::FaultSimResult res;
+  if (r.U32() != static_cast<std::uint32_t>(EntryKind::kFaultSim)) {
+    return false;
+  }
 
   const std::uint64_t num_faults = r.U64();
   if (!r.Ok() || num_faults > payload.size()) return false;  // size sanity
@@ -242,7 +300,34 @@ bool ResultStore::DecodeResult(std::string_view payload,
   return true;
 }
 
+bool ResultStore::DecodeDetected(std::string_view payload, BitVec* out) {
+  Reader r(payload);
+  if (r.U32() != static_cast<std::uint32_t>(EntryKind::kDetected)) {
+    return false;
+  }
+  const std::uint64_t bits = r.U64();
+  if (!r.Ok() || bits > 8 * payload.size()) return false;  // size sanity
+  BitVec detected(bits);
+  for (std::uint64_t& w : detected.MutableWords()) w = r.U64();
+  if (!r.Ok() || !r.AtEnd()) return false;
+  // Padding bits past the last fault must be clear, as BitVec keeps them.
+  if (bits % 64 != 0 && (detected.Words().back() >> (bits % 64)) != 0) {
+    return false;
+  }
+  *out = std::move(detected);
+  return true;
+}
+
 std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
+  return LoadAs<fault::FaultSimResult>(key);
+}
+
+std::optional<BitVec> ResultStore::LoadDetected(const StoreKey& key) {
+  return LoadAs<BitVec>(key);
+}
+
+template <typename T>
+std::optional<T> ResultStore::LoadAs(const StoreKey& key) {
   const std::string path = EntryPath(key);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -268,7 +353,7 @@ std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
     }
   }
 
-  fault::FaultSimResult result;
+  T result;
   const EntryCheck check = CheckEntry(data, key, &result);
   if (check.status == EntryCheck::Status::kStaleVersion) {
     // Written by another format version: a plain miss. The caller
@@ -305,8 +390,14 @@ std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
 
 void ResultStore::Store(const StoreKey& key,
                         const fault::FaultSimResult& result) {
-  const std::string data = EncodeEntry(key, result);
+  Write(key, EncodeEntry(key, result));
+}
 
+void ResultStore::Store(const StoreKey& key, const BitVec& detected) {
+  Write(key, EncodeEntry(key, detected));
+}
+
+void ResultStore::Write(const StoreKey& key, const std::string& data) {
   const std::string path = EntryPath(key);
   // Unique temp name per write: two handles (threads or processes) storing
   // the same key concurrently must never interleave into one temp file.
@@ -470,6 +561,29 @@ fault::FaultSimResult SimulateWithStore(ResultStore* store,
   fault::FaultSimResult result = run();
   store->Store(key, result);
   return result;
+}
+
+BitVec DetectedWithStore(ResultStore* store, const netlist::Netlist& nl,
+                         const netlist::PatternSet& before,
+                         const std::vector<std::uint32_t>& before_first_detect,
+                         const netlist::PatternSet& after,
+                         const std::vector<fault::Fault>& faults,
+                         const fault::FaultSimOptions& options,
+                         const Hash128& faults_fp) {
+  auto run = [&] {
+    return fault::DetectedAfterEdit(nl, before, before_first_detect, after,
+                                    faults, options);
+  };
+  if (store == nullptr) return run();
+
+  const StoreKey key = ValidationKey(nl, after, faults_fp, SimModel::kStuckAt);
+  if (auto cached = store->LoadDetected(key)) {
+    if (cached->size() == faults.size()) return std::move(*cached);
+    store->Discard(key);
+  }
+  BitVec detected = run();
+  store->Store(key, detected);
+  return detected;
 }
 
 }  // namespace gpustl::store

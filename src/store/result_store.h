@@ -11,11 +11,15 @@
 // Entry file `<dir>/<key-hex32>.gsr`, little-endian (docs/FORMATS.md):
 //
 //   "GSRE"  magic
-//   u32     format version (2)
+//   u32     format version (3)
 //   u64 u64 key (lo, hi) — must match the file's own address
 //   u64     payload size in bytes
 //   u64 u64 payload checksum (Hash128 lo, hi)
-//   bytes   payload: the serialized FaultSimResult
+//   bytes   payload: u32 kind (EntryKind), then a serialized
+//           FaultSimResult (kind 0) or a validation entry's detected mask
+//           (kind 1)
+//
+// A query for one kind treats an entry of the other kind as bad.
 //
 // Corrupt, truncated or mis-keyed entries are detected by construction,
 // counted in stats().bad_entries, logged to stderr and treated as a miss —
@@ -90,6 +94,12 @@ struct StoreStats {
   }
 };
 
+/// What an entry's payload holds: its first u32.
+enum class EntryKind : std::uint32_t {
+  kFaultSim = 0,  // one fault-simulation run's FaultSimResult
+  kDetected = 1,  // a validation entry: a detected mask alone
+};
+
 /// Verdict on bytes presented as the entry file for one key.
 struct EntryCheck {
   enum class Status {
@@ -113,17 +123,21 @@ class ResultStore {
   const std::string& dir() const { return dir_; }
   std::string EntryPath(const StoreKey& key) const;
 
-  /// Loads and validates an entry. Any defect (missing, short, bad magic/
-  /// version/key/checksum, undecodable payload) returns nullopt; defects
-  /// other than plain absence or another format version also remove the
-  /// file and count bad_entries.
+  /// Loads and validates a fault-sim entry. Any defect (missing, short,
+  /// bad magic/version/key/checksum, payload of another kind or
+  /// undecodable) returns nullopt; defects other than plain absence or
+  /// another format version also remove the file and count bad_entries.
   std::optional<fault::FaultSimResult> Load(const StoreKey& key);
+
+  /// The same for a validation entry's detected mask.
+  std::optional<BitVec> LoadDetected(const StoreKey& key);
 
   /// Serializes and atomically writes an entry, then applies the size cap.
   /// Write failures are retried with capped backoff (store/io_retry.h);
   /// a write that still fails is counted and skipped — caching is an
   /// optimization, never a correctness dependency.
   void Store(const StoreKey& key, const fault::FaultSimResult& result);
+  void Store(const StoreKey& key, const BitVec& detected);
 
   /// Removes an entry that decoded but failed a caller-side sanity check
   /// (e.g. shape mismatch against the query); counts it as bad.
@@ -136,23 +150,33 @@ class ResultStore {
     return stats_;
   }
 
-  /// Entry-file codec: the complete bytes Store() writes for `result` at
-  /// `key`, and the check Load() applies to a file's bytes (magic, format
-  /// version, embedded key, payload size, checksum, payload decode; on
-  /// kValid the result is decoded into `*out` when non-null). The network
-  /// broker validates uploaded entries with CheckEntry, so the on-disk
-  /// format is known to this module only.
+  /// Entry-file codec: the complete bytes Store() writes at `key`, and
+  /// the check Load() applies to a file's bytes (magic, format version,
+  /// embedded key, payload size, checksum, payload kind and decode). The
+  /// two-argument check accepts either kind; the others demand theirs and
+  /// decode into `*out` on kValid. The network broker validates uploaded
+  /// entries with CheckEntry, so the on-disk format is known to this
+  /// module only.
   static std::string EncodeEntry(const StoreKey& key,
                                  const fault::FaultSimResult& result);
+  static std::string EncodeEntry(const StoreKey& key, const BitVec& detected);
+  static EntryCheck CheckEntry(std::string_view bytes, const StoreKey& key);
   static EntryCheck CheckEntry(std::string_view bytes, const StoreKey& key,
-                               fault::FaultSimResult* out = nullptr);
+                               fault::FaultSimResult* out);
+  static EntryCheck CheckEntry(std::string_view bytes, const StoreKey& key,
+                               BitVec* out);
 
-  /// Payload codec, exposed for tests and bench tooling.
+  /// Payload codec (kind included), exposed for tests and bench tooling.
   static std::string EncodeResult(const fault::FaultSimResult& result);
   static bool DecodeResult(std::string_view payload,
                            fault::FaultSimResult* out);
+  static std::string EncodeDetected(const BitVec& detected);
+  static bool DecodeDetected(std::string_view payload, BitVec* out);
 
  private:
+  template <typename T>
+  std::optional<T> LoadAs(const StoreKey& key);
+  void Write(const StoreKey& key, const std::string& data);
   void EnforceBudget();
 
   std::string dir_;
@@ -189,5 +213,20 @@ fault::FaultSimResult SimulateWithStore(ResultStore* store,
                                         const fault::FaultSimOptions& options,
                                         SimModel model,
                                         const Hash128* faults_fp = nullptr);
+
+/// Stage-5 validation of a stuck-at campaign through the store: the
+/// detected mask of the full-list dropped run of `after`, kept as a
+/// validation entry (ValidationKey) of a few KB instead of a full result.
+/// A miss derives it with fault::DetectedAfterEdit from
+/// `before_first_detect` (the full-list dropped run over `before`) and
+/// stores it. A cached mask of the wrong size is discarded and
+/// recomputed. `faults_fp` must equal FingerprintFaults(faults).
+BitVec DetectedWithStore(ResultStore* store, const netlist::Netlist& nl,
+                         const netlist::PatternSet& before,
+                         const std::vector<std::uint32_t>& before_first_detect,
+                         const netlist::PatternSet& after,
+                         const std::vector<fault::Fault>& faults,
+                         const fault::FaultSimOptions& options,
+                         const Hash128& faults_fp);
 
 }  // namespace gpustl::store

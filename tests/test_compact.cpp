@@ -1,12 +1,14 @@
 // Compaction-stage unit tests: SB segmentation, the Fig. 2 labeling join,
-// the Fig. 3 reduction rule, data relocation, and Compactor invariants on
-// small controlled inputs.
+// the Fig. 3 reduction rule, data relocation, Compactor invariants on
+// small controlled inputs, and stage 5 of the real STL against full-list
+// runs.
 #include <gtest/gtest.h>
 
 #include "circuits/decoder_unit.h"
 #include "common/strutil.h"
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
+#include "compact/campaign_plan.h"
 #include "compact/compactor.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
@@ -14,6 +16,7 @@
 #include "isa/assembler.h"
 #include "isa/cfg.h"
 #include "stl/generators.h"
+#include "trace/trace.h"
 
 namespace gpustl::compact {
 namespace {
@@ -445,6 +448,58 @@ TEST(StlCampaignRecords, ProcessReferencesSurviveReallocation) {
   EXPECT_EQ(&campaign.records().front(), first_addr);
   EXPECT_EQ(first.original_size, first_size);
   EXPECT_EQ(first.name, campaign.records().front().name);
+}
+
+TEST(RealStlValidation, StageFiveMatchesFullListRuns) {
+  // The six compactable perfbench PTPs in campaign order, with dropping
+  // within and across PTPs and SFU_IMM's patterns reversed. Stage 5
+  // derives the compacted PTP's detected set from stage 3; the reference
+  // is a plain full-list run of the compacted patterns.
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const netlist::Netlist sp = circuits::BuildSpCore();
+  const netlist::Netlist sfu = circuits::BuildSfu();
+  CompactorOptions options;
+  options.num_threads = 2;
+  Compactor du_compactor(du, TargetModule::kDecoderUnit, options);
+  Compactor sp_compactor(sp, TargetModule::kSpCore, options);
+  options.reverse_patterns = true;
+  Compactor sfu_compactor(sfu, TargetModule::kSfu, options);
+  struct Entry {
+    const char* file;
+    Compactor* compactor;
+    TargetModule target;
+  };
+  const Entry entries[] = {
+      {"imm.gptp", &du_compactor, TargetModule::kDecoderUnit},
+      {"mem.gptp", &du_compactor, TargetModule::kDecoderUnit},
+      {"cntrl.gptp", &du_compactor, TargetModule::kDecoderUnit},
+      {"tpgen.gptp", &sp_compactor, TargetModule::kSpCore},
+      {"rand.gptp", &sp_compactor, TargetModule::kSpCore},
+      {"sfu_imm.gptp", &sfu_compactor, TargetModule::kSfu},
+  };
+  for (const Entry& e : entries) {
+    SCOPED_TRACE(e.file);
+    Compactor& compactor = *e.compactor;
+    const BitVec before = compactor.detected();
+    const CompactionResult res = compactor.CompactPtp(
+        LoadPtpFile(std::string(GPUSTL_PERFBENCH_INPUTS) + "/" + e.file));
+
+    trace::PatternProbe probe(e.target);
+    gpu::Sm sm;
+    sm.AddMonitor(&probe);
+    sm.Run(res.compacted);
+    const netlist::PatternSet patterns = e.target == TargetModule::kSfu
+                                             ? probe.patterns().Reversed()
+                                             : probe.TakePatterns();
+    const fault::FaultSimResult full =
+        fault::RunFaultSim(compactor.module(), patterns, compactor.faults(),
+                           nullptr, {.num_threads = 2});
+    EXPECT_EQ(res.result.fc_percent,
+              fault::CoveragePercent(full.num_detected,
+                                     compactor.faults().size()));
+    EXPECT_EQ(res.validation_detections,
+              BitVec(full.detected_mask).AndNot(before).Count());
+  }
 }
 
 TEST_F(CompactorFixture, ReportsAreConsistent) {

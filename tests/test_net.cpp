@@ -41,6 +41,7 @@
 #include "common/rng.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
+#include "distrib/units.h"
 #include "fault/faultsim.h"
 #include "net/broker.h"
 #include "net/client.h"
@@ -48,9 +49,11 @@
 #include "net/handshake.h"
 #include "net/ledger.h"
 #include "net/net.h"
+#include "net/remote_worker.h"
 #include "net/server.h"
 #include "service/protocol.h"
 #include "service/service.h"
+#include "stl/generators.h"
 #include "store/result_store.h"
 
 namespace gpustl::net {
@@ -539,6 +542,63 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   Json bogus;
   bogus.Set("op", "frobnicate");
   EXPECT_EQ(session->Handle(bogus).GetString("op"), "error");
+}
+
+// --- Remote worker -----------------------------------------------------------
+
+TEST(RemoteWorkerTest, OutOfRangeLeasesKeepTheRenewPeriodDefined) {
+  // A daemon may send any double as `lease_seconds`. The renew thread
+  // waits a third of it, converted to integer nanoseconds: 1e300 and 1e999
+  // (inf) must not reach that conversion (the float-cast-overflow
+  // sanitizer leg catches it). A fake daemon hands out one unit under each
+  // lease, then says the campaign is done.
+  const std::string dir = ScratchDir("remote-lease");
+  Endpoint endpoint;
+  endpoint.unix_path = dir + "/s";
+  std::string error;
+  const int listen_fd = Listen(endpoint, &error);
+  ASSERT_GE(listen_fd, 0) << error;
+
+  distrib::WorkUnit unit;
+  unit.target_token = "DU";
+  unit.ptp = stl::GenerateImm(4, 1);
+  distrib::InitDistribDir(dir + "/d");
+  const std::string name = distrib::WriteUnitFile(dir + "/d", unit);
+  std::ifstream in(distrib::UnitsDir(dir + "/d") + "/" + name + ".unit",
+                   std::ios::binary);
+  const std::string hex = HexEncode(std::string(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
+
+  int published = 0;
+  std::thread daemon([&] {
+    Conn conn(Accept(listen_fd));
+    if (!ServerHandshake(conn, "", 5000).ok) return;
+    for (const char* lease : {"1e300", "1e999", ""}) {
+      for (;;) {
+        Json request;
+        if (conn.ReadJson(&request, 30000) != IoStatus::kOk) return;
+        const std::string op = request.GetString("op", "");
+        if (op == "fetch") break;
+        published += op == "publish" ? 1 : 0;
+        conn.WriteFrame(R"({"op":"ok"})", 5000);
+      }
+      conn.WriteFrame(*lease == '\0'
+                          ? std::string(R"({"op":"idle","done":true})")
+                          : R"({"op":"unit","unit":")" + name +
+                                R"(","lease_seconds":)" + lease +
+                                R"(,"data":")" + hex + R"("})",
+                      5000);
+    }
+  });
+  RemoteWorkerOptions options;
+  options.endpoint = endpoint;
+  options.scratch_dir = dir + "/scratch";
+  const distrib::WorkerStats stats = RunRemoteWorker(options);
+  daemon.join();
+  CloseListener(listen_fd, endpoint);
+  EXPECT_EQ(stats.units_done, 2u);
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(published, 2);
 }
 
 // --- Server end to end ------------------------------------------------------

@@ -4,6 +4,8 @@
 //    simulator the conformance suites use as their oracle
 //    (reference_sim.h), are checked fault-by-fault, pattern-by-pattern
 //    against a brute-force faulty-circuit evaluator;
+//  * stage 5's incremental detected set (fault/revalidate.h) equals a
+//    full-list run of the edited patterns, for random row edits;
 //  * PODEM patterns on random netlists are confirmed by the fault sim,
 //    and PODEM's verdicts by an exhaustive reference simulation;
 //  * random programs: the GPU model's architectural results are invariant
@@ -13,13 +15,16 @@
 //  * compaction bookkeeping invariants on generated PTPs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "atpg/podem.h"
 #include "circuits/decoder_unit.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "compact/compactor.h"
 #include "fault/faultsim.h"
+#include "fault/revalidate.h"
 #include "gpu/sm.h"
 #include "isa/assembler.h"
 #include "isa/cfg.h"
@@ -277,6 +282,67 @@ TEST_P(RandomCircuits, PodemAgreesWithExhaustiveReference) {
         << fault::FaultName(nl, untestable[fi]) << " seed " << GetParam();
   }
   EXPECT_GT(detected, 0);
+}
+
+TEST_P(RandomCircuits, DetectedAfterEditMatchesFullListRun) {
+  // Rows repeat (drawn from a small pool), and even seeds use a two-word
+  // row. Each edit keeps a random share of the rows (none to all), adds
+  // up to five fresh ones and permutes the lot; the expected set comes
+  // from a plain full-list run of the edited patterns.
+  Rng rng(GetParam());
+  const int width = GetParam() % 2 == 0 ? 70 : 7;
+  const Netlist nl = RandomNetlist(rng, width, 60, 5);
+  const auto faults = fault::CollapsedFaultList(nl);
+  const std::size_t words = (static_cast<std::size_t>(width) + 63) / 64;
+  const auto random_row = [&] {
+    std::vector<std::uint64_t> row(words);
+    for (std::uint64_t& w : row) w = rng();
+    if (width % 64 != 0) row.back() &= (1ull << (width % 64)) - 1;
+    return row;
+  };
+  std::vector<std::vector<std::uint64_t>> pool(24);
+  for (auto& row : pool) row = random_row();
+  std::vector<std::vector<std::uint64_t>> before_rows;
+  PatternSet before(width);
+  for (std::uint64_t p = 0; p < 90; ++p) {
+    before_rows.push_back(pool[rng.below(pool.size())]);
+    before.Add(p, before_rows.back().data());
+  }
+
+  for (int edit = 0; edit < 4; ++edit) {
+    std::vector<std::vector<std::uint64_t>> rows;
+    for (const auto& row : before_rows) {
+      if (rng.chance(edit / 3.0)) rows.push_back(row);
+    }
+    for (std::uint64_t k = rng.below(6); k > 0; --k) {
+      rows.push_back(random_row());
+    }
+    std::shuffle(rows.begin(), rows.end(), rng);
+    PatternSet after(width);
+    for (std::size_t p = 0; p < rows.size(); ++p) after.Add(p, rows[p].data());
+
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " edit " +
+                   std::to_string(edit) + " x" + std::to_string(threads));
+      const fault::FaultSimOptions options{.num_threads = threads};
+      const auto full_before =
+          fault::RunFaultSim(nl, before, faults, nullptr, options);
+      EXPECT_EQ(fault::DetectedAfterEdit(nl, before, full_before.first_detect,
+                                         after, faults, options),
+                fault::RunFaultSim(nl, after, faults, nullptr, options)
+                    .detected_mask);
+    }
+  }
+
+  // First detections of another list, or past the patterns, are misuse.
+  const std::vector<std::uint32_t> short_list(faults.size() - 1, 0);
+  EXPECT_THROW(
+      fault::DetectedAfterEdit(nl, before, short_list, before, faults, {}),
+      Error);
+  const std::vector<std::uint32_t> past_end(faults.size(), 90);
+  EXPECT_THROW(
+      fault::DetectedAfterEdit(nl, before, past_end, before, faults, {}),
+      Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuits,

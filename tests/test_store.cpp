@@ -1,7 +1,8 @@
 // Result-store subsystem tests: fingerprint stability/sensitivity, the
 // versioned entry codec, corruption fallback (bit flips, truncation, key
 // mismatch — never fatal, always recomputed), older-format entries (a plain
-// miss, recomputed and rewritten, never counted bad), cached-vs-live
+// miss, recomputed and rewritten, never counted bad), validation entries
+// (stage 5's detected masks: a kind of their own), cached-vs-live
 // bit-identity through Compactor, campaign checkpoint round trips, and the
 // interrupted-then-resumed ≡ uninterrupted campaign equivalence.
 #include <gtest/gtest.h>
@@ -330,12 +331,12 @@ TEST(ResultStoreTest, FormatOneEntryIsAPlainMissAndIsRewritten) {
   EXPECT_EQ(store.stats().bad_entries, 0u);
   EXPECT_EQ(store.stats().stores, 1u);
 
-  // Rewritten in place as format 2, so the next lookup hits.
+  // Rewritten in place in the current format, so the next lookup hits.
   std::ifstream in(path, std::ios::binary);
   const std::string rewritten((std::istreambuf_iterator<char>(in)),
                               std::istreambuf_iterator<char>());
   ASSERT_GE(rewritten.size(), 8u);
-  EXPECT_EQ(rewritten.substr(0, 8), std::string("GSRE\x02\0\0\0", 8));
+  EXPECT_EQ(rewritten.substr(0, 8), std::string("GSRE\x03\0\0\0", 8));
   const auto loaded = store.Load(key);
   ASSERT_TRUE(loaded.has_value());
   ExpectSameResult(result, *loaded);
@@ -423,6 +424,195 @@ TEST(SimulateWithStoreTest, CorruptedEntryFallsBackToRecompute) {
   const auto reloaded = store.Load(key);
   ASSERT_TRUE(reloaded.has_value());
   ExpectSameResult(cold, *reloaded);
+}
+
+// --- validation entries ------------------------------------------------------
+
+/// The validation fixture: `after` keeps three of `before`'s eight rows
+/// and adds none, so its detected set is a strict subset.
+struct ValidationCase {
+  Netlist nl = SmallNetlist();
+  PatternSet before = SmallPatterns(8);
+  PatternSet after = SmallPatterns(3);
+  std::vector<Fault> faults = fault::CollapsedFaultList(nl);
+  Hash128 faults_fp = FingerprintFaults(faults);
+  std::vector<std::uint32_t> first_detect =
+      fault::RunFaultSim(nl, before, faults).first_detect;
+  BitVec expected = fault::RunFaultSim(nl, after, faults).detected_mask;
+  StoreKey key = ValidationKey(nl, after, faults_fp, SimModel::kStuckAt);
+
+  BitVec Run(ResultStore* store) const {
+    return DetectedWithStore(store, nl, before, first_detect, after, faults,
+                             {}, faults_fp);
+  }
+};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+TEST(ValidationEntryTest, MissComputesStoresThenHits) {
+  const ValidationCase c;
+  ASSERT_LT(c.expected.Count(), fault::RunFaultSim(c.nl, c.before, c.faults)
+                                    .num_detected);
+  EXPECT_EQ(c.Run(nullptr), c.expected);
+
+  ResultStore store(ScratchDir("validation"));
+  EXPECT_EQ(c.Run(&store), c.expected);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().stores, 1u);
+  ASSERT_TRUE(fs::exists(store.EntryPath(c.key)));
+
+  EXPECT_EQ(c.Run(&store), c.expected);
+  EXPECT_EQ(store.stats().hits, 1u);
+  // The payload is the kind and the mask alone.
+  const std::uint64_t mask_bytes = 8 * ((c.faults.size() + 63) / 64);
+  EXPECT_EQ(store.stats().bytes_read, 48 + 4 + 8 + mask_bytes);
+  const auto loaded = store.LoadDetected(c.key);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, c.expected);
+}
+
+TEST(ValidationEntryTest, TruncatedOrCorruptEntriesAreBadAndRecomputed) {
+  const ValidationCase c;
+  ResultStore store(ScratchDir("validation_bad"));
+  const std::string path = store.EntryPath(c.key);
+  c.Run(&store);
+  const std::string good = ReadFile(path);
+
+  ::testing::internal::CaptureStderr();
+  WriteFile(path, good.substr(0, good.size() - 1));
+  EXPECT_EQ(c.Run(&store), c.expected);
+  std::string flipped = good;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  WriteFile(path, flipped);
+  EXPECT_EQ(c.Run(&store), c.expected);
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(store.stats().bad_entries, 2u);
+  EXPECT_EQ(store.stats().hits, 0u);
+  EXPECT_EQ(ReadFile(path), good) << "rewritten after each bad read";
+
+  // A payload that checks out but decodes to a set bit past the last
+  // fault is bad too.
+  const std::uint64_t bits = c.faults.size();
+  ASSERT_NE(bits % 64, 0u);
+  std::string payload;
+  PutU32(payload, static_cast<std::uint32_t>(EntryKind::kDetected));
+  PutU64(payload, bits);
+  PutU64(payload, ~0ull);
+  BitVec ignored;
+  EXPECT_FALSE(ResultStore::DecodeDetected(payload, &ignored));
+}
+
+TEST(ValidationEntryTest, FormatTwoEntryIsAPlainMiss) {
+  const ValidationCase c;
+  // What a v2 store held: a header at version 2 over a fault-sim payload
+  // with no kind.
+  const std::string payload =
+      ResultStore::EncodeResult(fault::RunFaultSim(c.nl, c.after, c.faults))
+          .substr(4);
+  Hasher128 h;
+  h.AddString("gpustl-entry-v1");
+  h.AddBytes(payload.data(), payload.size());
+  const Hash128 sum = h.Finish();
+  std::string entry("GSRE", 4);
+  PutU32(entry, 2);
+  PutU64(entry, c.key.lo);
+  PutU64(entry, c.key.hi);
+  PutU64(entry, payload.size());
+  PutU64(entry, sum.lo);
+  PutU64(entry, sum.hi);
+  entry += payload;
+  ResultStore store(ScratchDir("validation_v2"));
+  WriteFile(store.EntryPath(c.key), entry);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(c.Run(&store), c.expected);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().bad_entries, 0u);
+  EXPECT_EQ(ResultStore::CheckEntry(entry, c.key).status,
+            EntryCheck::Status::kStaleVersion);
+}
+
+TEST(ValidationEntryTest, AQueryForOneKindRejectsTheOther) {
+  const ValidationCase c;
+  const FaultSimResult full = fault::RunFaultSim(c.nl, c.after, c.faults);
+  const StoreKey full_key =
+      FaultSimKeyWith(c.nl, c.after, c.faults_fp, nullptr, true,
+                      SimModel::kStuckAt);
+  EXPECT_NE(full_key, c.key);
+
+  // Both kinds are valid entries to the kind-blind check (the broker's).
+  const std::string mask_entry = ResultStore::EncodeEntry(c.key, c.expected);
+  const std::string full_at_key = ResultStore::EncodeEntry(c.key, full);
+  EXPECT_TRUE(ResultStore::CheckEntry(mask_entry, c.key).valid());
+  EXPECT_TRUE(ResultStore::CheckEntry(full_at_key, c.key).valid());
+  FaultSimResult as_result;
+  BitVec as_mask;
+  EXPECT_EQ(std::string(
+                ResultStore::CheckEntry(mask_entry, c.key, &as_result).why),
+            "payload of another kind");
+  EXPECT_FALSE(ResultStore::CheckEntry(full_at_key, c.key, &as_mask).valid());
+
+  ResultStore store(ScratchDir("validation_kinds"));
+  ::testing::internal::CaptureStderr();
+  // A full-list entry planted at the validation key...
+  store.Store(c.key, full);
+  EXPECT_EQ(c.Run(&store), c.expected);
+  EXPECT_EQ(store.stats().bad_entries, 1u);
+  // ...and a mask planted at the full-list key.
+  store.Store(full_key, c.expected);
+  ExpectSameResult(SimulateWithStore(&store, c.nl, c.after, c.faults,
+                                     nullptr, {}, SimModel::kStuckAt,
+                                     &c.faults_fp),
+                   full);
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(store.stats().bad_entries, 2u);
+  EXPECT_EQ(store.stats().hits, 0u);
+}
+
+TEST(ValidationEntryTest, FlippingAKeyInputMisses) {
+  const ValidationCase c;
+  ResultStore store(ScratchDir("validation_flips"));
+  c.Run(&store);
+  ASSERT_EQ(store.stats().misses, 1u);
+
+  // Other patterns (one more row).
+  ValidationCase more;
+  more.after = SmallPatterns(4);
+  more.key = ValidationKey(more.nl, more.after, more.faults_fp,
+                           SimModel::kStuckAt);
+  more.expected = fault::RunFaultSim(more.nl, more.after, more.faults)
+                      .detected_mask;
+  EXPECT_NE(more.key, c.key);
+  EXPECT_EQ(more.Run(&store), more.expected);
+  EXPECT_EQ(store.stats().misses, 2u);
+
+  // Another fault list (the last fault dropped).
+  ValidationCase fewer;
+  fewer.faults.pop_back();
+  fewer.faults_fp = FingerprintFaults(fewer.faults);
+  fewer.first_detect.pop_back();
+  fewer.expected = fault::RunFaultSim(fewer.nl, fewer.after, fewer.faults)
+                       .detected_mask;
+  EXPECT_NE(ValidationKey(fewer.nl, fewer.after, fewer.faults_fp,
+                          SimModel::kStuckAt),
+            c.key);
+  EXPECT_EQ(fewer.Run(&store), fewer.expected);
+  EXPECT_EQ(store.stats().misses, 3u);
+  EXPECT_EQ(store.stats().hits, 0u);
+
+  // Another model.
+  EXPECT_NE(ValidationKey(c.nl, c.after, c.faults_fp, SimModel::kTransition),
+            c.key);
 }
 
 // --- Compactor / campaign integration --------------------------------------
@@ -753,18 +943,20 @@ TEST(CampaignCacheTest, EditingOnePtpOnlyResimulatesAffectedEntries) {
   const std::uint64_t cold_misses = store.stats().misses;
 
   // Edit the SECOND PTP (different seed = different program). Entry 0 is
-  // upstream and unchanged: all of its simulations must still hit. Entry 1
-  // changed: its stage-3/validation sims miss and recompute.
+  // upstream and unchanged: its stage-3 run and its validation entry must
+  // both hit. Entry 1 changed: both miss and recompute. Entry 2 is carried
+  // and unchanged: its one standalone run hits.
   stl[1].ptp = stl::GenerateMem(8, 6);
   auto edited = MakeCampaign(du, sp, sfu, &store);
-  for (const auto& entry : stl) edited.Process(entry);
-  const std::uint64_t hits = store.stats().hits;
-  const std::uint64_t misses = store.stats().misses - cold_misses;
-  EXPECT_GT(hits, 0u) << "unchanged upstream entries must be served from disk";
-  EXPECT_GT(misses, 0u) << "the edited PTP must be recomputed";
-  // The unchanged first entry alone contributes >= 4 cached simulations
-  // (stage 3, validation, 2 standalone measurements).
-  EXPECT_GE(hits, 4u);
+  const std::uint64_t expected_hits[] = {2, 0, 1};
+  const std::uint64_t expected_misses[] = {0, 2, 0};
+  for (std::size_t i = 0; i < stl.size(); ++i) {
+    const StoreStats before = store.stats();
+    edited.Process(stl[i]);
+    EXPECT_EQ(store.stats().hits - before.hits, expected_hits[i]) << i;
+    EXPECT_EQ(store.stats().misses - before.misses, expected_misses[i]) << i;
+  }
+  EXPECT_GT(cold_misses, 0u);
 }
 
 // --- Shared-directory concurrency -------------------------------------------

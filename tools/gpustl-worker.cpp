@@ -147,10 +147,8 @@ int Main(int argc, char** argv) {
     } else {
       stats = distrib::RunWorker(options);
     }
-    std::printf("gpustl-worker: %llu units (%llu wave-2), %llu steals, "
-                "%llu failures\n",
+    std::printf("gpustl-worker: %llu units, %llu steals, %llu failures\n",
                 static_cast<unsigned long long>(stats.units_done),
-                static_cast<unsigned long long>(stats.wave2_units),
                 static_cast<unsigned long long>(stats.steals),
                 static_cast<unsigned long long>(stats.failures));
     return 0;

@@ -80,10 +80,11 @@ int Usage() {
       "                                        campaign report\n"
       "\n"
       "distributed campaigns: campaign --distrib-dir <dir> runs the\n"
-      "store-coordinated two-phase schedule: every fault simulation the\n"
-      "campaign needs is posted as a work unit under <dir> and computed by\n"
-      "workers into the shared result store, then the campaign replays the\n"
-      "sequential drop order over the cached results. Requires --cache-dir.\n"
+      "store-coordinated prefetch wave: every full-list fault simulation\n"
+      "the campaign needs is posted as a work unit under <dir> and computed\n"
+      "by workers into the shared result store, then the campaign replays\n"
+      "the sequential drop order over the cached results. Requires\n"
+      "--cache-dir.\n"
       "--distrib-workers N forks N worker processes for the run;\n"
       "--workers-external relies on separately started gpustl-worker\n"
       "processes instead; --distrib-stale S sets the claim staleness\n"
@@ -486,7 +487,7 @@ int CmdCampaign(const Args& args) {
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
   base.result_store = cache.get();
 
-  // Distributed mode: the coordinator's planning phase and the campaign
+  // Distributed mode: the coordinator's inline units and the campaign
   // share one prep set (the collapse plans are the expensive part of
   // construction); the campaign's full-list fault simulations are store
   // hits on the results the workers publish.
@@ -510,7 +511,8 @@ int CmdCampaign(const Args& args) {
 
   // Distributed prefetch: post work units, drive the fleet (forked here —
   // before any thread exists — unless external workers were requested),
-  // and wait for the store to hold every simulation the campaign needs.
+  // and wait for the store to hold every full-list simulation the campaign
+  // needs.
   // The campaign below then runs exactly as in single-process mode.
   if (distrib) {
     distrib::CoordinatorOptions copt;
@@ -521,14 +523,11 @@ int CmdCampaign(const Args& args) {
     distrib::Coordinator coordinator(std::move(copt), mods, base);
     const distrib::PrefetchStats d = coordinator.Prefetch(plan);
     std::printf(
-        "distrib: %zu+%zu units (%llu by workers, %llu inline, %llu "
-        "steals), wave1 %.2fs, plan %.2fs (%zu entries, %zu failures), "
-        "wave2 %.2fs\n",
-        d.wave1_units, d.wave2_units,
-        static_cast<unsigned long long>(d.worker_units),
+        "distrib: %zu units (%llu by workers, %llu inline, %llu steals), "
+        "wave %.2fs\n",
+        d.wave1_units, static_cast<unsigned long long>(d.worker_units),
         static_cast<unsigned long long>(d.inline_units),
-        static_cast<unsigned long long>(d.steals), d.wave1_seconds,
-        d.plan_seconds, d.planned_entries, d.plan_failures, d.wave2_seconds);
+        static_cast<unsigned long long>(d.steals), d.wave1_seconds);
   }
 
   // Resume a persistent fault-list state (cross-invocation dropping).
