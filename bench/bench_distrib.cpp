@@ -2,12 +2,12 @@
 //
 // Runs the same 12-entry campaign (DU/SP/FP32, pseudorandom PTPs) five
 // ways: cold-cache single-process, then cold-cache distributed with 1, 2,
-// 4 and 8 forked workers (two-phase schedule, src/distrib/). Each run gets
+// 4 and 8 forked workers (one prefetch wave, src/distrib/). Each run gets
 // a fresh result store and a fresh distrib dir, so every speedup number is
 // a genuine cold-start comparison, and every distributed report is
 // asserted byte-identical to the single-process one before any number is
 // published. Emits BENCH_distrib.json: per fleet size, wall seconds,
-// speedup over the single-process baseline, phase wall breakdown, how many
+// speedup over the single-process baseline, the wave's wall time, how many
 // units the workers (vs the coordinator inline) computed, steal count, and
 // the store's hit and miss counts.
 //
@@ -120,7 +120,7 @@ int Main() {
   std::filesystem::create_directories(scratch);
 
   // One campaign run. workers < 0 = plain single-process (no distrib);
-  // otherwise the two-phase schedule with that many forked workers (0 =
+  // otherwise the prefetch wave with that many forked workers (0 =
   // coordinator-inline only, the degenerate fleet).
   const auto run = [&](const std::string& tag, int workers) {
     const std::string cache_dir = scratch + "/" + tag + "-cache";

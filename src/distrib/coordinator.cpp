@@ -18,32 +18,9 @@
 #include "distrib/claims.h"
 #include "distrib/units.h"
 #include "distrib/worker.h"
-#include "gpu/sm.h"
 #include "store/result_store.h"
-#include "trace/trace.h"
 
 namespace gpustl::distrib {
-
-/// What an inline unit needs per target module: the netlist and the
-/// (possibly shared) fault prep.
-struct Coordinator::TargetState {
-  const netlist::Netlist* nl = nullptr;
-  std::shared_ptr<const compact::ModulePrep> prep;
-};
-
-namespace {
-
-fault::FaultSimOptions FullSimOptions(
-    const compact::CompactorOptions& base,
-    const compact::ModulePrep& prep) {
-  return fault::FaultSimOptions{
-      .drop_detected = true,
-      .num_threads = base.num_threads,
-      .collapse_plan = &prep.collapse,
-  };
-}
-
-}  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options, ModuleSet modules,
                          const compact::CompactorOptions& base)
@@ -54,42 +31,6 @@ Coordinator::~Coordinator() {
     ::kill(pid, SIGTERM);
   }
   ReapWorkers();
-}
-
-Coordinator::TargetState& Coordinator::StateFor(const std::string& token) {
-  const auto it = states_.find(token);
-  if (it != states_.end()) return *it->second;
-
-  const auto target = compact::ParseTargetModule(token);
-  if (!target) throw Error("distrib: unknown target module '" + token + "'");
-
-  auto state = std::make_shared<TargetState>();
-  const compact::ModulePrepSet none;
-  const compact::ModulePrepSet& preps =
-      modules_.preps != nullptr ? *modules_.preps : none;
-  switch (*target) {
-    case trace::TargetModule::kDecoderUnit:
-      state->nl = modules_.du;
-      state->prep = preps.du;
-      break;
-    case trace::TargetModule::kSpCore:
-      state->nl = modules_.sp;
-      state->prep = preps.sp;
-      break;
-    case trace::TargetModule::kSfu:
-      state->nl = modules_.sfu;
-      state->prep = preps.sfu;
-      break;
-    case trace::TargetModule::kFp32:
-      state->nl = modules_.fp32;
-      state->prep = preps.fp32;
-      break;
-  }
-  if (state->nl == nullptr) {
-    throw Error("distrib: no netlist for target module '" + token + "'");
-  }
-  if (state->prep == nullptr) state->prep = compact::BuildModulePrep(*state->nl);
-  return *states_.emplace(token, std::move(state)).first->second;
 }
 
 void Coordinator::ForkWorkers() {
@@ -148,20 +89,12 @@ void Coordinator::ProcessUnitInline(const std::string& name) {
     // whatever this unit would have provided live.
     return;
   }
-  TargetState& ts = StateFor(unit->target_token);
-  const auto target = compact::ParseTargetModule(unit->target_token);
-
-  trace::PatternProbe probe(*target);
-  gpu::Sm sm(base_.sm);
-  sm.AddMonitor(&probe);
-  sm.Run(unit->ptp);
-  const netlist::PatternSet patterns = unit->reverse_patterns
-                                           ? probe.patterns().Reversed()
-                                           : probe.TakePatterns();
-  store::SimulateWithStore(base_.result_store, *ts.nl, patterns,
-                           ts.prep->faults, /*skip=*/nullptr,
-                           FullSimOptions(base_, *ts.prep),
-                           store::SimModel::kStuckAt, &ts.prep->faults_fp);
+  if (runner_ == nullptr) {
+    runner_ = std::make_unique<UnitRunner>(
+        *base_.result_store,
+        UnitRunner::Config{.threads = base_.num_threads, .modules = modules_});
+  }
+  runner_->Run(*unit);
 }
 
 void Coordinator::Await(const std::vector<std::string>& units) {

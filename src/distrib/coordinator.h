@@ -28,7 +28,6 @@
 #include <sys/types.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,8 +83,8 @@ struct PrefetchStats {
 class Coordinator {
  public:
   /// `base` must carry the SAME semantic options the final campaign will
-  /// run with (sm config, fault model, dropping flags, result_store) —
-  /// store keys depend on them. A null
+  /// run with (fault model, dropping flags, result_store; units trace
+  /// under the default sm config) — store keys depend on them. A null
   /// base.result_store or a non-(stuck-at, dropped) configuration makes
   /// Prefetch throw: distribution without a shared store is meaningless.
   Coordinator(CoordinatorOptions options, ModuleSet modules,
@@ -100,9 +99,6 @@ class Coordinator {
   PrefetchStats Prefetch(const std::vector<compact::PlanEntry>& plan);
 
  private:
-  struct TargetState;
-
-  TargetState& StateFor(const std::string& token);
   void ForkWorkers();
   void ReapWorkers();
   /// Polls until every name in `units` has a done marker, stealing and
@@ -115,8 +111,8 @@ class Coordinator {
   compact::CompactorOptions base_;
   PrefetchStats stats_;
   std::vector<pid_t> children_;
-  // Per-target netlist/prep/drop-state, built on first use (token-keyed).
-  std::map<std::string, std::shared_ptr<TargetState>> states_;
+  // Computes inline units; built on first use.
+  std::unique_ptr<UnitRunner> runner_;
 };
 
 }  // namespace gpustl::distrib

@@ -12,7 +12,7 @@
 // campaign report.
 //
 // Workers never see the fault-dropping state: every simulation runs the
-// FULL fault list (skip = none, drop-within-run = on). The coordinator
+// FULL fault list (skip = none, drop-within-run = on). The campaign
 // replays the sequential cross-PTP drop order over these results
 // (fault/replay.h), which is what makes the distributed report
 // byte-identical to the single-process one.
