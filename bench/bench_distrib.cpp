@@ -127,7 +127,7 @@ int Main() {
     store::ResultStore store(cache_dir);
 
     compact::CompactorOptions opt;
-    opt.num_threads = 1;  // scale via workers, keep the parent fork-safe
+    opt.num_threads = 1;  // one thread per unit: scale via workers
     opt.result_store = &store;
 
     RunResult out;
@@ -136,7 +136,6 @@ int Main() {
       distrib::CoordinatorOptions copt;
       copt.dir = scratch + "/" + tag + "-distrib";
       copt.fork_workers = workers;
-      copt.worker_threads = 1;
       distrib::Coordinator coordinator(
           copt, distrib::ModuleSet{&du, &sp, &sfu, &fp32, &preps}, opt);
       out.prefetch = coordinator.Prefetch(plan);

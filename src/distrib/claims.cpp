@@ -89,9 +89,9 @@ ClaimResult ClaimBoard::TryClaim(const std::string& unit) {
   const double age = ClaimAge(path);
   if (age < stale_seconds_) return {};  // fresh (or just vanished): back off
 
-  // Stale: expire it and race for the replacement. Both unlink and create
-  // may lose to a concurrent stealer — either way exactly one owner emerges
-  // and the loser backs off.
+  // Stale: expire it and race for the replacement. A concurrent stealer that
+  // aged the old claim may unlink ours too, so two owners can emerge: the
+  // unit is at worst computed twice, never wrong.
   ::unlink(path.c_str());
   if (ExclusiveCreate(path, content)) return {.claimed = true, .stole = true};
   return {};

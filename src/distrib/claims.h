@@ -12,8 +12,9 @@
 //            whose mtime is older than `stale_seconds` is presumed dead
 //            (worker SIGKILLed, machine gone).
 //   steal    unlink the stale claim, then race a fresh O_CREAT|O_EXCL
-//            create. Two stealers can both unlink (one ENOENTs, harmless);
-//            exactly one re-create wins.
+//            create. A second stealer that read the old claim's age before
+//            the first re-created it unlinks the fresh claim, so both may
+//            own the unit: at worst computed twice, never wrong.
 //   done     `done/<unit>.done` written atomically (temp + rename). Done
 //            markers are the ONLY completion signal; claims are garbage
 //            the moment the marker exists.

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -21,6 +22,10 @@
 #include "store/result_store.h"
 
 namespace gpustl::distrib {
+
+// Await's and the forked workers' idle poll: a few stat calls, so a short
+// period costs nothing and the wave ends when its last unit does.
+constexpr int kPollMs = 2;
 
 Coordinator::Coordinator(CoordinatorOptions options, ModuleSet modules,
                          const compact::CompactorOptions& base)
@@ -53,9 +58,9 @@ void Coordinator::ForkWorkers() {
         wo.dir = options_.dir;
         wo.owner = "fork:" + std::to_string(i) + ":" +
                    std::to_string(::getpid());
-        wo.threads = options_.worker_threads;
+        wo.threads = base_.num_threads;
         wo.stale_seconds = options_.stale_seconds;
-        wo.poll_ms = options_.poll_ms;
+        wo.poll_ms = kPollMs;
         // Borrow the parent's netlists/preps: fork shares the pages, so
         // the child skips the rebuild that would otherwise dominate its
         // first unit.
@@ -120,13 +125,10 @@ void Coordinator::Await(const std::vector<std::string>& units) {
       progress = Timer();
     }
 
-    bool any_live = false;
-    for (const std::string* name : pending) {
-      if (board.HasLiveClaim(*name)) {
-        any_live = true;
-        break;
-      }
-    }
+    const bool any_live =
+        std::any_of(pending.begin(), pending.end(), [&board](const auto* n) {
+          return board.HasLiveClaim(*n);
+        });
 
     if (!any_live && progress.Seconds() >= options_.grace_seconds) {
       // The fleet is dead or absent: compute pending units here. TryClaim
@@ -155,7 +157,7 @@ void Coordinator::Await(const std::vector<std::string>& units) {
       continue;
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(options_.poll_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
   }
 }
 
@@ -190,7 +192,6 @@ PrefetchStats Coordinator::Prefetch(
   std::set<std::string> wave1;
   for (const compact::PlanEntry& pe : plan) {
     WorkUnit unit;
-    unit.wave = 1;
     unit.target_token = pe.target_token;
     // Carry entries are measured on un-reversed patterns
     // (Compactor::MeasureStandalone); only compactable entries honour the

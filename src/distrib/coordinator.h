@@ -47,17 +47,12 @@ struct CoordinatorOptions {
   /// gpustl-worker processes and/or the inline fallback). Fork before
   /// creating any threads — the CLI path forks during Prefetch, which runs
   /// before the campaign spins anything up; the threaded daemon must keep
-  /// this 0 and use external workers.
+  /// this 0 and use external workers. A forked worker runs its units at
+  /// the campaign's `num_threads`, as the inline fallback does.
   int fork_workers = 0;
-
-  /// Fault-sim threads per forked worker.
-  int worker_threads = 1;
 
   /// Claim staleness horizon handed to workers via meta.txt.
   double stale_seconds = 30.0;
-
-  /// Await poll interval.
-  int poll_ms = 50;
 
   /// With no live claim and no done-marker progress for this long, the
   /// coordinator starts computing pending units inline.

@@ -19,6 +19,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kUnitMagic[4] = {'G', 'W', 'U', '1'};
+constexpr std::uint32_t kUnitVersion = 2;
 
 std::string ProgramBytes(const isa::Program& ptp) {
   std::ostringstream os(std::ios::binary);
@@ -89,8 +90,7 @@ Hash128 PayloadChecksum(const std::string& payload) {
 
 Hash128 FingerprintUnit(const WorkUnit& unit) {
   Hasher128 h;
-  h.AddString("gpustl-wunit-v1");
-  h.AddU32(static_cast<std::uint32_t>(unit.wave));
+  h.AddString("gpustl-wunit-v2");
   h.AddString(unit.target_token);
   h.AddBool(unit.reverse_patterns);
   const std::string bytes = ProgramBytes(unit.ptp);
@@ -99,7 +99,7 @@ Hash128 FingerprintUnit(const WorkUnit& unit) {
 }
 
 std::string UnitName(const WorkUnit& unit) {
-  return "w" + std::to_string(unit.wave) + "-" + FingerprintUnit(unit).ToHex();
+  return FingerprintUnit(unit).ToHex();
 }
 
 std::string UnitsDir(const std::string& dir) { return dir + "/units"; }
@@ -126,7 +126,6 @@ std::string WriteUnitFile(const std::string& dir, const WorkUnit& unit) {
   const std::string name = UnitName(unit);
 
   std::string payload;
-  PutU32(payload, static_cast<std::uint32_t>(unit.wave));
   PutU32(payload, unit.reverse_patterns ? 1u : 0u);
   PutU32(payload, static_cast<std::uint32_t>(unit.target_token.size()));
   payload += unit.target_token;
@@ -135,7 +134,7 @@ std::string WriteUnitFile(const std::string& dir, const WorkUnit& unit) {
   payload += prog;
 
   std::string bytes(kUnitMagic, sizeof(kUnitMagic));
-  PutU32(bytes, 1);  // version
+  PutU32(bytes, kUnitVersion);
   PutU64(bytes, payload.size());
   const Hash128 sum = PayloadChecksum(payload);
   PutU64(bytes, sum.lo);
@@ -165,7 +164,7 @@ std::optional<WorkUnit> ReadUnitFile(const std::string& path) {
       std::string_view(kUnitMagic, 4)) {
     return corrupt("bad magic");
   }
-  if (GetU32(bytes.data() + 4) != 1) return corrupt("bad version");
+  if (GetU32(bytes.data() + 4) != kUnitVersion) return corrupt("bad version");
   const std::uint64_t payload_size = GetU64(bytes.data() + 8);
   if (bytes.size() != kHeader + payload_size) return corrupt("bad size");
   const Hash128 want{GetU64(bytes.data() + 16), GetU64(bytes.data() + 24)};
@@ -173,16 +172,15 @@ std::optional<WorkUnit> ReadUnitFile(const std::string& path) {
   const Hash128 got = PayloadChecksum(payload);
   if (got.lo != want.lo || got.hi != want.hi) return corrupt("bad checksum");
 
-  if (payload.size() < 12) return corrupt("truncated payload");
+  if (payload.size() < 8) return corrupt("truncated payload");
   WorkUnit unit;
-  unit.wave = static_cast<int>(GetU32(payload.data()));
-  unit.reverse_patterns = GetU32(payload.data() + 4) != 0;
-  const std::uint32_t token_len = GetU32(payload.data() + 8);
-  if (payload.size() < 12 + std::uint64_t(token_len) + 8) {
+  unit.reverse_patterns = GetU32(payload.data()) != 0;
+  const std::uint32_t token_len = GetU32(payload.data() + 4);
+  if (payload.size() < 8 + std::uint64_t(token_len) + 8) {
     return corrupt("truncated token");
   }
-  unit.target_token = payload.substr(12, token_len);
-  const std::size_t prog_off = 12 + token_len;
+  unit.target_token = payload.substr(8, token_len);
+  const std::size_t prog_off = 8 + token_len;
   const std::uint64_t prog_size = GetU64(payload.data() + prog_off);
   if (payload.size() != prog_off + 8 + prog_size) {
     return corrupt("truncated program");

@@ -12,15 +12,13 @@
 //   stats/<owner>.txt     per-worker exit stats (worker.h)
 //   campaign.done         coordinator finished; workers drain and exit
 //
-// A unit is (wave, target module, pattern order, PTP): "run the stage-2
-// logic trace of this PTP and publish the full-fault-list, dropped,
-// stuck-at simulation of the captured patterns to the store". Every unit
-// is a plan's original PTP, so `wave` is always 1 (the field stays in the
-// GWU1 codec and in the name). Units are idempotent — the store
-// entry they publish is a pure function of the unit — and content-named
-// (`w<wave>-<fingerprint>`), so two plan entries needing the same
-// simulation collapse into one unit, and re-running a unit is only wasted
-// work, never a wrong answer.
+// A unit is (target module, pattern order, PTP): "run the stage-2 logic
+// trace of this PTP and publish the full-fault-list, dropped, stuck-at
+// simulation of the captured patterns to the store". Units are idempotent
+// — the store entry they publish is a pure function of the unit — and
+// content-named (the fingerprint's hex), so two plan entries needing the
+// same simulation collapse into one unit, and re-running a unit is only
+// wasted work, never a wrong answer.
 #pragma once
 
 #include <cstdint>
@@ -35,18 +33,17 @@
 namespace gpustl::distrib {
 
 struct WorkUnit {
-  int wave = 1;                   // always 1: a plan's original PTP
   std::string target_token;       // "DU" | "SP" | "SFU" | "FP32"
   bool reverse_patterns = false;  // apply the captured patterns reversed
   isa::Program ptp;
 };
 
-/// Content fingerprint over (wave, target, pattern order, canonical PTP
-/// bytes) — the unit's identity and file-name stem.
+/// Content fingerprint over (target, pattern order, canonical PTP bytes)
+/// — the unit's identity and file-name stem.
 Hash128 FingerprintUnit(const WorkUnit& unit);
 
-/// `w<wave>-<fp hex32>`: the stem shared by the unit file, its claim and
-/// its done marker.
+/// `<fp hex32>`: the stem shared by the unit file, its claim and its done
+/// marker.
 std::string UnitName(const WorkUnit& unit);
 
 std::string UnitsDir(const std::string& dir);

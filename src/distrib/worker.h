@@ -53,7 +53,7 @@ struct WorkerOptions {
   std::string cache_dir;
 
   /// Fault-sim worker threads per unit (reports are bit-identical for any
-  /// value). Forked fleets default to 1 so W workers use ~W cores.
+  /// value). Forked fleets run at the campaign's own thread count.
   int threads = 1;
 
   /// Claim staleness horizon; <= 0 = the meta.txt value (default 30 s).

@@ -30,6 +30,14 @@ service::Json OkReply() {
   return reply;
 }
 
+/// Swept, stolen, or never fetched by this session: the worker abandons it.
+service::Json LeaseLost(const std::string& unit) {
+  service::Json reply;
+  reply.Set("op", "lease-lost");
+  reply.Set("unit", unit);
+  return reply;
+}
+
 /// True when `path` already holds a valid current-version entry for
 /// `key`. A missing file, a stale-version entry or a damaged one is not,
 /// so a fresh upload replaces it.
@@ -106,13 +114,7 @@ service::Json BrokerSession::Fetch() {
 service::Json BrokerSession::Renew(const service::Json& request) {
   const std::string unit = request.GetString("unit", "");
   const auto it = leases_.find(unit);
-  if (it == leases_.end()) {
-    // Swept, stolen, or never fetched here — the worker must abandon it.
-    service::Json reply;
-    reply.Set("op", "lease-lost");
-    reply.Set("unit", unit);
-    return reply;
-  }
+  if (it == leases_.end()) return LeaseLost(unit);
   board_.Heartbeat(unit);
   it->second = Clock::now();
   return OkReply();
@@ -162,10 +164,11 @@ service::Json BrokerSession::Publish(const service::Json& request) {
 service::Json BrokerSession::Finish(const service::Json& request,
                                     bool mark_done) {
   const std::string unit = request.GetString("unit", "");
-  if (unit.empty()) return ErrorReply("missing unit");
+  const auto it = leases_.find(unit);
+  if (it == leases_.end()) return LeaseLost(unit);
   if (mark_done) board_.MarkDone(unit);
   board_.Release(unit);
-  leases_.erase(unit);
+  leases_.erase(it);
   return OkReply();
 }
 

@@ -12,6 +12,9 @@
 //   done     MarkDone + Release
 //   release  give the unit back without a done marker
 //
+// renew, done and release act only on units this session leased: any other
+// name (another worker's unit, a `../` path) gets `lease-lost`, no file op.
+//
 // Leases mirror the file protocol's staleness rule on the server side:
 // a unit fetched over RPC is released when the connection drops (session
 // teardown) or when the worker stops renewing for `lease_seconds`

@@ -65,9 +65,8 @@ void ExpectSameResult(const fault::FaultSimResult& a,
   EXPECT_EQ(a.detected_mask, b.detected_mask);
 }
 
-WorkUnit SmallUnit(int wave, std::uint64_t seed, bool reverse = false) {
+WorkUnit SmallUnit(std::uint64_t seed, bool reverse = false) {
   WorkUnit unit;
-  unit.wave = wave;
   unit.target_token = "DU";
   unit.reverse_patterns = reverse;
   unit.ptp = stl::GenerateImm(6, seed);
@@ -350,14 +349,13 @@ TEST(UnitCodecTest, RoundTripsContentNamedAndIdempotent) {
   const std::string dir = ScratchDir("unit_roundtrip");
   InitDistribDir(dir);
 
-  const WorkUnit unit = SmallUnit(1, 0x5EED);
+  const WorkUnit unit = SmallUnit(0x5EED);
   const std::string name = WriteUnitFile(dir, unit);
   EXPECT_EQ(name, UnitName(unit));
-  EXPECT_EQ(name.rfind("w1-", 0), 0u);
+  EXPECT_EQ(name, FingerprintUnit(unit).ToHex());
 
   const auto back = ReadUnitFile(UnitsDir(dir) + "/" + name + ".unit");
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->wave, unit.wave);
   EXPECT_EQ(back->target_token, unit.target_token);
   EXPECT_EQ(back->reverse_patterns, unit.reverse_patterns);
   EXPECT_EQ(UnitName(*back), name) << "PTP bytes survived the round trip";
@@ -367,16 +365,15 @@ TEST(UnitCodecTest, RoundTripsContentNamedAndIdempotent) {
   // simulation collapse, different ones never collide.
   EXPECT_EQ(WriteUnitFile(dir, unit), name);
   EXPECT_EQ(ListUnits(dir).size(), 1u);
-  EXPECT_NE(UnitName(SmallUnit(2, 0x5EED)), name);
-  EXPECT_NE(UnitName(SmallUnit(1, 0x5EED, /*reverse=*/true)), name);
-  EXPECT_NE(UnitName(SmallUnit(1, 0x5EEE)), name);
+  EXPECT_NE(UnitName(SmallUnit(0x5EED, /*reverse=*/true)), name);
+  EXPECT_NE(UnitName(SmallUnit(0x5EEE)), name);
   EXPECT_EQ(ListUnits(dir), std::vector<std::string>{name});
 }
 
 TEST(UnitCodecTest, CorruptUnitFilesAreSkippedNeverFatal) {
   const std::string dir = ScratchDir("unit_corrupt");
   InitDistribDir(dir);
-  const std::string name = WriteUnitFile(dir, SmallUnit(1, 0xBAD));
+  const std::string name = WriteUnitFile(dir, SmallUnit(0xBAD));
   const std::string path = UnitsDir(dir) + "/" + name + ".unit";
 
   std::ifstream is(path, std::ios::binary);
@@ -398,6 +395,11 @@ TEST(UnitCodecTest, CorruptUnitFilesAreSkippedNeverFatal) {
   EXPECT_FALSE(ReadUnitFile(path).has_value());
 
   rewrite("not a unit at all");  // bad magic
+  EXPECT_FALSE(ReadUnitFile(path).has_value());
+
+  std::string old_version = bytes;
+  old_version[4] = 1;  // a version-1 unit, whose payload led with a wave
+  rewrite(old_version);
   EXPECT_FALSE(ReadUnitFile(path).has_value());
 
   EXPECT_FALSE(ReadUnitFile(UnitsDir(dir) + "/absent.unit").has_value());
@@ -475,42 +477,50 @@ TEST(ClaimBoardTest, ExactlyOneOwnerStaleStealAndDoneMarkers) {
 TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
   const auto plan = SmallPlan();
   const std::string reference = RunCampaign(plan, {});
-
-  const std::string scratch = ScratchDir("coord_forked");
-  store::ResultStore store(scratch + "/cache");
-  compact::CompactorOptions opt;
-  opt.result_store = &store;
-
-  CoordinatorOptions copt;
-  copt.dir = scratch + "/distrib";
-  copt.fork_workers = 2;
-  copt.stale_seconds = 2.0;
+  std::size_t compactable = 0;
+  for (const auto& pe : plan) compactable += pe.entry.compactable ? 1 : 0;
 
   const netlist::Netlist du = circuits::BuildDecoderUnit();
   const netlist::Netlist sp = circuits::BuildSpCore();
   const netlist::Netlist sfu = circuits::BuildSfu();
-  PrefetchStats stats;
-  {
-    Coordinator coordinator(copt, ModuleSet{&du, &sp, &sfu}, opt);
-    stats = coordinator.Prefetch(plan);
-  }
-  EXPECT_EQ(stats.wave1_units, plan.size());
-  EXPECT_EQ(stats.plan_seconds, 0.0);
-  EXPECT_EQ(stats.wave2_seconds, 0.0);
-  // >= : a steal race can compute a unit twice (wasted, never wrong).
-  EXPECT_GE(stats.worker_units + stats.inline_units, stats.wave1_units);
+  // The forked workers run their units at the campaign's thread count:
+  // fork plus a multi-threaded unit must still give the single-process
+  // report.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    const std::string scratch =
+        ScratchDir(("coord_forked_t" + std::to_string(threads)).c_str());
+    store::ResultStore store(scratch + "/cache");
+    compact::CompactorOptions opt;
+    opt.num_threads = threads;
+    opt.result_store = &store;
 
-  // Every full-list lookup of the final campaign (one per entry) hits;
-  // the validation lookups (one per compacted entry) miss in this fresh
-  // store and run live. The report is byte-identical to the
-  // single-process run.
-  std::size_t compactable = 0;
-  for (const auto& pe : plan) compactable += pe.entry.compactable ? 1 : 0;
-  const store::StoreStats before = store.stats();
-  EXPECT_EQ(RunCampaign(plan, opt), reference);
-  EXPECT_EQ(store.stats().hits - before.hits, plan.size())
-      << "a prefetched campaign never simulates a full fault list live";
-  EXPECT_EQ(store.stats().misses - before.misses, compactable);
+    CoordinatorOptions copt;
+    copt.dir = scratch + "/distrib";
+    copt.fork_workers = 2;
+    copt.stale_seconds = 2.0;
+
+    PrefetchStats stats;
+    {
+      Coordinator coordinator(copt, ModuleSet{&du, &sp, &sfu}, opt);
+      stats = coordinator.Prefetch(plan);
+    }
+    EXPECT_EQ(stats.wave1_units, plan.size());
+    EXPECT_EQ(stats.plan_seconds, 0.0);
+    EXPECT_EQ(stats.wave2_seconds, 0.0);
+    // >= : a steal race can compute a unit twice (wasted, never wrong).
+    EXPECT_GE(stats.worker_units + stats.inline_units, stats.wave1_units);
+
+    // Every full-list lookup of the final campaign (one per entry) hits;
+    // the validation lookups (one per compacted entry) miss in this fresh
+    // store and run live. The report is byte-identical to the
+    // single-process run.
+    const store::StoreStats before = store.stats();
+    EXPECT_EQ(RunCampaign(plan, opt), reference);
+    EXPECT_EQ(store.stats().hits - before.hits, plan.size())
+        << "a prefetched campaign never simulates a full fault list live";
+    EXPECT_EQ(store.stats().misses - before.misses, compactable);
+  }
 }
 
 TEST(CoordinatorTest, StaleClaimChaosIsStolenAndStaysByteIdentical) {

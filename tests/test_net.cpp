@@ -523,7 +523,11 @@ TEST(BrokerTest, PublishReplacesAnOlderFormatEntry) {
 }
 
 TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
-  const std::string distrib = ScratchDir("broker-empty");
+  // The distrib dir sits one level down, so a `../../` unit name resolves
+  // inside this test's scratch directory.
+  const std::string root = ScratchDir("broker-empty");
+  const std::string distrib = root + "/d";
+  distrib::InitDistribDir(distrib);
   BrokerOptions options;
   options.distrib_dir = distrib;
   options.cache_dir = ScratchDir("broker-empty-cache");
@@ -536,12 +540,54 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
 
   Json renew;
   renew.Set("op", "renew");
-  renew.Set("unit", "w1-000");
+  renew.Set("unit", "000");
   EXPECT_EQ(session->Handle(renew).GetString("op"), "lease-lost");
 
   Json bogus;
   bogus.Set("op", "frobnicate");
   EXPECT_EQ(session->Handle(bogus).GetString("op"), "error");
+
+  // done and release name only units this session leased: a path outside
+  // the distrib dir is never written or unlinked.
+  const std::string victim = root + "/x.claim";
+  { std::ofstream(victim) << "not the broker's\n"; }
+  for (const char* op : {"done", "release"}) {
+    Json escape;
+    escape.Set("op", op);
+    escape.Set("unit", "../../x");
+    EXPECT_EQ(session->Handle(escape).GetString("op"), "lease-lost") << op;
+  }
+  EXPECT_TRUE(fs::exists(victim));
+  EXPECT_FALSE(fs::exists(root + "/x.done"));
+
+  // Another session's unit is not this one's to finish either.
+  distrib::WorkUnit unit;
+  unit.target_token = "DU";
+  unit.ptp = stl::GenerateImm(4, 1);
+  const std::string name = distrib::WriteUnitFile(distrib, unit);
+  auto owner = broker.OpenSession("other-owner");
+  const Json leased = owner->Handle(fetch);
+  ASSERT_EQ(leased.GetString("op"), "unit");
+  ASSERT_EQ(leased.GetString("unit"), name);
+  const std::string claim = distrib::ClaimsDir(distrib) + "/" + name + ".claim";
+  const std::string marker = distrib::DoneDir(distrib) + "/" + name + ".done";
+  for (const char* op : {"done", "release"}) {
+    Json steal;
+    steal.Set("op", op);
+    steal.Set("unit", name);
+    EXPECT_EQ(session->Handle(steal).GetString("op"), "lease-lost") << op;
+  }
+  EXPECT_TRUE(fs::exists(claim));
+  EXPECT_FALSE(fs::exists(marker));
+
+  // The leaseholder's done still writes the marker and drops its claim.
+  Json done;
+  done.Set("op", "done");
+  done.Set("unit", name);
+  EXPECT_EQ(owner->Handle(done).GetString("op"), "ok");
+  EXPECT_TRUE(fs::exists(marker));
+  EXPECT_FALSE(fs::exists(claim));
+  EXPECT_EQ(owner->held(), 0u);
 }
 
 // --- Remote worker -----------------------------------------------------------

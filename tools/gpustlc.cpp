@@ -85,7 +85,8 @@ int Usage() {
       "by workers into the shared result store, then the campaign replays\n"
       "the sequential drop order over the cached results. Requires\n"
       "--cache-dir.\n"
-      "--distrib-workers N forks N worker processes for the run;\n"
+      "--distrib-workers N forks N worker processes for the run, each\n"
+      "running its units at --threads;\n"
       "--workers-external relies on separately started gpustl-worker\n"
       "processes instead; --distrib-stale S sets the claim staleness\n"
       "horizon (default 30 s). Reports are byte-identical to the same\n"
