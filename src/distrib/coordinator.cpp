@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -23,9 +22,13 @@
 
 namespace gpustl::distrib {
 
-// Await's and the forked workers' idle poll: a few stat calls, so a short
-// period costs nothing and the wave ends when its last unit does.
-constexpr int kPollMs = 2;
+// Idle poll periods. A forked fleet and its Await poll every 2 ms, so the
+// wave ends when its last unit does. An external fleet polls every 50 ms
+// or more (gpustl-worker's floor), over a dir that may be shared or
+// remote; a 2-ms Await there made about 21 times the stat calls of a 50-ms
+// one (EXPERIMENTS.md) to see a unit's end at most 48 ms sooner.
+constexpr int kForkedPollMs = 2;
+constexpr int kExternalPollMs = 50;
 
 Coordinator::Coordinator(CoordinatorOptions options, ModuleSet modules,
                          const compact::CompactorOptions& base)
@@ -60,7 +63,7 @@ void Coordinator::ForkWorkers() {
                    std::to_string(::getpid());
         wo.threads = base_.num_threads;
         wo.stale_seconds = options_.stale_seconds;
-        wo.poll_ms = kPollMs;
+        wo.poll_ms = kForkedPollMs;
         // Borrow the parent's netlists/preps: fork shares the pages, so
         // the child skips the rebuild that would otherwise dominate its
         // first unit.
@@ -125,10 +128,13 @@ void Coordinator::Await(const std::vector<std::string>& units) {
       progress = Timer();
     }
 
-    const bool any_live =
-        std::any_of(pending.begin(), pending.end(), [&board](const auto* n) {
-          return board.HasLiveClaim(*n);
-        });
+    bool any_live = false;
+    for (const std::string* name : pending) {
+      if (board.HasLiveClaim(*name)) {
+        any_live = true;
+        break;
+      }
+    }
 
     if (!any_live && progress.Seconds() >= options_.grace_seconds) {
       // The fleet is dead or absent: compute pending units here. TryClaim
@@ -157,7 +163,8 @@ void Coordinator::Await(const std::vector<std::string>& units) {
       continue;
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        options_.fork_workers > 0 ? kForkedPollMs : kExternalPollMs));
   }
 }
 

@@ -242,9 +242,10 @@ WorkerStats RunWorker(const WorkerOptions& options) {
 
     for (const std::string& name : ListUnits(options.dir)) {
       if (stopping()) break;
-      if (board.IsDone(name)) continue;
+      // A unit this worker gave up on (unreadable, say one left in a reused
+      // dir by an older format) must not keep it from exiting.
+      if (board.IsDone(name) || blacklist.count(name) != 0) continue;
       all_done = false;
-      if (blacklist.count(name) != 0) continue;
 
       const ClaimResult claim = board.TryClaim(name);
       if (!claim.claimed) continue;

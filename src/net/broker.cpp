@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -165,7 +166,19 @@ service::Json BrokerSession::Finish(const service::Json& request,
                                     bool mark_done) {
   const std::string unit = request.GetString("unit", "");
   const auto it = leases_.find(unit);
-  if (it == leases_.end()) return LeaseLost(unit);
+  if (it == leases_.end()) {
+    // A `done` sent on a fresh connection after a drop: the dropped
+    // session released the lease, but the worker published the entry
+    // first. Marking a posted unit done spares another worker the rerun;
+    // the claim, maybe another worker's by now, stays.
+    const auto posted = distrib::ListUnits(broker_.options().distrib_dir);
+    if (!mark_done ||
+        !std::binary_search(posted.begin(), posted.end(), unit)) {
+      return LeaseLost(unit);
+    }
+    board_.MarkDone(unit);
+    return OkReply();
+  }
   if (mark_done) board_.MarkDone(unit);
   board_.Release(unit);
   leases_.erase(it);

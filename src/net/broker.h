@@ -12,8 +12,10 @@
 //   done     MarkDone + Release
 //   release  give the unit back without a done marker
 //
-// renew, done and release act only on units this session leased: any other
-// name (another worker's unit, a `../` path) gets `lease-lost`, no file op.
+// renew and release act only on units this session leased: any other name
+// (another worker's unit, a `../` path) gets `lease-lost`, no file op. done
+// also takes a posted unit the session no longer holds (the worker
+// reconnected after publishing): it writes the marker and nothing else.
 //
 // Leases mirror the file protocol's staleness rule on the server side:
 // a unit fetched over RPC is released when the connection drops (session

@@ -7,11 +7,16 @@
 // wave end to end — forked fleet and chaos runs must produce reports
 // byte-identical to the single-process campaign.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/decoder_unit.h"
@@ -521,6 +526,62 @@ TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
         << "a prefetched campaign never simulates a full fault list live";
     EXPECT_EQ(store.stats().misses - before.misses, compactable);
   }
+}
+
+TEST(CoordinatorTest, ForkedFleetExitsPastAnUnreadableLeftoverUnit) {
+  // A dir reused after an interrupted campaign of an older unit format
+  // still holds that campaign's undone `w1-*` unit, which no worker can
+  // read. The forked workers give up on it and must still exit once the
+  // campaign is done, or ReapWorkers waits on them for ever.
+  const auto plan = SmallPlan();
+  const std::string reference = RunCampaign(plan, {});
+  const std::string scratch = ScratchDir("coord_leftover");
+  const std::string dir = scratch + "/distrib";
+  InitDistribDir(dir);
+  {
+    const std::string name = WriteUnitFile(dir, SmallUnit(0x01D));
+    const std::string path = UnitsDir(dir) + "/" + name + ".unit";
+    std::ifstream is(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(is)),
+                      std::istreambuf_iterator<char>());
+    bytes[4] = 1;  // version 1
+    std::ofstream(UnitsDir(dir) + "/w1-" + name + ".unit", std::ios::binary)
+        << bytes;
+    fs::remove(path);
+  }
+
+  store::ResultStore store(scratch + "/cache");
+  compact::CompactorOptions opt;
+  opt.result_store = &store;
+  CoordinatorOptions copt;
+  copt.dir = dir;
+  copt.fork_workers = 2;
+
+  // Prefetch runs in a child in its own process group, so a hang is
+  // reported (and its forked workers killed) instead of stalling the suite.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setpgid(0, 0);
+    const netlist::Netlist du = circuits::BuildDecoderUnit();
+    const netlist::Netlist sp = circuits::BuildSpCore();
+    const netlist::Netlist sfu = circuits::BuildSfu();
+    Coordinator coordinator(copt, ModuleSet{&du, &sp, &sfu}, opt);
+    coordinator.Prefetch(plan);
+    ::_exit(0);
+  }
+  int status = -1;
+  for (int waited_ms = 0; waited_ms < 60000; waited_ms += 10) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (status == -1) {
+    ::kill(-pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "forked Prefetch did not return within 60 s";
+  }
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(RunCampaign(plan, opt), reference);
 }
 
 TEST(CoordinatorTest, StaleClaimChaosIsStolenAndStaysByteIdentical) {

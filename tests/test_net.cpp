@@ -547,8 +547,8 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   bogus.Set("op", "frobnicate");
   EXPECT_EQ(session->Handle(bogus).GetString("op"), "error");
 
-  // done and release name only units this session leased: a path outside
-  // the distrib dir is never written or unlinked.
+  // release names only units this session leased, done also a posted
+  // one: a path outside the distrib dir is never written or unlinked.
   const std::string victim = root + "/x.claim";
   { std::ofstream(victim) << "not the broker's\n"; }
   for (const char* op : {"done", "release"}) {
@@ -560,7 +560,16 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   EXPECT_TRUE(fs::exists(victim));
   EXPECT_FALSE(fs::exists(root + "/x.done"));
 
-  // Another session's unit is not this one's to finish either.
+  // A well-formed name that is not posted is refused the same way.
+  for (const char* op : {"done", "release"}) {
+    Json unposted;
+    unposted.Set("op", op);
+    unposted.Set("unit", "0123456789abcdef0123456789abcdef");
+    EXPECT_EQ(session->Handle(unposted).GetString("op"), "lease-lost") << op;
+  }
+  EXPECT_TRUE(fs::is_empty(distrib::DoneDir(distrib)));
+
+  // Another session's claim is not this one's to release.
   distrib::WorkUnit unit;
   unit.target_token = "DU";
   unit.ptp = stl::GenerateImm(4, 1);
@@ -571,19 +580,26 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   ASSERT_EQ(leased.GetString("unit"), name);
   const std::string claim = distrib::ClaimsDir(distrib) + "/" + name + ".claim";
   const std::string marker = distrib::DoneDir(distrib) + "/" + name + ".done";
-  for (const char* op : {"done", "release"}) {
-    Json steal;
-    steal.Set("op", op);
-    steal.Set("unit", name);
-    EXPECT_EQ(session->Handle(steal).GetString("op"), "lease-lost") << op;
-  }
+  Json release;
+  release.Set("op", "release");
+  release.Set("unit", name);
+  EXPECT_EQ(session->Handle(release).GetString("op"), "lease-lost");
   EXPECT_TRUE(fs::exists(claim));
   EXPECT_FALSE(fs::exists(marker));
 
-  // The leaseholder's done still writes the marker and drops its claim.
+  // A done for a posted unit the session does not hold (a worker that
+  // reconnected after publishing) writes the marker and leaves the
+  // holder's claim alone.
   Json done;
   done.Set("op", "done");
   done.Set("unit", name);
+  EXPECT_EQ(session->Handle(done).GetString("op"), "ok");
+  EXPECT_TRUE(fs::exists(marker));
+  EXPECT_TRUE(fs::exists(claim));
+  EXPECT_EQ(owner->held(), 1u);
+
+  // The leaseholder's done still writes the marker and drops its claim.
+  fs::remove(marker);
   EXPECT_EQ(owner->Handle(done).GetString("op"), "ok");
   EXPECT_TRUE(fs::exists(marker));
   EXPECT_FALSE(fs::exists(claim));
